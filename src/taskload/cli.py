@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: generate, calibrate, analytic, simulate, compare, safe-zone.
-All tabular output is CSV with fixed headers (or JSON via --format),
-prefixed by a provenance comment block (tool version, seed, config
-hash) sufficient to reproduce the numeric payload byte for byte.
+All tabular output is CSV with fixed headers (or JSON via --format or
+the config's output.format), prefixed by a provenance comment block
+(tool version, seed, config hash) sufficient to reproduce the numeric
+payload byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
 failure, 5 comparison failure.
@@ -134,7 +135,7 @@ def cmd_generate(args) -> int:
         src = RandomSource(seed, cfg.stream_id)
         samples = johnson_sample(cfg.distributions[axis], src, args.n)
         rows = [[float(v)] for v in samples]
-    _write_table(args.out, args.format, prov, [col], rows)
+    _write_table(args.out, _format(args, cfg), prov, [col], rows)
     return EXIT_OK
 
 
@@ -238,29 +239,29 @@ def cmd_analytic(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seed
     src = RandomSource(seed, cfg.stream_id)
-    fmt = args.format
+    fmt = _format(args, cfg)
     out_dir = args.out
     prov = _provenance(cfg, seed, {"command": "analytic", "kind": cfg.kind})
     densities = {}
     if cfg.kind == "single_lane":
         tables = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
                                       cfg.obs_dt_min, cfg.oracle_paths, src,
-                                      densities_out=densities)
+                                      densities_out=densities, n_max=cfg.n_max)
     elif cfg.kind == "multilane":
         tables = analytic_multilane(cfg.flows, cfg.ou, cfg.horizon_min,
-                                    cfg.obs_dt_min, cfg.oracle_paths, src)
+                                    cfg.obs_dt_min, cfg.oracle_paths, src,
+                                    n_max=cfg.n_max)
     else:
         tables = analytic_crossing(cfg.geometry, cfg.flows, cfg.ou,
                                    cfg.horizon_min, cfg.obs_dt_min,
-                                   cfg.oracle_paths, src)
+                                   cfg.oracle_paths, src, n_max=cfg.n_max)
     os.makedirs(out_dir, exist_ok=True)
     _write_resolved_config(cfg, out_dir)
-    ext = "json" if fmt == "json" else "csv"
     for name, pmf in tables.items():
-        path = os.path.join(out_dir, f"analytic_{name}.{ext}")
+        path = os.path.join(out_dir, f"analytic_{name}.{fmt}")
         _write_table(path, fmt, prov, ["n", "prob"], _pmf_rows(pmf))
     for axis, grid in densities.items():
-        path = os.path.join(out_dir, f"density_{axis}.{ext}")
+        path = os.path.join(out_dir, f"density_{axis}.{fmt}")
         rows = [[float(t), float(v)]
                 for t, v in zip(grid.times, grid.values)]
         _write_table(path, fmt, prov, ["t_min", "value"], rows)
@@ -292,10 +293,10 @@ def cmd_simulate(args) -> int:
         "n_aircraft": est.n_aircraft})
     os.makedirs(args.out, exist_ok=True)
     _write_resolved_config(cfg, args.out)
+    fmt = _format(args, cfg)
     for name, (header, rows) in _estimate_tables(est).items():
-        ext = "json" if args.format == "json" else "csv"
-        path = os.path.join(args.out, f"mc_{name}.{ext}")
-        _write_table(path, args.format, prov, header, rows)
+        path = os.path.join(args.out, f"mc_{name}.{fmt}")
+        _write_table(path, fmt, prov, header, rows)
     return EXIT_OK
 
 
@@ -311,9 +312,12 @@ def _read_pmf_table(path: str) -> tuple[np.ndarray, float, int | None]:
     if path.endswith(".json"):
         payload = json.loads("\n".join(lines))
         rows = payload["rows"]
+        n_runs = payload.get("provenance", {}).get("n_runs")
     else:
         body = [ln for ln in lines if ln and not ln.startswith("#")]
         rows = list(csv.reader(body))[1:]
+        n_runs = next((ln.partition("=")[2] for ln in lines
+                       if ln.startswith("# n_runs=")), None)
     for row in rows:
         if row[0] == "truncation":
             trunc = float(row[1])
@@ -321,15 +325,22 @@ def _read_pmf_table(path: str) -> tuple[np.ndarray, float, int | None]:
             probs.append(float(row[1]))
     if not probs:
         raise DataError(f"{path}: no PMF rows")
-    return np.asarray(probs), trunc, None
+    try:
+        n_runs = None if n_runs is None else int(n_runs)
+    except ValueError:
+        raise DataError(f"{path}: bad n_runs {n_runs!r}") from None
+    return np.asarray(probs), trunc, n_runs
 
 
 def cmd_compare(args) -> int:
     from .harness import EmpiricalPmf
     a_probs, a_trunc, _ = _read_pmf_table(args.analytic)
-    m_probs, _, _ = _read_pmf_table(args.mc)
+    m_probs, _, recorded_runs = _read_pmf_table(args.mc)
     analytic = TaskloadPmf(a_probs, a_trunc)
-    n_runs = args.runs or 10000
+    n_runs = args.runs or recorded_runs
+    if not n_runs:
+        raise DataError(f"{args.mc}: no n_runs in its provenance; "
+                        f"give --runs")
     counts = np.rint(m_probs * n_runs).astype(np.int64)
     mc = EmpiricalPmf(counts, int(counts.sum()), 0)
     report = compare_pmfs(analytic, mc, tv_threshold=args.tv)
@@ -366,13 +377,17 @@ def cmd_safe_zone(args) -> int:
              float(solved.d_min_nm), float(solved.x1_nm), float(solved.x2_nm),
              float(solved.t_safe_min)]]
     if args.out:
-        _write_table(args.out, args.format, prov, header, rows)
+        _write_table(args.out, _format(args, cfg), prov, header, rows)
     else:
         sys.stdout.write(_csv_payload(prov, header, rows))
     return EXIT_OK
 
 
 # --- wiring ----------------------------------------------------------------
+
+def _format(args, cfg: ConfigFile) -> str:
+    return args.format or cfg.output_format
+
 
 def _load(args) -> ConfigFile:
     if getattr(args, "config", None):
@@ -384,7 +399,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=("csv", "json"), default=None,
+                     help="table format (default: the config's "
+                          "output.format, csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:

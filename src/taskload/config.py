@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .distributions import JOHNSON_FTE, JohnsonSuParams
+from .distributions import AXES, JOHNSON_FTE, JohnsonSuParams
 from .flow import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
                    ToleranceBounds)
 from .harness import ScenarioConfig
@@ -27,8 +27,6 @@ from .ou import OU_FTE_CENTERED, OuParams
 SCHEMA_VERSION = 1
 TOOL_NAME = "corridor-taskload"
 TOOL_VERSION = "0.1.0"
-
-AXES = ("lateral", "vertical", "longitudinal")
 
 #: Reference Monte Carlo run counts by scenario and intensity/angle.
 MONOLANE_RUNS = {2.5: 91658, 5.0: 66680, 7.5: 58366, 10.0: 54147, 60.0: 41702}

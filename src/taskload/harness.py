@@ -6,31 +6,35 @@ occupancy steady state. Each aircraft's three deviation axes evolve
 independently through exact mean-reverting transitions; the controller
 observes deviations at a fixed surveillance cadence (obs_dt, 1 minute
 by default), and every observation beyond an axis bound counts one
-intervention and returns that axis to the nominal trajectory. The
-simulation substep dt refines the path between observations; transitions
-are exact, so observed statistics are invariant to dt (the acceptance
-suite checks this by halving it).
+intervention and returns that axis to the nominal trajectory. Only
+observed states are scored and transitions are exact, so the simulation
+steps once per observation, one normal draw per aircraft-axis; the
+configured `dt` is kept in provenance but does not change estimates.
 
 Runs draw from substreams keyed by (seed, stream) and run index, so
 estimates from disjoint run ranges merge by count addition into exactly
-the estimate of the combined run range.
+the estimate of the combined run range. Blocks of runs are stacked and
+scored together; each run still draws from its own substream in a
+fixed order, so block boundaries change no output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .flow import CrossingGeometry, FlowSpec, solve_safe_zone
-from .ou import OU_FTE_CENTERED, OuParams, transition_coeffs
+from .distributions import AXES
+from .ou import (OU_FTE_CENTERED, OuParams, _observe_and_reset,
+                 transition_coeffs)
 from .pmf import TaskloadPmf, wilson_interval
 from .rng import RandomSource
 
-AXES = ("lateral", "vertical", "longitudinal")
-
 SCENARIO_KINDS = ("single_lane", "multilane", "crossing")
+
+_BLOCK_ROWS = 512  # aircraft rows per engine call; bounds the noise held
 
 
 @dataclass
@@ -71,10 +75,6 @@ class ScenarioConfig:
         for axis in self.axes:
             if axis not in self.ou:
                 raise ValueError(f"missing OU parameters for axis {axis!r}")
-
-    @property
-    def n_substeps(self) -> int:
-        return max(1, int(round(self.obs_dt / self.dt)))
 
 
 @dataclass
@@ -152,72 +152,87 @@ def _bincount(per_run: np.ndarray) -> np.ndarray:
     return np.bincount(per_run, minlength=int(per_run.max(initial=0)) + 1)
 
 
-def _simulate_lane_counts(rs: RandomSource, flow: FlowSpec,
-                          ou: dict[str, OuParams], axes: tuple[str, ...],
-                          horizon: float, obs_dt: float, n_sub: int,
-                          count_full_horizon: bool) -> tuple[np.ndarray, int]:
-    """Per-axis intervention counts for one lane in one run.
+def _lane_counts(cfg: ScenarioConfig, flows: list[FlowSpec],
+                 full_horizon: bool, on_arrivals=None
+                 ) -> tuple[np.ndarray, int]:
+    """Intervention counts per (run, lane, axis) and the aircraft total.
 
-    Returns (counts per axis, number of aircraft). Draw order is fixed:
-    arrival count, arrival times, then the full observation noise tensor.
+    Each run draws from its own substream, lane by lane: arrival count,
+    arrival times, then the lane's noise tensor (observations, aircraft,
+    axes). A lane's residency is its flow's t_cross_min. Runs are scored
+    in blocks of about _BLOCK_ROWS aircraft, one engine call each, so
+    block boundaries change no count. on_arrivals(r, entries) sees the
+    entry times of each lane of run r.
     """
-    lam = flow.intensity_per_min
-    window = horizon + flow.t_cross_min
-    k = int(rs.poisson(lam * window))
-    if k == 0:
-        return np.zeros(len(axes)), 0
-    entries = -flow.t_cross_min + rs.uniform(k) * window
+    src = RandomSource(cfg.seed, cfg.stream_id)
+    n_lanes, n_axes = len(flows), len(cfg.axes)
+    coeffs = [np.array(c) for c in zip(
+        *(transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in cfg.axes))]
+    bounds = [np.array([f.tolerance.for_axis(a) for a in cfg.axes])
+              for f in flows]
+    per_run = np.zeros((cfg.n_runs * n_lanes, n_axes), dtype=np.int64)
+    n_aircraft, block, rows, first = 0, [], 0, 0
+    for r in range(cfg.n_runs):
+        rs = src.substream(cfg.run_offset + r)
+        for li, flow in enumerate(flows):
+            window = cfg.horizon + flow.t_cross_min
+            k = int(rs.poisson(flow.intensity_per_min * window))
+            n_aircraft += k
+            if k == 0:
+                continue
+            entries = -flow.t_cross_min + rs.uniform(k) * window
+            if on_arrivals is not None:
+                on_arrivals(r, entries)
+            if full_horizon:
+                m_last = np.floor((cfg.horizon - entries) / cfg.obs_dt
+                                  + 1e-9).astype(int).clip(min=0)
+            else:
+                m_last = np.full(
+                    k, int(math.floor(flow.t_cross_min / cfg.obs_dt + 1e-9)))
+            if m_last.max() > 0:
+                z = rs.standard_normal((int(m_last.max()), k, n_axes))
+                block.append(((r - first) * n_lanes + li, entries, m_last, z,
+                              bounds[li]))
+                rows += k
+        if rows >= _BLOCK_ROWS or r == cfg.n_runs - 1:
+            if block:
+                per_run[first * n_lanes:(r + 1) * n_lanes] = _count_block(
+                    cfg, block, coeffs, (r + 1 - first) * n_lanes)
+            block, rows, first = [], 0, r + 1
+    return per_run.reshape(cfg.n_runs, n_lanes, n_axes), n_aircraft
 
-    if count_full_horizon:
-        m_last = np.maximum(
-            np.floor((horizon - entries) / obs_dt + 1e-9).astype(int), 0)
-    else:
-        m_last = np.full(k, int(math.floor(flow.t_cross_min / obs_dt + 1e-9)))
-    m_max = int(m_last.max(initial=0))
-    if m_max == 0:
-        return np.zeros(len(axes)), k
 
-    sub_dt = obs_dt / n_sub
-    coeffs = [transition_coeffs(ou[a], sub_dt) for a in axes]
-    a_vec = np.array([c[0] for c in coeffs])
-    b_vec = np.array([c[1] for c in coeffs])
-    s_vec = np.array([c[2] for c in coeffs])
-    bounds = np.array([flow.tolerance.for_axis(a) for a in axes])
-
-    z = rs.standard_normal((m_max * n_sub, k, len(axes)))
-    x = np.zeros((k, len(axes)))
-    counts = np.zeros(len(axes), dtype=np.int64)
-    for m in range(1, m_max + 1):
-        for j in range(n_sub):
-            x = a_vec * x + b_vec + s_vec * z[(m - 1) * n_sub + j]
-        t_obs = entries + m * obs_dt
-        in_window = (t_obs >= -1e-9) & (t_obs <= horizon + 1e-9)
-        observed = (m <= m_last)
-        hits = np.abs(x) >= bounds
-        countable = hits & (observed & in_window)[:, None]
-        counts += countable.sum(axis=0)
-        # the controller resets every observed excursion, including those
-        # during the pre-window warm-up that the accounting skips
-        x[hits & observed[:, None]] = 0.0
-    return counts, k
+def _count_block(cfg: ScenarioConfig, block: list, coeffs,
+                 n_groups: int) -> np.ndarray:
+    """Counts per (group, axis) of (group, entries, m_last, noise,
+    bounds) lane draws, stacked and scored by one engine call. Every
+    excursion is reset, including those during the pre-window warm-up;
+    it counts if observed (steps 1..m_last) inside the horizon. Resets
+    after m_last touch only states that are never scored."""
+    groups, entries, m_last, noise, bounds = zip(*block)
+    sizes = [e.size for e in entries]
+    entries, m_last = np.concatenate(entries), np.concatenate(m_last)
+    bounds = np.repeat(np.stack(bounds), sizes, axis=0)
+    z = np.zeros((int(m_last.max()),) + bounds.shape)
+    for part, i in zip(noise, np.cumsum([0] + sizes)):
+        z[:part.shape[0], i:i + part.shape[1]] = part
+    m = np.arange(1, z.shape[0] + 1)[:, None]
+    t_obs = entries + m * cfg.obs_dt
+    counted = (m <= m_last) & (t_obs >= -1e-9) & (t_obs <= cfg.horizon + 1e-9)
+    x, counts = np.zeros(bounds.shape), np.zeros(bounds.shape, np.int64)
+    _observe_and_reset(x, z, coeffs, bounds, counts, counted)
+    group = np.repeat(groups, sizes)
+    return np.stack([np.bincount(group, c, n_groups) for c in counts.T],
+                    axis=1).astype(np.int64)
 
 
 def run_single_lane(cfg: ScenarioConfig) -> McEstimate:
     """Estimate the lane taskload PMF (per axis and all axes combined)."""
     if cfg.kind != "single_lane":
         raise ValueError("config kind must be single_lane")
-    src = RandomSource(cfg.seed, cfg.stream_id)
-    flow = cfg.flows[0]
     n_axes = len(cfg.axes)
-    per_run = np.zeros((cfg.n_runs, n_axes), dtype=np.int64)
-    n_aircraft = 0
-    for r in range(cfg.n_runs):
-        rs = src.substream(cfg.run_offset + r)
-        counts, k = _simulate_lane_counts(
-            rs, flow, cfg.ou, cfg.axes, cfg.horizon, cfg.obs_dt,
-            cfg.n_substeps, cfg.count_full_horizon)
-        per_run[r] = counts
-        n_aircraft += k
+    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, cfg.count_full_horizon)
+    per_run = per_run[:, 0]
     comps: dict[str, EmpiricalPmf] = {}
     for i, axis in enumerate(cfg.axes):
         comps[axis] = EmpiricalPmf(_bincount(per_run[:, i]), cfg.n_runs,
@@ -237,19 +252,9 @@ def run_multilane(cfg: ScenarioConfig) -> McEstimate:
     """
     if cfg.kind != "multilane":
         raise ValueError("config kind must be multilane")
-    src = RandomSource(cfg.seed, cfg.stream_id)
     n_lanes = len(cfg.flows)
     n_axes = len(cfg.axes)
-    per_run = np.zeros((cfg.n_runs, n_lanes, n_axes), dtype=np.int64)
-    n_aircraft = 0
-    for r in range(cfg.n_runs):
-        rs = src.substream(cfg.run_offset + r)
-        for li, flow in enumerate(cfg.flows):
-            counts, k = _simulate_lane_counts(
-                rs, flow, cfg.ou, cfg.axes, cfg.horizon, cfg.obs_dt,
-                cfg.n_substeps, cfg.count_full_horizon)
-            per_run[r, li] = counts
-            n_aircraft += k
+    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, cfg.count_full_horizon)
     comps: dict[str, EmpiricalPmf] = {}
     for prefix in range(1, n_lanes + 1):
         tot = per_run[:, :prefix, :].sum(axis=(1, 2))
@@ -282,48 +287,18 @@ def run_crossing(cfg: ScenarioConfig) -> McEstimate:
     if not geom.solved:
         geom = solve_safe_zone(geom)
     t_safe = geom.t_safe_min
-    src = RandomSource(cfg.seed, cfg.stream_id)
-    n_axes = len(cfg.axes)
-    m_transit = int(math.floor(t_safe / cfg.obs_dt + 1e-9))
-    sub_dt = cfg.obs_dt / cfg.n_substeps
     t_star = cfg.horizon / 2.0
+    occupancy = np.zeros(cfg.n_runs, dtype=np.int64)
 
-    dev = np.zeros(cfg.n_runs, dtype=np.int64)
-    conf = np.zeros(cfg.n_runs, dtype=np.int64)
-    n_aircraft = 0
-    for r in range(cfg.n_runs):
-        rs = src.substream(cfg.run_offset + r)
-        occupancy = 0
-        for flow in cfg.flows:
-            lam = flow.intensity_per_min
-            window = cfg.horizon + t_safe
-            k = int(rs.poisson(lam * window))
-            n_aircraft += k
-            if k == 0:
-                continue
-            entries = -t_safe + rs.uniform(k) * window
-            occupancy += int(((entries <= t_star)
-                              & (t_star < entries + t_safe)).sum())
-            if m_transit == 0:
-                continue
-            coeffs = [transition_coeffs(cfg.ou[a], sub_dt) for a in cfg.axes]
-            a_vec = np.array([c[0] for c in coeffs])
-            b_vec = np.array([c[1] for c in coeffs])
-            s_vec = np.array([c[2] for c in coeffs])
-            bounds = np.array([flow.tolerance.for_axis(a) for a in cfg.axes])
-            z = rs.standard_normal((m_transit * cfg.n_substeps, k, n_axes))
-            x = np.zeros((k, n_axes))
-            for m in range(1, m_transit + 1):
-                for j in range(cfg.n_substeps):
-                    x = a_vec * x + b_vec + s_vec * z[(m - 1) * cfg.n_substeps + j]
-                t_obs = entries + m * cfg.obs_dt
-                hits = np.abs(x) >= bounds
-                countable = hits & ((t_obs >= -1e-9)
-                                    & (t_obs <= cfg.horizon + 1e-9))[:, None]
-                dev[r] += int(countable.sum())
-                x[hits] = 0.0
-        conf[r] = max(occupancy - 1, 0)
+    def occupy(r, entries):
+        occupancy[r] += int(((entries <= t_star)
+                             & (t_star < entries + t_safe)).sum())
 
+    # a zone transit is a lane whose residency is the safe-zone time
+    transits = [replace(f, t_cross_min=t_safe) for f in cfg.flows]
+    per_run, n_aircraft = _lane_counts(cfg, transits, False, occupy)
+    dev, conf = per_run.sum(axis=(1, 2)), np.maximum(occupancy - 1, 0)
+    n_axes = len(cfg.axes)
     comps = {
         "deviation_control": EmpiricalPmf(_bincount(dev), cfg.n_runs,
                                           n_aircraft * n_axes, cfg.horizon),

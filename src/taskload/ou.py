@@ -224,6 +224,7 @@ def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
     At every grid time beyond the barrier the count increments and the
     state teleports to `reset` (the controller returning the aircraft to
     its trajectory). Counts above n_max collapse into truncation mass.
+    Each grid step draws one normal per path, in step order.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -233,17 +234,38 @@ def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
         raise ValueError(f"origin {b.origin} is not inside the barrier")
 
     n_steps = math.floor(horizon / dt + 1e-9)
-    a, bb, s = transition_coeffs(p, dt)
-    x = np.full(n_paths, float(b.origin))
-    counts = np.zeros(n_paths, dtype=np.int64)
+    coeffs = tuple(np.array([c]) for c in transition_coeffs(p, dt))
+    x = np.full((n_paths, 1), float(b.origin))
+    counts = np.zeros((n_paths, 1), dtype=np.int64)
     for _ in range(n_steps):
-        z = src.standard_normal(n_paths)
-        x = a * x + bb + s * z
-        hits = b.crossed(x)
-        if hits.any():
-            counts[hits] += 1
-            x[hits] = reset
-    return pmf_from_counts(counts, n_max=n_max, horizon=horizon)
+        _observe_and_reset(x, src.standard_normal((1, n_paths, 1)), coeffs,
+                           b.level, counts, reset=reset,
+                           two_sided=b.kind == "two_sided")
+    return pmf_from_counts(counts[:, 0], n_max=n_max, horizon=horizon)
+
+
+def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
+                       counts: np.ndarray, counted: np.ndarray | None = None,
+                       reset: float = 0.0, two_sided: bool = True) -> None:
+    """Step x (rows, axes) through one exact transition (coeffs = per-axis
+    (a, b, s) at the observation step) per slice of the noise block z
+    (observations, rows, axes) and observe it; x, counts and z (scaled
+    by s) are updated in place. A row-axis at or beyond its bound is a
+    hit and resets to `reset`; hits on rows counted at that step (an
+    (observations, rows) mask, all by default) add one to counts."""
+    a, b, s = coeffs
+    z *= s
+    hits, tmp = np.empty(x.shape, dtype=bool), np.empty_like(x)
+    for m in range(z.shape[0]):
+        x *= a
+        x += b
+        x += z[m]
+        np.greater_equal(np.abs(x, out=tmp) if two_sided else x, bounds,
+                         out=hits)
+        np.copyto(x, reset, where=hits)
+        if counted is not None:
+            hits &= counted[m][:, None]
+        counts += hits
 
 
 def pmf_from_counts(counts: np.ndarray, n_max: int | None = None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .distributions import AXES
 from .flow import (CrossingGeometry, FlowSpec, conflict_interventions_pmf,
                    conflict_pmf, crossing_pmf, multilane_pmf, single_lane_pmf,
                    solve_safe_zone)
@@ -18,8 +19,6 @@ from .hitting import DensityGrid, fpt_density_oracle, intervention_pmf
 from .ou import Barrier, OuParams, intervention_count_mc
 from .pmf import TaskloadPmf, convolve_pmf, delta_pmf
 from .rng import RandomSource
-
-AXES = ("lateral", "vertical", "longitudinal")
 
 
 def axis_hit_density(params: OuParams, bound: float, horizon: float,
@@ -59,23 +58,23 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
 def analytic_single_lane(flow: FlowSpec, ou: dict[str, OuParams],
                          horizon: float, obs_dt: float, n_paths: int,
                          src: RandomSource, axes: tuple[str, ...] = AXES,
-                         densities_out: dict[str, DensityGrid] | None = None
-                         ) -> dict[str, TaskloadPmf]:
+                         densities_out: dict[str, DensityGrid] | None = None,
+                         n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Lane taskload PMFs keyed by axis plus 'total'."""
     per_ac = per_aircraft_pmf(ou, flow, horizon, obs_dt, n_paths, src, axes,
-                              densities_out=densities_out)
+                              n_max=n_max, densities_out=densities_out)
     return {key: single_lane_pmf(flow, pmf)
             for key, pmf in per_ac.items()}
 
 
 def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
                        horizon: float, obs_dt: float, n_paths: int,
-                       src: RandomSource,
-                       axes: tuple[str, ...] = AXES) -> dict[str, TaskloadPmf]:
+                       src: RandomSource, axes: tuple[str, ...] = AXES,
+                       n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Cumulative lane-prefix taskload PMFs (total and lateral)."""
     out: dict[str, TaskloadPmf] = {}
     per_ac = [per_aircraft_pmf(ou, f, horizon, obs_dt, n_paths,
-                               src.substream(i), axes)
+                               src.substream(i), axes, n_max=n_max)
               for i, f in enumerate(flows)]
     for prefix in range(1, len(flows) + 1):
         sub_flows = flows[:prefix]
@@ -93,7 +92,8 @@ def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
 def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
                       ou: dict[str, OuParams], horizon: float, obs_dt: float,
                       n_paths: int, src: RandomSource,
-                      axes: tuple[str, ...] = AXES) -> dict[str, TaskloadPmf]:
+                      axes: tuple[str, ...] = AXES,
+                      n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Crossing taskload: conflict, deviation-control, and total PMFs.
 
     Deviation control uses the safe-zone transit as the per-aircraft
@@ -112,7 +112,7 @@ def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
                           transit_flow.tolerance.for_axis(axis))
         axis_pmf = intervention_count_mc(
             ou[axis], barrier, geom.t_safe_min, obs_dt, 0.0, n_paths,
-            src.substream(i))
+            src.substream(i), n_max=n_max)
         combined = convolve_pmf(combined, axis_pmf).trimmed(1e-15)
     merged = replace(transit_flow,
                      intensity_per_hour=lam1 + lam2)

@@ -212,10 +212,10 @@ class TestCli:
         analytic = tmp_path / "a.csv"
         mc = tmp_path / "m.csv"
         analytic.write_text("n,prob\n0,0.5\n1,0.5\ntruncation,0\n")
-        mc.write_text("n,prob\n0,0.5\n1,0.5\ntruncation,0\n")
+        mc.write_text("# n_runs=10000\nn,prob\n0,0.5\n1,0.5\ntruncation,0\n")
         assert main(["compare", "--analytic", str(analytic), "--mc", str(mc),
                      "--tv", "0.02"]) == 0
-        mc.write_text("n,prob\n0,0.9\n1,0.1\ntruncation,0\n")
+        mc.write_text("# n_runs=10000\nn,prob\n0,0.9\n1,0.1\ntruncation,0\n")
         assert main(["compare", "--analytic", str(analytic), "--mc", str(mc),
                      "--tv", "0.02",
                      "--out", str(tmp_path / "rep.json")]) == 5
@@ -233,3 +233,71 @@ class TestCli:
         rows = [l for l in read_payload(out / "analytic_total.csv").splitlines()
                 if not l.startswith("#")]
         assert rows[1].startswith("0,1")
+
+
+def lane_config(tmp_path, **sections):
+    cfg = tmp_path / "cfg.json"
+    data = {"flows": [{"intensity_per_hour": 60.0}],
+            "mc": {"kind": "single_lane", "n_runs": 400, "seed": 31},
+            "analytic": {"oracle_paths": 20000}}
+    for key, val in sections.items():
+        data[key] = {**data.get(key, {}), **val}
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+class TestConfigReachesOutput:
+    def test_compare_reads_run_count_from_provenance(self, tmp_path):
+        cfg = lane_config(tmp_path)
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(tmp_path / "an")]) == 0
+        z = {}
+        for fmt in ("csv", "json"):
+            mc = tmp_path / fmt
+            assert main(["simulate", "--config", str(cfg), "--format", fmt,
+                         "--out", str(mc)]) == 0
+            for extra in ([], ["--runs", "400"]):
+                rep = tmp_path / "rep.json"
+                main(["compare", "--analytic",
+                      str(tmp_path / "an" / "analytic_total.csv"),
+                      "--mc", str(mc / f"mc_total.{fmt}"),
+                      "--out", str(rep)] + extra)
+                z[fmt, bool(extra)] = json.loads(
+                    read_payload(rep))["max_abs_z"]
+        assert z["csv", False] == z["csv", True] == z["json", False]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("n,prob\n0,0.5\n1,0.5\n")
+        assert main(["compare", "--analytic", str(bare),
+                     "--mc", str(bare)]) == 3
+
+    def test_output_format_from_config(self, tmp_path):
+        cfg = lane_config(tmp_path, output={"format": "json"},
+                          mc={"n_runs": 5})
+        for cmd in ("analytic", "simulate"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+            tables = [p.name for p in out.iterdir()
+                      if p.name != "config_resolved.json"]
+            assert tables and all(n.endswith(".json") for n in tables)
+            json.loads(read_payload(out / tables[0]))
+        out = tmp_path / "flag"
+        assert main(["simulate", "--config", str(cfg), "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert (out / "mc_total.csv").exists()
+        assert not (out / "mc_total.json").exists()
+
+    def test_n_max_reaches_per_aircraft_pmf(self, tmp_path, monkeypatch):
+        from taskload import pipeline
+        seen = []
+        real = pipeline.per_aircraft_pmf
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("n_max"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "per_aircraft_pmf", spy)
+        cfg = lane_config(tmp_path, analytic={"n_max": 4,
+                                              "oracle_paths": 2000})
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(tmp_path / "an")]) == 0
+        assert seen == [4]

@@ -1,13 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (CrossingGeometry, EmpiricalPmf, FlowSpec, RandomSource,
-                      ScenarioConfig, TaskloadPmf, compare, compare_empirical,
+from taskload import (OU_FTE_CENTERED, CrossingGeometry, EmpiricalPmf,
+                      FlowSpec, RandomSource, ScenarioConfig, TaskloadPmf,
+                      compare, compare_empirical,
                       conflict_interventions_pmf, conflict_pmf, delta_pmf,
                       run_crossing, run_multilane, run_single_lane,
-                      solve_safe_zone, wilson_interval)
+                      solve_safe_zone, transition_coeffs, wilson_interval)
 from taskload.flow import TOLERANCE_STANDARDS
+from taskload.harness import _BLOCK_ROWS
 
 
 def lane_cfg(**kw):
@@ -40,6 +45,146 @@ class TestDeterminism:
         first = run_single_lane(lane_cfg(n_runs=120))
         second = run_single_lane(lane_cfg(n_runs=80, run_offset=120))
         merged = first.merge(second)
+        for key in whole.components:
+            assert np.array_equal(merged.components[key].counts,
+                                  whole.components[key].counts)
+
+
+def reference_counts(cfg, flows, full_horizon, t_star=None):
+    """Per-run (lane, axis) counts, aircraft total and occupancy at t_star
+    from a plain loop over runs, lanes, aircraft, axes and observations,
+    drawing in the documented order."""
+    src = RandomSource(cfg.seed, cfg.stream_id)
+    coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in cfg.axes]
+    per_run = np.zeros((cfg.n_runs, len(flows), len(cfg.axes)), dtype=int)
+    occupancy = np.zeros(cfg.n_runs, dtype=int)
+    n_aircraft = 0
+    for r in range(cfg.n_runs):
+        rs = src.substream(cfg.run_offset + r)
+        for li, flow in enumerate(flows):
+            window = cfg.horizon + flow.t_cross_min
+            k = int(rs.poisson(flow.intensity_per_min * window))
+            n_aircraft += k
+            if k == 0:
+                continue
+            entries = -flow.t_cross_min + rs.uniform(k) * window
+            if t_star is not None:
+                occupancy[r] += sum(e <= t_star < e + flow.t_cross_min
+                                    for e in entries)
+            if full_horizon:
+                m_last = [max(math.floor((cfg.horizon - e) / cfg.obs_dt
+                                         + 1e-9), 0) for e in entries]
+            else:
+                m_last = [math.floor(flow.t_cross_min / cfg.obs_dt + 1e-9)] * k
+            if max(m_last) == 0:
+                continue
+            z = rs.standard_normal((max(m_last), k, len(cfg.axes)))
+            for i in range(k):
+                for j, axis in enumerate(cfg.axes):
+                    a, b, s = coeffs[j]
+                    bound = flow.tolerance.for_axis(axis)
+                    x = 0.0
+                    for m in range(1, m_last[i] + 1):
+                        x = a * x + b + s * z[m - 1, i, j]
+                        if abs(x) >= bound:
+                            t_obs = entries[i] + m * cfg.obs_dt
+                            if -1e-9 <= t_obs <= cfg.horizon + 1e-9:
+                                per_run[r, li, j] += 1
+                            x = 0.0
+    return per_run, n_aircraft, occupancy
+
+
+def bincount(values):
+    return np.bincount(values, minlength=int(values.max(initial=0)) + 1)
+
+
+class TestEngine:
+    """The block engine against a plain per-aircraft loop. Run counts are
+    not multiples of any block, and each case spans several blocks."""
+
+    @pytest.mark.parametrize("full_horizon", [False, True])
+    def test_single_lane_matches_reference_loop(self, full_horizon):
+        cfg = lane_cfg(n_runs=97, seed=51, count_full_horizon=full_horizon)
+        est = run_single_lane(cfg)
+        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows,
+                                                  full_horizon)
+        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        for j, axis in enumerate(cfg.axes):
+            assert np.array_equal(est.components[axis].counts,
+                                  bincount(per_run[:, 0, j]))
+        assert np.array_equal(est.components["total"].counts,
+                              bincount(per_run.sum(axis=(1, 2))))
+
+    def test_multilane_matches_reference_loop(self):
+        # lanes of unequal residency pad the shorter ones' noise in a block
+        flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
+                          tolerance=TOLERANCE_STANDARDS[name].bounds)
+                 for name, t_cross in (("stringent", 20.0), ("severe", 7.5),
+                                       ("intermediate", 30.0))]
+        # slow reversion keeps an unreset excursion beyond the bound
+        slow = {a: replace(p, kappa=p.kappa / 20)
+                for a, p in OU_FTE_CENTERED.items()}
+        cfg = ScenarioConfig(kind="multilane", flows=flows, ou=slow,
+                             n_runs=41, seed=53, dt=0.1)
+        est = run_multilane(cfg)
+        per_run, n_aircraft, _ = reference_counts(cfg, flows, False)
+        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        for prefix in (1, 2, 3):
+            assert np.array_equal(
+                est.components[f"lanes{prefix}_total"].counts,
+                bincount(per_run[:, :prefix].sum(axis=(1, 2))))
+            assert np.array_equal(
+                est.components[f"lanes{prefix}_lateral"].counts,
+                bincount(per_run[:, :prefix, 0].sum(axis=1)))
+
+    def test_crossing_matches_reference_loop(self):
+        geom = solve_safe_zone(CrossingGeometry(alpha_deg=30.0))
+        flows = [FlowSpec(intensity_per_hour=60.0),
+                 FlowSpec(intensity_per_hour=30.0,
+                          tolerance=TOLERANCE_STANDARDS["severe"].bounds)]
+        cfg = ScenarioConfig(kind="crossing", flows=flows, geometry=geom,
+                             n_runs=23, seed=55, dt=0.1)
+        est = run_crossing(cfg)
+        transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
+        per_run, n_aircraft, occupancy = reference_counts(
+            cfg, transits, False, t_star=cfg.horizon / 2.0)
+        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        dev = per_run.sum(axis=(1, 2))
+        conf = np.maximum(occupancy - 1, 0)
+        assert dev.sum() > 0
+        assert np.array_equal(est.components["deviation_control"].counts,
+                              bincount(dev))
+        assert np.array_equal(est.components["conflict_resolution"].counts,
+                              bincount(conf))
+        assert np.array_equal(est.components["total"].counts,
+                              bincount(dev + conf))
+
+    def test_counts_do_not_depend_on_dt(self):
+        geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
+        flows = [FlowSpec(intensity_per_hour=30.0)] * 2
+        cases = [
+            (run_single_lane, dict(kind="single_lane", flows=flows[:1])),
+            (run_multilane, dict(kind="multilane", flows=flows)),
+            (run_crossing, dict(kind="crossing", flows=flows,
+                                geometry=geom)),
+        ]
+        for runner, kw in cases:
+            ests = [runner(ScenarioConfig(n_runs=60, seed=57, dt=dt, **kw))
+                    for dt in (1.0, 0.1, 0.05)]
+            for est in ests[1:]:
+                assert est.n_aircraft == ests[0].n_aircraft
+                for key, emp in ests[0].components.items():
+                    assert np.array_equal(est.components[key].counts,
+                                          emp.counts)
+
+    def test_merge_split_inside_a_block(self):
+        # about 22 runs of a 10/h lane fill one block, so run 37 falls
+        # inside the second block of the whole range
+        whole = run_single_lane(lane_cfg(n_runs=150, dt=0.1))
+        first = run_single_lane(lane_cfg(n_runs=37, dt=0.1))
+        second = run_single_lane(lane_cfg(n_runs=113, run_offset=37, dt=0.1))
+        merged = first.merge(second)
+        assert merged.n_aircraft == whole.n_aircraft
         for key in whole.components:
             assert np.array_equal(merged.components[key].counts,
                                   whole.components[key].counts)

@@ -171,6 +171,29 @@ class TestInterventionCounts:
             intervention_count_mc(LAT, Barrier("two_sided", 0.1), 10, 1.0,
                                   0.2, 10, RandomSource(0))
 
+    @pytest.mark.parametrize("kind,n_paths,reset", [
+        ("two_sided", 100, 0.0), ("two_sided", 1500, 0.01),
+        ("one_sided", 70, -0.02)])
+    def test_matches_per_step_draw_loop(self, kind, n_paths, reset):
+        # one draw of n_paths normals per grid step, in step order
+        barrier = Barrier(kind, 0.05, origin=0.01)
+        horizon, dt = 11.5, 0.5
+        pmf = intervention_count_mc(LAT, barrier, horizon, dt, reset,
+                                    n_paths, RandomSource(61), n_max=3)
+        src = RandomSource(61)
+        a, b, s = transition_coeffs(LAT, dt)
+        x = np.full(n_paths, 0.01)
+        counts = np.zeros(n_paths, dtype=int)
+        for _ in range(23):
+            x = a * x + b + s * src.standard_normal(n_paths)
+            hits = barrier.crossed(x)
+            counts += hits
+            x[hits] = reset
+        assert counts.max() > 3
+        want = pmf_from_counts(counts, n_max=3, horizon=horizon)
+        assert np.array_equal(pmf.probs, want.probs)
+        assert pmf.truncation_mass == want.truncation_mass
+
     def test_exponential_gap_injection_gives_poisson(self):
         # synthetic renewal check of the counting rule: exponential gaps
         # within a horizon produce Poisson counts

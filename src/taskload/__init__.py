@@ -3,9 +3,10 @@
 Quantifies the rate of corrective controller interventions needed to
 keep aircraft inside RNP tolerance bounds: a Johnson S_U generator for
 flight technical error, an exact mean-reverting deviation engine with
-calibration, first-passage and renewal analytics, Poisson flow
-composition for lanes/multilanes/crossings, and a reproducible Monte
-Carlo harness that cross-validates the analytic layer.
+calibration, a deterministic discrete-monitoring kernel with renewal
+counting, Poisson flow composition for lanes/multilanes/crossings, and
+a reproducible Monte Carlo harness that cross-validates the analytic
+layer.
 """
 
 from .calibration import (CalibrationReport, DegenerateDataError, TimeSeries,
@@ -23,8 +24,8 @@ from .flow import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
 from .harness import (EmpiricalPmf, McEstimate, ScenarioConfig, compare,
                       compare_empirical, run_crossing, run_multilane,
                       run_single_lane)
-from .hitting import (DensityGrid, autoconvolve_density,
-                      closed_form_divergence_report, convolve_density,
+from .hitting import (DensityGrid, closed_form_divergence_report,
+                      convolve_density, first_hit_law,
                       fpt_density_closed_form, fpt_density_oracle,
                       intervention_pmf)
 from .ou import (OU_FTE_CENTERED, OU_FTE_FIT, AxisState, Barrier,

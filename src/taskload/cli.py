@@ -238,23 +238,21 @@ def cmd_calibrate(args) -> int:
 def cmd_analytic(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seed
-    src = RandomSource(seed, cfg.stream_id)
     fmt = _format(args, cfg)
     out_dir = args.out
     prov = _provenance(cfg, seed, {"command": "analytic", "kind": cfg.kind})
     densities = {}
     if cfg.kind == "single_lane":
         tables = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
-                                      cfg.obs_dt_min, cfg.oracle_paths, src,
-                                      densities_out=densities, n_max=cfg.n_max)
+                                      cfg.obs_dt_min, densities_out=densities,
+                                      n_max=cfg.n_max)
     elif cfg.kind == "multilane":
         tables = analytic_multilane(cfg.flows, cfg.ou, cfg.horizon_min,
-                                    cfg.obs_dt_min, cfg.oracle_paths, src,
-                                    n_max=cfg.n_max)
+                                    cfg.obs_dt_min, n_max=cfg.n_max)
     else:
         tables = analytic_crossing(cfg.geometry, cfg.flows, cfg.ou,
                                    cfg.horizon_min, cfg.obs_dt_min,
-                                   cfg.oracle_paths, src, n_max=cfg.n_max)
+                                   n_max=cfg.n_max)
     os.makedirs(out_dir, exist_ok=True)
     _write_resolved_config(cfg, out_dir)
     for name, pmf in tables.items():

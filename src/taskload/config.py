@@ -72,7 +72,6 @@ class ConfigFile:
     seed: int = 0
     stream_id: int = 0
     count_full_horizon: bool = False
-    oracle_paths: int = 200000
     n_max: int = 32
     output_format: str = "csv"
 
@@ -133,8 +132,7 @@ class ConfigFile:
                    "n_runs": self.n_runs, "seed": self.seed,
                    "stream_id": self.stream_id,
                    "count_full_horizon": self.count_full_horizon},
-            "analytic": {"oracle_paths": self.oracle_paths,
-                         "n_max": self.n_max},
+            "analytic": {"n_max": self.n_max},
             "output": {"format": self.output_format},
         }
 
@@ -285,13 +283,14 @@ def parse_config(data: dict) -> ConfigFile:
     if "analytic" in data:
         an = data["analytic"]
         _require_keys(an, {"oracle_paths", "n_max"}, "analytic")
-        paths = an.get("oracle_paths", cfg.oracle_paths)
+        # oracle_paths sized the retired simulation oracle: still
+        # validated, so saved configs load, but it changes no output
+        paths = an.get("oracle_paths", 1)
         nmax = an.get("n_max", cfg.n_max)
         if not isinstance(paths, int) or paths < 1:
             raise ConfigError("analytic.oracle_paths must be a positive integer")
         if not isinstance(nmax, int) or nmax < 1:
             raise ConfigError("analytic.n_max must be a positive integer")
-        cfg.oracle_paths = paths
         cfg.n_max = nmax
     if "output" in data:
         out = data["output"]

@@ -1,28 +1,32 @@
-"""First-passage densities and the per-aircraft intervention-count PMF.
+"""First-hit laws and the per-aircraft intervention-count PMF.
 
-Two routes to the hitting-time density exist side by side:
+Three routes to the hitting law exist side by side:
 
+* ``first_hit_law`` computes, without sampling, the law of the first
+  observation that finds an axis at or beyond its bound. It is the
+  route all taskload computations use.
+* ``fpt_density_oracle`` estimates it from grid-monitored first-passage
+  simulation; the tests keep it as a cross-check.
 * ``fpt_density_closed_form`` evaluates the published one-sided
   closed-form expression exactly as printed. The printed formula groups
   X0 with sigma^2 in ways that do not survive dimensional analysis and
   is kept only for traceability; nothing downstream consumes it.
-* ``fpt_density_oracle`` estimates the density numerically from
-  grid-monitored first-passage simulation. It handles two-sided
-  barriers natively and is the route all taskload computations use.
 
-Counts then follow from renewal arithmetic: with i.i.d. gaps of density
-f, P[N >= n] over a horizon T is the integral of the (n-1)-fold
-autoconvolution of f, and P[N = n] the difference of consecutive tails.
+Hits are renewals on the observation lattice, so counts follow from an
+exact discrete convolution of the first-hit law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr
 
-from .ou import Barrier, OuParams, first_passage_mc
+from .ou import Barrier, OuParams, first_passage_mc, transition_coeffs
 from .pmf import TaskloadPmf
 from .rng import RandomSource
 
@@ -37,7 +41,9 @@ class DensityGrid:
 
     Ordinates are per-minute rates (1/min); the trapezoid integral over
     the grid is at most 1 (a hitting-time density may be defective when
-    some paths never hit).
+    some paths never hit). A first-hit law f on the observation lattice
+    is stored as f[m] / obs_dt at t = m obs_dt plus one zero point, so
+    that the integral equals sum(f).
     """
 
     t0: float
@@ -66,19 +72,11 @@ class DensityGrid:
     def empty(self) -> bool:
         return self.values.size == 0 or not self.values.any()
 
-    def integral(self, upto: float | None = None) -> float:
-        """Trapezoid integral from t0 up to the last grid point <= `upto`
-        (grid end by default)."""
+    def integral(self) -> float:
+        """Trapezoid integral over the grid."""
         if self.values.size < 2:
             return 0.0
-        if upto is None:
-            return float(np.trapezoid(self.values, dx=self.dt_grid))
-        idx = int(math.floor((upto - self.t0) / self.dt_grid + 1e-9))
-        if idx < 1:
-            return 0.0
-        if idx >= self.values.size:
-            raise ValueError(f"{upto} outside grid span")
-        return float(np.trapezoid(self.values[:idx + 1], dx=self.dt_grid))
+        return float(np.trapezoid(self.values, dx=self.dt_grid))
 
 
 @dataclass
@@ -98,7 +96,7 @@ def fpt_density_closed_form(p: OuParams, b: Barrier, t) -> ClosedFormEval:
                                         - (X0/sigma^2)^2 coth(kappa t) ) ]
 
     Kept exactly as printed (including the X0/sigma^2 groupings) for
-    traceability; use fpt_density_oracle for anything quantitative.
+    traceability; use first_hit_law for anything quantitative.
     Overflow or invalid regions evaluate to 0 and are flagged.
     """
     if b.kind != "one_sided":
@@ -158,71 +156,90 @@ def fpt_density_oracle(p: OuParams, b: Barrier, horizon: float,
                        ci_high=values + 1.96 * se)
 
 
-def convolve_density(f: DensityGrid, g: DensityGrid) -> DensityGrid:
-    """(f * g)(t) = int_0^t f(x) g(t-x) dx by trapezoid on the shared grid."""
-    if f.t0 != 0.0 or g.t0 != 0.0:
-        raise ValueError("convolution requires grids anchored at t0 = 0")
-    if not math.isclose(f.dt_grid, g.dt_grid, rel_tol=1e-12):
-        raise ValueError(f"grid mismatch: dt {f.dt_grid} vs {g.dt_grid}")
-    n = min(f.values.size, g.values.size)
-    h = f.dt_grid
-    fa, ga = f.values[:n], g.values[:n]
-    out = np.convolve(fa, ga)[:n] * h
-    # trapezoid endpoint correction: half weight at x = 0 and x = t
-    out -= 0.5 * h * (fa[0] * ga + fa * ga[0])
-    out = np.clip(out, 0.0, None)
-    return DensityGrid(0.0, h, out)
+#: Gauss-Legendre nodes of the discrete-monitoring kernel: at least
+#: KERNEL_NODES, and NODES_PER_SD per per-observation deviation s across
+#: the bound (about 3.75 suffice), so that a wide bound stays converged.
+KERNEL_NODES, NODES_PER_SD, MAX_NODES = 200, 6, 4000
+#: beyond this many deviations of the free chain every hit underflows
+_UNDERFLOW_SD = 40.0
+_legendre = functools.cache(leggauss)
 
 
-def autoconvolve_density(f: DensityGrid, order: int) -> DensityGrid:
-    """`order` successive self-convolutions; order 0 returns f itself.
+def first_hit_law(p: OuParams, bound: float, obs_dt: float,
+                  n_obs: int) -> np.ndarray:
+    """f[m] = P[the first observation at or beyond +-bound is the m-th],
+    m = 0..n_obs (f[0] = 0), for the axis started on the nominal path.
 
-    The result at order k is the density of the sum of k+1 i.i.d. gaps.
+    Between observations the state moves by the exact transition
+    X' = a X + c + s Z, so the unhit state is a killed Gaussian chain on
+    (-bound, bound); Nystrom quadrature on Gauss-Legendre nodes carries
+    its sub-density, and each step's exit mass comes from Gaussian tails.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    out = f
-    for _ in range(order):
-        out = convolve_density(out, f)
-    return out
+    if bound <= 0.0 or n_obs < 0:
+        raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
+    a, c, s = transition_coeffs(p, obs_dt)
+    f = np.zeros(n_obs + 1)
+    # the free chain from 0 has mean within +-reach and sd below spread
+    powers = a ** np.arange(n_obs)
+    reach, spread = abs(c) * powers.sum(), s * math.sqrt(powers @ powers)
+    if n_obs == 0 or bound - reach > _UNDERFLOW_SD * spread:
+        return f
+    if s == 0.0:  # a noise-free path hits where its mean reaches the bound
+        f[1 + np.argmax(abs(c) * np.cumsum(powers) >= bound)] = 1.0
+        return f
+    n = max(KERNEL_NODES, NODES_PER_SD * math.ceil(bound / s))
+    if n > MAX_NODES:
+        raise ValueError(f"bound / s = {bound / s:.0f} needs {n} nodes")
+    t, w = _legendre(n)
+    x = bound * t
+    mean = a * np.append(x, 0.0) + c  # from each node, then from the start
+    # step[i, j]: weight of node j times the density of moving i -> j
+    step = np.exp(-0.5 * ((x - mean[:, None]) / s) ** 2) \
+        * (bound * w / (s * math.sqrt(2.0 * math.pi)))
+    exit_mass = ndtr((mean - bound) / s) + ndtr((-bound - mean) / s)
+    f[1], mass = exit_mass[-1], step[-1]
+    step, exit_mass = step[:-1], exit_mass[:-1]
+    for m in range(2, n_obs + 1):
+        f[m] = mass @ exit_mass
+        mass = mass @ step
+    return f
 
 
-def intervention_pmf(f: DensityGrid, horizon: float, n_max: int = 64,
+def convolve_density(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Law of the sum of two independent observation counts with laws f
+    and g (index m = P[count = m]), cut to f's length."""
+    return np.convolve(f, g)[:f.size]
+
+
+def intervention_pmf(f: np.ndarray, n_obs: int, n_max: int = 64,
                      trunc_eps: float = 1e-6,
-                     negative_tol: float = 1e-9) -> TaskloadPmf:
-    """Count PMF of a renewal process with gap density f over `horizon`.
+                     horizon: float | None = None) -> TaskloadPmf:
+    """Count PMF of a renewal chain over observations 1..n_obs whose gaps
+    (in observations) have law f, f[m] = P[gap = m] (f[0] = 0).
 
-    probs[0] = 1 - int_0^T f; probs[n] = int_0^T (conv^{n-1} f - conv^n f)
-    for n >= 1; mass beyond n_max is truncation. Negative differences
-    beyond `negative_tol` signal a broken input density and raise.
+    P[N = n] = sum_t P[S_n = t] P[gap > n_obs - t] with S_n the time of
+    the n-th hit, a sum of nonnegative terms; mass beyond n_max is
+    truncation, and more than trunc_eps of it raises.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if f.empty:
-        return TaskloadPmf(np.array([1.0]), 0.0, horizon)
-    # I[n] = P[N >= n+1] = integral of the n-fold self-convolution
-    tails = []
-    cur = f
+    f = np.asarray(f, dtype=float)[:n_obs + 1]
+    if n_obs < 0 or f.size != n_obs + 1:
+        raise ValueError(f"gap law does not cover observations 0..{n_obs}")
+    # survival[k] = P[gap > n_obs - k]
+    survival = np.clip(1.0 - np.cumsum(f), 0.0, None)[::-1]
+    law = np.eye(1, n_obs + 1)[0]  # S_0 = 0
+    probs = []
     for _ in range(n_max + 1):
-        tail = cur.integral(upto=horizon)
-        tails.append(tail)
-        if tail < 1e-15:
+        probs.append(float(law @ survival))
+        law = convolve_density(law, f)
+        trunc = float(law.sum())
+        if trunc < 1e-15:
             break
-        cur = convolve_density(cur, f)
-    tails = np.array(tails + [0.0])
-    probs = np.empty(min(n_max, tails.size - 1) + 1)
-    probs[0] = 1.0 - tails[0]
-    diffs = tails[:-1] - tails[1:]
-    probs[1:] = diffs[:probs.size - 1]
-    if np.any(probs < -negative_tol):
-        raise ValueError(
-            f"negative count probability {probs.min()}: broken density")
-    probs = np.clip(probs, 0.0, None)
-    trunc = float(tails[probs.size - 1]) if probs.size - 1 < tails.size else 0.0
     if trunc > trunc_eps:
         raise ValueError(
             f"truncation mass {trunc} exceeds {trunc_eps}; raise n_max")
-    return TaskloadPmf(probs, trunc, horizon)
+    return TaskloadPmf(np.array(probs), trunc, horizon)
 
 
 def closed_form_divergence_report(p: OuParams, b: Barrier, horizon: float,

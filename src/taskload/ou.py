@@ -19,6 +19,8 @@ excursions between grid points are invisible by construction.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,6 +178,12 @@ class FirstPassageResult:
     degenerate: bool = False
 
 
+#: Paths per block of first_passage_mc. Each block draws from its own
+#: substream of the caller's source, so results do not depend on how
+#: many worker threads run the blocks.
+FIRST_PASSAGE_BLOCK = 65536
+
+
 def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
                      n_paths: int, src: RandomSource) -> FirstPassageResult:
     """Estimate P[tau <= horizon] with a 95% CI from n_paths paths.
@@ -183,7 +191,9 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
     Paths start at b.origin; the hitting time is the first grid time
     with the state beyond the barrier. Paths that never hit within the
     horizon are censored. A degenerate barrier (origin already beyond)
-    reports hitting time 0 for every path, flagged.
+    reports hitting time 0 for every path, flagged. Blocks of
+    FIRST_PASSAGE_BLOCK paths run on up to os.cpu_count() threads (numpy
+    releases the GIL while it fills normals and runs ufuncs).
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -195,25 +205,50 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
 
     # monitoring grid stays inside the horizon
     n_steps = math.floor(horizon / dt + 1e-9)
-    a, bb, s = transition_coeffs(p, dt)
-    x = np.full(n_paths, float(b.origin))
-    hit_step = np.zeros(n_paths, dtype=np.int32)  # 0 = not hit
-    alive = np.ones(n_paths, dtype=bool)
-    for step in range(1, n_steps + 1):
-        z = src.standard_normal(n_paths)
-        x = a * x + bb + s * z
-        hits = alive & b.crossed(x)
-        if hits.any():
-            hit_step[hits] = step
-            alive[hits] = False
-        if not alive.any():
-            break
+    coeffs = transition_coeffs(p, dt)
+    n_blocks = -(-n_paths // FIRST_PASSAGE_BLOCK)
+
+    def run(k: int) -> np.ndarray:
+        size = min(FIRST_PASSAGE_BLOCK, n_paths - k * FIRST_PASSAGE_BLOCK)
+        return _first_passage_block(coeffs, b, n_steps, size,
+                                    src.substream(k).generator)
+
+    with ThreadPoolExecutor(min(n_blocks, os.cpu_count() or 1)) as pool:
+        hit_step = np.concatenate(list(pool.map(run, range(n_blocks))))
     hit_times = hit_step[hit_step > 0].astype(float) * dt
     n_hits = int(hit_times.size)
     prob = n_hits / n_paths
     lo, hi = wilson_interval(n_hits, n_paths)
     return FirstPassageResult(hit_times, n_paths, n_hits, n_paths - n_hits,
                               horizon, dt, prob, float(lo), float(hi))
+
+
+def _first_passage_block(coeffs, b: Barrier, n_steps: int, size: int,
+                         gen: np.random.Generator) -> np.ndarray:
+    """Hit step (0 = none) of each of `size` paths from b.origin, stepped
+    in place with one fill of `size` normals per grid step. A path that
+    hits turns NaN, which no later comparison counts."""
+    a, bb, s = coeffs
+    x = np.full(size, float(b.origin))
+    z, tmp = np.empty(size), np.empty(size)
+    hits = np.empty(size, dtype=bool)
+    hit_step = np.zeros(size, dtype=np.int32)
+    n_alive = size
+    for step in range(1, n_steps + 1):
+        gen.standard_normal(out=z)
+        z *= s
+        x *= a
+        x += bb
+        x += z
+        np.greater_equal(np.abs(x, out=tmp) if b.kind == "two_sided" else x,
+                         b.level, out=hits)
+        if hits.any():
+            hit_step[hits] = step
+            x[hits] = np.nan
+            n_alive -= int(np.count_nonzero(hits))
+            if not n_alive:
+                break
+    return hit_step
 
 
 def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,

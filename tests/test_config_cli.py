@@ -301,3 +301,27 @@ class TestConfigReachesOutput:
         assert main(["analytic", "--config", str(cfg),
                      "--out", str(tmp_path / "an")]) == 0
         assert seen == [4]
+
+
+class TestAnalyticIsDeterministic:
+    def test_tables_ignore_seed_and_oracle_paths(self, tmp_path):
+        tables = []
+        for paths, seed in ((2000, "1"), (500000, "987")):
+            cfg = lane_config(tmp_path, analytic={"oracle_paths": paths})
+            out = tmp_path / f"an{seed}"
+            assert main(["analytic", "--config", str(cfg), "--seed", seed,
+                         "--out", str(out)]) == 0
+            names = sorted(p.name for p in out.iterdir()
+                           if p.name.startswith(("analytic_", "density_")))
+            tables.append({n: [ln for ln in read_payload(out / n).splitlines()
+                               if not ln.startswith("#")] for n in names})
+        assert len(tables[0]) == 7  # 3 axes and the total, 3 densities
+        assert tables[0] == tables[1]
+
+    def test_oracle_paths_validated_but_not_hashed(self):
+        base = default_config()
+        cfg = parse_config({"analytic": {"oracle_paths": 1234}})
+        assert "oracle_paths" not in cfg.to_canonical_dict()["analytic"]
+        assert cfg.sha256() == base.sha256()
+        with pytest.raises(ConfigError):
+            parse_config({"analytic": {"oracle_paths": 0}})

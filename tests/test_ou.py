@@ -153,6 +153,34 @@ class TestFirstPassage:
               for h in horizons]
         assert ph[0] <= ph[1] <= ph[2]
 
+    @pytest.mark.parametrize("kind", ["two_sided", "one_sided"])
+    def test_output_independent_of_pool_size(self, monkeypatch, kind):
+        # blocks of fixed size on their own substreams: the worker count
+        # changes nothing, and each block is a plain per-step draw loop
+        from taskload import ou
+        monkeypatch.setattr(ou, "FIRST_PASSAGE_BLOCK", 1000)
+        p, b = OU_FTE_CENTERED["lateral"], Barrier(kind, 0.06, origin=0.01)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(ou.os, "cpu_count", lambda: cpus)
+            runs.append(first_passage_mc(p, b, 30.0, 1.0, 4500,
+                                         RandomSource(53)))
+        for out in runs[1:]:
+            assert np.array_equal(out.hit_times, runs[0].hit_times)
+        a, bb, s = transition_coeffs(p, 1.0)
+        want = []
+        for k, size in enumerate((1000,) * 4 + (500,)):
+            gen = RandomSource(53).substream(k).generator
+            x = np.full(size, 0.01)
+            hit = np.zeros(size)
+            for step in range(1, 31):
+                x = a * x + bb + s * gen.standard_normal(size)
+                new = (hit == 0) & b.crossed(x)
+                hit[new] = step
+            want.append(hit[hit > 0])
+        assert 0 < runs[0].n_hits < 4500
+        assert np.array_equal(runs[0].hit_times, np.concatenate(want))
+
 
 class TestInterventionCounts:
     def test_unreachable_gives_zero_counts(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from taskload import (CrossingGeometry, FlowSpec, RandomSource,
-                      solve_safe_zone, tv_distance)
+from taskload import (CrossingGeometry, FlowSpec, solve_safe_zone,
+                      tv_distance)
 from taskload.flow import TOLERANCE_STANDARDS
 from taskload.ou import OU_FTE_CENTERED
 from taskload.pipeline import (analytic_crossing, analytic_multilane,
@@ -11,8 +11,7 @@ from taskload.pipeline import (analytic_crossing, analytic_multilane,
 
 def test_per_aircraft_pmf_total_is_axis_convolution():
     flow = FlowSpec(intensity_per_hour=60.0)
-    out = per_aircraft_pmf(OU_FTE_CENTERED, flow, 120.0, 1.0, 100000,
-                           RandomSource(201))
+    out = per_aircraft_pmf(OU_FTE_CENTERED, flow, 120.0, 1.0)
     assert set(out) == {"lateral", "vertical", "longitudinal", "total"}
     means = {k: v.mean() for k, v in out.items()}
     assert means["total"] == pytest.approx(
@@ -26,8 +25,7 @@ def test_analytic_single_lane_mean_scales_with_intensity():
     pmfs = {}
     for lam in (10.0, 20.0):
         flow = FlowSpec(intensity_per_hour=lam)
-        pmfs[lam] = analytic_single_lane(flow, OU_FTE_CENTERED, 120.0, 1.0,
-                                         100000, RandomSource(207))
+        pmfs[lam] = analytic_single_lane(flow, OU_FTE_CENTERED, 120.0, 1.0)
     ratio = pmfs[20.0]["total"].mean() / pmfs[10.0]["total"].mean()
     assert ratio == pytest.approx(2.0, rel=0.1)
 
@@ -36,8 +34,7 @@ def test_analytic_multilane_prefixes():
     flows = [FlowSpec(intensity_per_hour=60.0,
                       tolerance=TOLERANCE_STANDARDS[n].bounds)
              for n in ("stringent", "severe", "intermediate", "lax")]
-    out = analytic_multilane(flows, OU_FTE_CENTERED, 120.0, 1.0, 50000,
-                             RandomSource(211))
+    out = analytic_multilane(flows, OU_FTE_CENTERED, 120.0, 1.0)
     m = [out[f"lanes{k}_total"].mean() for k in (1, 2, 3, 4)]
     # nondecreasing up to convolution/truncation float noise
     assert m[0] <= m[1] + 1e-6 and m[1] <= m[2] + 1e-6 and m[2] <= m[3] + 1e-6
@@ -49,8 +46,7 @@ def test_analytic_multilane_prefixes():
 def test_analytic_crossing_components():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     flows = [FlowSpec(intensity_per_hour=2.5)] * 2
-    out = analytic_crossing(geom, flows, OU_FTE_CENTERED, 120.0, 1.0, 100000,
-                            RandomSource(213))
+    out = analytic_crossing(geom, flows, OU_FTE_CENTERED, 120.0, 1.0)
     occ = out["occupancy"]
     assert occ.probs[0] == pytest.approx(np.exp(-5 / 60 * geom.t_safe_min),
                                          rel=1e-6)
@@ -61,3 +57,14 @@ def test_analytic_crossing_components():
     # per-transit control is rare at stringent bounds: one observation
     # at ~2.9e-4 per axis-observation, merged over two 2.5/h flows
     assert out["deviation_control"].probs[0] > 0.995
+
+
+def test_crossing_transit_without_observation_counts_nothing():
+    # a transit shorter than one observation step is never observed
+    geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
+    flows = [FlowSpec(intensity_per_hour=2.5)] * 2
+    out = analytic_crossing(geom, flows, OU_FTE_CENTERED, 120.0,
+                            obs_dt=2.0 * geom.t_safe_min)
+    assert out["deviation_control"].probs.size == 1
+    assert out["deviation_control"].mean() == 0.0
+    assert tv_distance(out["total"], out["conflict_resolution"]) < 1e-9

@@ -17,10 +17,10 @@ from .distributions import (AXES, JOHNSON_FTE, JohnsonSuParams, MomentSet,
                             johnson_inverse, johnson_moments, johnson_sample,
                             johnson_transform, poisson_sample)
 from .flow import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
-                   ToleranceBounds, ToleranceStandard, conflict_interventions_pmf,
-                   conflict_pmf, crossing_pmf, min_corner_separation,
-                   multilane_pmf, poisson_occupancy, single_lane_pmf,
-                   solve_safe_zone)
+                   ToleranceBounds, ToleranceStandard, compound_poisson_pmf,
+                   conflict_interventions_pmf, conflict_pmf, crossing_pmf,
+                   min_corner_separation, multilane_pmf, poisson_occupancy,
+                   single_lane_pmf, solve_safe_zone)
 from .harness import (EmpiricalPmf, McEstimate, ScenarioConfig, compare,
                       compare_empirical, run_crossing, run_multilane,
                       run_single_lane)
@@ -34,8 +34,8 @@ from .ou import (OU_FTE_CENTERED, OU_FTE_FIT, AxisState, Barrier,
                  transition_coeffs)
 from .pipeline import (analytic_crossing, analytic_multilane,
                        analytic_single_lane, per_aircraft_pmf)
-from .pmf import (TaskloadPmf, autoconvolve_pmf, convolve_pmf, delta_pmf,
-                  tv_distance, wilson_interval)
+from .pmf import (TaskloadPmf, convolve_pmf, delta_pmf, tv_distance,
+                  wilson_interval)
 from .rng import RandomSource
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Commands: generate, calibrate, analytic, simulate, compare, safe-zone.
 All tabular output is CSV with fixed headers (or JSON via --format or
 the config's output.format), prefixed by a provenance comment block
-(tool version, seed, config hash) sufficient to reproduce the numeric
-payload byte for byte.
+(tool version, config hash, and the seed for the commands that draw)
+sufficient to reproduce the numeric payload byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
 failure, 5 comparison failure.
@@ -63,16 +63,16 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
-def _provenance(cfg: ConfigFile, seed: int, extra: dict | None = None) -> dict:
+def _provenance(cfg: ConfigFile, extra: dict, seed: int | None = None) -> dict:
+    """Provenance block; seed and stream_id only for commands that draw."""
     prov = {
         "schema_version": SCHEMA_VERSION,
         "tool": f"{TOOL_NAME} {TOOL_VERSION}",
         "config_sha256": cfg.sha256(),
-        "seed": seed,
-        "stream_id": cfg.stream_id,
     }
-    if extra:
-        prov.update(extra)
+    if seed is not None:
+        prov.update(seed=seed, stream_id=cfg.stream_id)
+    prov.update(extra)
     return prov
 
 
@@ -127,8 +127,8 @@ def cmd_generate(args) -> int:
     if axis not in cfg.distributions:
         raise ConfigError(f"unknown axis {axis!r}")
     col = AXIS_COLUMNS[axis]
-    prov = _provenance(cfg, seed, {"command": "generate", "axis": axis,
-                                   "n": args.n})
+    prov = _provenance(cfg, {"command": "generate", "axis": axis,
+                             "n": args.n}, seed)
     if args.n == 0:
         rows: list[list] = []
     else:
@@ -230,17 +230,16 @@ def cmd_calibrate(args) -> int:
                 "beta1": mom.beta1, "beta2": mom.beta2}
         except (calibration.DegenerateDataError, ValueError) as exc:
             body["reports"][axis]["sample_moments"] = {"error": str(exc)}
-    prov = _provenance(cfg, cfg.seed, {"command": "calibrate"})
+    prov = _provenance(cfg, {"command": "calibrate"})
     _atomic_write(args.out, _json_payload(prov, body))
     return EXIT_OK
 
 
 def cmd_analytic(args) -> int:
     cfg = _load(args)
-    seed = args.seed if args.seed is not None else cfg.seed
     fmt = _format(args, cfg)
     out_dir = args.out
-    prov = _provenance(cfg, seed, {"command": "analytic", "kind": cfg.kind})
+    prov = _provenance(cfg, {"command": "analytic", "kind": cfg.kind})
     densities = {}
     if cfg.kind == "single_lane":
         tables = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
@@ -285,10 +284,10 @@ def cmd_simulate(args) -> int:
     runner = {"single_lane": run_single_lane, "multilane": run_multilane,
               "crossing": run_crossing}[scenario.kind]
     est = runner(scenario)
-    prov = _provenance(cfg, seed, {
+    prov = _provenance(cfg, {
         "command": "simulate", "kind": scenario.kind,
         "n_runs": scenario.n_runs, "dt_min": scenario.dt,
-        "n_aircraft": est.n_aircraft})
+        "n_aircraft": est.n_aircraft}, seed)
     os.makedirs(args.out, exist_ok=True)
     _write_resolved_config(cfg, args.out)
     fmt = _format(args, cfg)
@@ -368,7 +367,7 @@ def cmd_safe_zone(args) -> int:
         from dataclasses import replace
         geom = replace(geom, alpha_deg=args.alpha)
     solved = solve_safe_zone(geom)
-    prov = _provenance(cfg, cfg.seed, {"command": "safe-zone"})
+    prov = _provenance(cfg, {"command": "safe-zone"})
     header = ["alpha_deg", "e1_nm", "e2_nm", "d_min_nm", "x1_nm", "x2_nm",
               "t_safe_min"]
     rows = [[float(solved.alpha_deg), float(solved.e1_nm), float(solved.e2_nm),
@@ -396,7 +395,8 @@ def _load(args) -> ConfigFile:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
+                     help="override the config seed (generate and "
+                          "simulate; the other commands draw nothing)")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
                      help="table format (default: the config's "
                           "output.format, csv)")

@@ -1,11 +1,13 @@
 """Macroscopic corridor layer: Poisson occupancy, lane and crossing taskload.
 
-A lane's taskload over a window T is a Poisson mixture: with M aircraft
-present (M ~ Poisson(lambda * T_cross) in steady state) and independent
-per-aircraft counts, the lane PMF mixes the M-fold convolutions of the
-per-aircraft PMF over the occupancy distribution. Parallel lanes with
-identical tolerances collapse to a single lane at the summed intensity;
-heterogeneous lanes convolve their individual lane PMFs.
+Every flow element is one compound Poisson law: a Poisson number of
+aircraft (mean lambda * T_cross for a lane in steady state), each adding
+an independent count, evaluated by Panjer's recursion in
+`compound_poisson_pmf`. Occupancy is the case of one count per aircraft.
+Independent compound Poissons superpose into one whose aircraft draw
+their law from each element in proportion to its mean occupancy, so
+parallel lanes and the two flows through a crossing's safe zone mix
+their per-aircraft laws by occupancy.
 
 Crossings add scheduling conflicts: a safe zone around the centerline
 intersection admits one aircraft at a time, and with A aircraft inside,
@@ -17,11 +19,15 @@ corridor widths) are at least the separation minimum apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .pmf import TaskloadPmf, convolve_pmf
+# convolve_pmf stays bound for perfbench/tracing.py, which wraps it here
+from .pmf import (TaskloadPmf, common_horizon, convolve_pmf,  # noqa: F401
+                  delta_pmf)
 
 KT_TO_NM_PER_MIN = 1.0 / 60.0
 
@@ -113,76 +119,91 @@ class CrossingGeometry:
         return self.t_safe_min is not None
 
 
-def occupancy_pmf(intensity_per_min: float, window_min: float,
-                  eps: float = 1e-8) -> TaskloadPmf:
-    """Poisson(intensity * window) PMF truncated when the residual < eps."""
-    lam = intensity_per_min * window_min
-    if lam < 0.0:
-        raise ValueError("negative occupancy mean")
-    if lam == 0.0:
-        return TaskloadPmf(np.array([1.0]))
-    probs = [math.exp(-lam)]
-    residual = 1.0 - probs[0]
-    k = 0
-    while residual >= eps:
-        k += 1
-        probs.append(probs[-1] * lam / k)
-        residual -= probs[-1]
-    return TaskloadPmf(np.array(probs), max(0.0, residual))
+#: Mass a compound Poisson law may leave unplaced past its last index; it
+#: must exceed the running sum's rounding (~1e-13 after 1000 terms).
+CP_TAIL = 1e-12
 
 
-def poisson_occupancy(flow: FlowSpec, eps: float = 1e-8) -> TaskloadPmf:
+def compound_poisson_pmf(mean_aircraft: float,
+                         per_aircraft: TaskloadPmf) -> TaskloadPmf:
+    """Law of the total count of Poisson(mean_aircraft) independent aircraft.
+
+    Panjer's recursion (1981), every term nonnegative: g[0] =
+    exp(-m (1 - f[0])), n g[n] = m sum_j j f[j] g[n-j]. With per-aircraft
+    truncation mass t only exp(-m t) can be placed; the rest,
+    P[some aircraft truncated] = -expm1(-m t), is truncation mass. The
+    recursion stops once at most CP_TAIL of the placeable mass is left,
+    or once the last len(f) - 1 terms are zero (so are all later ones).
+    Raises when g[0] is below the smallest normal float.
+    """
+    m = float(mean_aircraft)
+    if not 0.0 <= m < math.inf:
+        raise ValueError(f"mean aircraft count must be finite, >= 0: {m}")
+    f = per_aircraft.probs
+    g0 = math.exp(-m * (1.0 - f[0]))
+    if g0 < sys.float_info.min:
+        raise ValueError(f"compound Poisson P[0] = exp({-m * (1.0 - f[0]):.6g})"
+                         f" underflows; mean {m:.6g} aircraft is too dense")
+    lost = -math.expm1(-m * per_aircraft.truncation_mass)
+    kept = 1.0 - lost
+    k_max = f.size - 1
+    rev_jf = (m * np.arange(f.size) * f)[:0:-1]  # m j f[j] for j = K..1
+    g, placed = [g0], g0
+    while kept - placed > CP_TAIL:
+        window = g[-k_max:] if k_max else []   # g[n-j] for j = min(n, K)..1
+        if not any(window):
+            break
+        g.append(float(rev_jf[k_max - len(window):] @ window) / len(g))
+        placed += g[-1]
+    return TaskloadPmf(np.array(g), lost + max(0.0, kept - placed),
+                       per_aircraft.horizon)
+
+
+def _superposed(means: list[float], per_aircraft: list[TaskloadPmf]
+                ) -> TaskloadPmf:
+    """Sum of independent compound Poissons with these means: one compound
+    Poisson whose aircraft draw per_aircraft[i] with probability
+    means[i] / sum(means)."""
+    weights = means if sum(means) > 0.0 else None   # no aircraft: any mix
+    size = max(p.probs.size for p in per_aircraft)
+    mixed = TaskloadPmf(
+        np.average([p.padded(size) for p in per_aircraft], axis=0,
+                   weights=weights),
+        np.average([p.truncation_mass for p in per_aircraft], weights=weights),
+        reduce(common_horizon, (p.horizon for p in per_aircraft)))
+    return compound_poisson_pmf(sum(means), mixed)
+
+
+def occupancy_pmf(intensity_per_min: float, window_min: float) -> TaskloadPmf:
+    """Poisson(intensity * window) PMF: one count per aircraft present."""
+    return compound_poisson_pmf(intensity_per_min * window_min, delta_pmf(1))
+
+
+def poisson_occupancy(flow: FlowSpec) -> TaskloadPmf:
     """PMF of the number of aircraft simultaneously present in the lane."""
-    return occupancy_pmf(flow.intensity_per_min, flow.t_cross_min, eps)
+    return occupancy_pmf(flow.intensity_per_min, flow.t_cross_min)
 
 
-def single_lane_pmf(flow: FlowSpec, per_aircraft: TaskloadPmf,
-                    occ_eps: float = 1e-8) -> TaskloadPmf:
-    """Lane taskload: Poisson occupancy mixture of k-fold convolutions."""
-    occ = poisson_occupancy(flow, occ_eps)
-    acc = np.array([occ.probs[0]])  # M = 0: no interventions
-    conv = per_aircraft
-    for k in range(1, occ.probs.size):
-        term = conv.probs * occ.probs[k]
-        if term.size > acc.size:
-            acc = np.pad(acc, (0, term.size - acc.size))
-        acc[:term.size] += term
-        if k < occ.probs.size - 1:
-            conv = convolve_pmf(conv, per_aircraft).trimmed(1e-16)
-    trunc = max(0.0, 1.0 - acc.sum())
-    return TaskloadPmf(acc, trunc, per_aircraft.horizon)
+def single_lane_pmf(flow: FlowSpec, per_aircraft: TaskloadPmf) -> TaskloadPmf:
+    """Lane taskload: compound Poisson over lambda * t_cross aircraft."""
+    return compound_poisson_pmf(flow.intensity_per_min * flow.t_cross_min,
+                                per_aircraft)
 
 
-def _same_per_aircraft(pmfs: list[TaskloadPmf]) -> bool:
-    first = pmfs[0]
-    return all(q.probs.size == first.probs.size
-               and np.array_equal(q.probs, first.probs)
-               and q.truncation_mass == first.truncation_mass
-               for q in pmfs[1:])
-
-
-def multilane_pmf(flows: list[FlowSpec], per_aircraft: list[TaskloadPmf],
-                  occ_eps: float = 1e-8) -> TaskloadPmf:
+def multilane_pmf(flows: list[FlowSpec],
+                  per_aircraft: list[TaskloadPmf]) -> TaskloadPmf:
     """Taskload of parallel independent lanes.
 
-    Identical tolerances (same per-aircraft PMF and extent) collapse to
-    one lane at the summed intensity; otherwise the per-lane PMFs
-    convolve, which is associative and order-independent.
+    The lanes' compound Poissons superpose into one whose aircraft mix
+    the per-aircraft laws by lane occupancy lambda * t_cross; identical
+    lanes reduce to one lane at the summed intensity.
     """
     if len(flows) < 2:
         raise ValueError("multilane requires at least 2 flows")
     if len(flows) != len(per_aircraft):
         raise ValueError("one per-aircraft PMF per flow required")
-    same_shape = (_same_per_aircraft(per_aircraft)
-                  and len({(f.t_cross_min, f.lateral_extent_nm) for f in flows}) == 1)
-    if same_shape:
-        total = sum(f.intensity_per_hour for f in flows)
-        merged = replace(flows[0], intensity_per_hour=total)
-        return single_lane_pmf(merged, per_aircraft[0], occ_eps)
-    out = single_lane_pmf(flows[0], per_aircraft[0], occ_eps)
-    for f, pa in zip(flows[1:], per_aircraft[1:]):
-        out = convolve_pmf(out, single_lane_pmf(f, pa, occ_eps))
-    return out
+    return _superposed([f.intensity_per_min * f.t_cross_min for f in flows],
+                       per_aircraft)
 
 
 # --- safe-zone geometry -------------------------------------------------
@@ -305,15 +326,14 @@ def solve_safe_zone_printed(g: CrossingGeometry,
 
 # --- crossing taskload ---------------------------------------------------
 
-def conflict_pmf(g: CrossingGeometry, lam1_per_h: float, lam2_per_h: float,
-                 eps: float = 1e-10) -> TaskloadPmf:
+def conflict_pmf(g: CrossingGeometry, lam1_per_h: float,
+                 lam2_per_h: float) -> TaskloadPmf:
     """PMF of the safe-zone occupancy A: Poisson((lam1+lam2) * t_safe)."""
     if not g.solved:
         raise ValueError("solve_safe_zone first: t_safe unknown")
     if lam1_per_h < 0.0 or lam2_per_h < 0.0:
         raise ValueError("intensities must be >= 0")
-    lam_min = (lam1_per_h + lam2_per_h) / 60.0
-    return occupancy_pmf(lam_min, g.t_safe_min, eps)
+    return occupancy_pmf((lam1_per_h + lam2_per_h) / 60.0, g.t_safe_min)
 
 
 def conflict_interventions_pmf(occupancy: TaskloadPmf) -> TaskloadPmf:
@@ -328,14 +348,13 @@ def conflict_interventions_pmf(occupancy: TaskloadPmf) -> TaskloadPmf:
 
 
 def crossing_pmf(g: CrossingGeometry, flows: list[FlowSpec],
-                 per_aircraft: list[TaskloadPmf],
-                 occ_eps: float = 1e-8) -> TaskloadPmf:
+                 per_aircraft: list[TaskloadPmf]) -> TaskloadPmf:
     """Total crossing taskload: conflicts plus deviation control.
 
     The two flows merge into one Poisson stream through the zone; the
-    deviation-control PMF is the merged-lane mixture with residency
-    equal to the zone transit time. The total combines it with the
-    conflict count A-1:
+    deviation-control PMF is its compound Poisson over the zone transit,
+    each aircraft drawn from flow i with probability lam_i / (lam1 +
+    lam2). The total combines it with the conflict count A-1:
 
         P[total = n] = sum_i P[A = i+1] P[N = n-i]   (n >= 1)
         P[total = 0] = P[A = 0] + P[A = 1] P[N = 0]
@@ -348,20 +367,12 @@ def crossing_pmf(g: CrossingGeometry, flows: list[FlowSpec],
     if not g.solved:
         raise ValueError("solve_safe_zone first: t_safe unknown")
     occ = conflict_pmf(g, flows[0].intensity_per_hour,
-                       flows[1].intensity_per_hour, eps=occ_eps)
-    merged = FlowSpec(
-        intensity_per_hour=flows[0].intensity_per_hour + flows[1].intensity_per_hour,
-        t_cross_min=g.t_safe_min, speed_kt=g.speed_kt,
-        tolerance=flows[0].tolerance,
-        lateral_extent_nm=flows[0].lateral_extent_nm)
-    if not _same_per_aircraft(per_aircraft):
-        raise ValueError("heterogeneous crossing flows need matching "
-                         "per-aircraft PMFs over the zone transit")
-    control = single_lane_pmf(merged, per_aircraft[0], occ_eps)
-    n_out = control.probs.size + max(occ.probs.size - 2, 0) + 1
-    out = np.zeros(n_out)
-    out[0] = occ.probs[0]
-    for i in range(occ.probs.size - 1):         # A = i + 1
-        out[i:i + control.probs.size] += occ.probs[i + 1] * control.probs
-    trunc = max(0.0, 1.0 - out.sum())
+                       flows[1].intensity_per_hour)
+    control = _superposed([f.intensity_per_min * g.t_safe_min for f in flows],
+                          per_aircraft)
+    # P[A = i + 1] weights the control law shifted by i
+    out = np.convolve(occ.padded(occ.probs.size + 1)[1:], control.probs)
+    out[0] += occ.probs[0]
+    trunc = (occ.truncation_mass
+             + occ.probs[1:].sum() * control.truncation_mass)
     return TaskloadPmf(out, trunc, control.horizon)

@@ -100,9 +100,7 @@ def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
                                 axes, n_max=n_max)["total"]
     control = single_lane_pmf(
         replace(transit_flow, intensity_per_hour=lam1 + lam2), combined)
-    total = crossing_pmf(geom, [replace(f, t_cross_min=geom.t_safe_min)
-                                for f in flows],
-                         [combined, combined])
+    total = crossing_pmf(geom, flows, [combined, combined])
     return {
         "occupancy": occupancy,
         "conflict_resolution": conflict_interventions_pmf(occupancy),

@@ -77,32 +77,22 @@ def delta_pmf(n: int = 0, horizon: float | None = None) -> TaskloadPmf:
     return TaskloadPmf(probs, 0.0, horizon)
 
 
-def _check_horizons(p: TaskloadPmf, q: TaskloadPmf) -> float | None:
-    if p.horizon is None or q.horizon is None:
-        return p.horizon if p.horizon is not None else q.horizon
-    if not math.isclose(p.horizon, q.horizon, rel_tol=1e-12, abs_tol=1e-9):
-        raise ValueError(f"horizon mismatch: {p.horizon} vs {q.horizon}")
-    return p.horizon
+def common_horizon(a: float | None, b: float | None) -> float | None:
+    """The shared time window of two count laws (None means window-free)."""
+    if a is None or b is None:
+        return a if a is not None else b
+    if not math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-9):
+        raise ValueError(f"horizon mismatch: {a} vs {b}")
+    return a
 
 
 def convolve_pmf(p: TaskloadPmf, q: TaskloadPmf) -> TaskloadPmf:
     """PMF of the sum of two independent counts."""
-    horizon = _check_horizons(p, q)
+    horizon = common_horizon(p.horizon, q.horizon)
     probs = np.convolve(p.probs, q.probs)
     # mass lost through the inputs' truncations stays truncated
     trunc = max(0.0, 1.0 - probs.sum())
     return TaskloadPmf(probs, trunc, horizon)
-
-
-def autoconvolve_pmf(p: TaskloadPmf, order: int) -> TaskloadPmf:
-    """order successive self-convolutions: order 0 returns p itself,
-    order k the PMF of the sum of k+1 independent copies."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    out = p
-    for _ in range(order):
-        out = convolve_pmf(out, p)
-    return out
 
 
 def tv_distance(p: TaskloadPmf, q: TaskloadPmf) -> float:

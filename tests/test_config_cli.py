@@ -116,6 +116,9 @@ class TestCli:
         assert ls["mu"] == pytest.approx(0.2, rel=1e-9)
         assert ml["kappa_per_min"] == pytest.approx(ls["kappa_per_min"],
                                                     rel=1e-9)
+        # a fit draws nothing: no seed in its provenance
+        assert "seed" not in report["provenance"]
+        assert "stream_id" not in report["provenance"]
 
     def test_calibrate_round_trip_from_generate(self, tmp_path):
         fte = tmp_path / "fte.csv"
@@ -207,6 +210,7 @@ class TestCli:
         header, values = rows[0].split(","), rows[1].split(",")
         t_safe = float(values[header.index("t_safe_min")])
         assert abs(t_safe - 1.0) < 0.3
+        assert "# seed=" not in read_payload(out)
 
     def test_compare_command_pass_and_fail(self, tmp_path):
         analytic = tmp_path / "a.csv"
@@ -305,18 +309,20 @@ class TestConfigReachesOutput:
 
 class TestAnalyticIsDeterministic:
     def test_tables_ignore_seed_and_oracle_paths(self, tmp_path):
+        # whole files, provenance included: nothing analytic is drawn, so
+        # no seed is written
         tables = []
         for paths, seed in ((2000, "1"), (500000, "987")):
             cfg = lane_config(tmp_path, analytic={"oracle_paths": paths})
             out = tmp_path / f"an{seed}"
             assert main(["analytic", "--config", str(cfg), "--seed", seed,
                          "--out", str(out)]) == 0
-            names = sorted(p.name for p in out.iterdir()
-                           if p.name.startswith(("analytic_", "density_")))
-            tables.append({n: [ln for ln in read_payload(out / n).splitlines()
-                               if not ln.startswith("#")] for n in names})
-        assert len(tables[0]) == 7  # 3 axes and the total, 3 densities
+            tables.append({p.name: read_payload(p) for p in out.iterdir()})
+        # 3 axes and the total, 3 densities, the resolved config
+        assert len(tables[0]) == 8
         assert tables[0] == tables[1]
+        assert "# seed=" not in tables[0]["analytic_total.csv"]
+        assert "# stream_id=" not in tables[0]["analytic_total.csv"]
 
     def test_oracle_paths_validated_but_not_hashed(self):
         base = default_config()

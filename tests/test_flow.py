@@ -1,16 +1,24 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
-                      TaskloadPmf, conflict_interventions_pmf, conflict_pmf,
-                      convolve_pmf, crossing_pmf, delta_pmf,
-                      min_corner_separation, multilane_pmf, poisson_occupancy,
+import taskload
+from taskload import (OU_FTE_CENTERED, TOLERANCE_STANDARDS, CrossingGeometry,
+                      FlowSpec, TaskloadPmf, compound_poisson_pmf,
+                      conflict_interventions_pmf, conflict_pmf, convolve_pmf,
+                      crossing_pmf, delta_pmf, min_corner_separation,
+                      multilane_pmf, per_aircraft_pmf, poisson_occupancy,
                       single_lane_pmf, solve_safe_zone, tv_distance)
-from taskload.flow import safe_zone_printed_residuals, solve_safe_zone_printed
+from taskload.flow import (CP_TAIL, occupancy_pmf,
+                           safe_zone_printed_residuals, solve_safe_zone_printed)
 
 
 def poisson_pmf(lam, kmax=80, horizon=None):
@@ -31,15 +39,145 @@ class TestOccupancy:
 
     def test_mean_is_intensity_times_residency(self):
         occ = poisson_occupancy(FlowSpec(intensity_per_hour=60.0,
-                                         t_cross_min=20.0), eps=1e-10)
+                                         t_cross_min=20.0))
         assert occ.mean() == pytest.approx(20.0, abs=1e-6)
+
+
+def run_python(code: str, timeout: float = 30.0):
+    """Run code in a fresh interpreter that imports this taskload; a hang
+    fails as subprocess.TimeoutExpired instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(taskload.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestCompoundPoisson:
+    def test_matches_brute_force_mixture(self):
+        # lane_dense: one 60/h stringent lane, 20 min residency, 120 min
+        per_ac = per_aircraft_pmf(OU_FTE_CENTERED, FlowSpec(60.0), 120.0,
+                                  1.0)["total"]
+        m = 20.0
+        probs = np.zeros(1)
+        conv = np.array([1.0])                   # f^{*0}
+        for k in range(121):
+            term = stats.poisson.pmf(k, m) * conv
+            probs = np.pad(probs, (0, max(0, term.size - probs.size)))
+            probs[:term.size] += term
+            conv = np.convolve(conv, per_ac.probs)
+        brute = TaskloadPmf(probs, 1.0 - probs.sum(), 120.0)
+        out = compound_poisson_pmf(m, per_ac)
+        assert tv_distance(out, brute) <= 1e-11
+
+    def test_point_mass_one_is_poisson(self):
+        for m in (0.5, 20.0, 300.0):
+            out = compound_poisson_pmf(m, delta_pmf(1))
+            ref = stats.poisson.pmf(np.arange(out.probs.size), m)
+            assert np.abs(out.probs - ref).max() < 1e-13
+            assert out.truncation_mass <= 1e-12
+
+    def test_heterogeneous_lanes_match_convolution(self):
+        rng = np.random.default_rng(11)
+        flows, pmfs = [], []
+        for name, t_cross in (("stringent", 20.0), ("severe", 12.0),
+                              ("intermediate", 30.0), ("lax", 7.5)):
+            flows.append(FlowSpec(intensity_per_hour=float(rng.uniform(5, 60)),
+                                  t_cross_min=t_cross,
+                                  tolerance=TOLERANCE_STANDARDS[name].bounds))
+            pmfs.append(TaskloadPmf(rng.dirichlet(np.ones(2 + len(pmfs))),
+                                    horizon=120.0))
+        lanes = [single_lane_pmf(f, p) for f, p in zip(flows, pmfs)]
+        assert tv_distance(multilane_pmf(flows, pmfs),
+                           reduce(convolve_pmf, lanes)) <= 1e-10
+
+    def test_defective_law_truncates_exactly(self):
+        t_a = 0.01
+        per_ac = TaskloadPmf(np.array([0.5, 0.3, 0.19]), t_a, 120.0)
+        for m in (0.3, 5.0, 30.0):
+            out = compound_poisson_pmf(m, per_ac)
+            assert out.truncation_mass == pytest.approx(-math.expm1(-m * t_a),
+                                                        abs=1e-12)
+            # the recursion stops at the first index that leaves at most
+            # CP_TAIL of the placeable mass exp(-m t_a) unplaced
+            kept = math.exp(-m * t_a)
+            assert kept - out.probs.sum() <= CP_TAIL
+            assert kept - out.probs[:-1].sum() > CP_TAIL
+
+    def test_lattice_law_is_not_cut_short(self):
+        # delta(10) places nothing between multiples of 10: a stop on a
+        # small term would end at n = 1
+        out = compound_poisson_pmf(0.5, delta_pmf(10))
+        assert out.mean() == pytest.approx(5.0, abs=1e-10)
+
+    def test_crossing_of_unlike_flows_mixes_control_laws(self):
+        g = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
+        flows = [FlowSpec(intensity_per_hour=2.5, t_cross_min=g.t_safe_min,
+                          tolerance=TOLERANCE_STANDARDS["stringent"].bounds),
+                 FlowSpec(intensity_per_hour=7.5, t_cross_min=g.t_safe_min,
+                          tolerance=TOLERANCE_STANDARDS["lax"].bounds)]
+        pmfs = [TaskloadPmf(np.array([0.9, 0.08, 0.02]), horizon=g.t_safe_min),
+                TaskloadPmf(np.array([0.99, 0.01]), horizon=g.t_safe_min)]
+        total = crossing_pmf(g, flows, pmfs)
+        # reference: control is the sum of the two flows' own lane laws,
+        # combined with A - 1 conflicts as displayed
+        control = convolve_pmf(*(single_lane_pmf(f, p)
+                                 for f, p in zip(flows, pmfs))).probs
+        occ = conflict_pmf(g, 2.5, 7.5).probs
+        ref = np.zeros(control.size + occ.size)
+        ref[0] = occ[0]
+        for i in range(occ.size - 1):
+            ref[i:i + control.size] += occ[i + 1] * control
+        assert tv_distance(total, TaskloadPmf(ref, 1.0 - ref.sum(),
+                                              g.t_safe_min)) <= 1e-10
+
+    def test_bad_mean_raises(self):
+        for m in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                compound_poisson_pmf(m, delta_pmf(1))
+
+
+class TestDenseLanes:
+    def test_occupancy_beyond_float_range_raises_promptly(self):
+        res = run_python(
+            "from taskload.flow import occupancy_pmf\n"
+            "try:\n    occupancy_pmf(1.0, 800.0)\n"
+            "except ValueError:\n    print('raised')\n")
+        assert res.stdout.strip() == "raised", res.stderr
+
+    def test_subnormal_p0_raises(self):
+        # exp(-740) is subnormal: a law built from it would be off by ~4e-5
+        with pytest.raises(ValueError, match="underflows"):
+            occupancy_pmf(1.0, 740.0)
+
+    @pytest.mark.parametrize("lam, rc", [(2400.0, 0), (60000.0, 4)])
+    def test_dense_lane_analytic_command(self, tmp_path, lam, rc):
+        # 2400/h puts 800 aircraft in the lane: exp(-800) underflows, but
+        # the lane law's P[0] = exp(-800 (1 - f[0])) ~ 1.6e-19 does not, so
+        # the command succeeds; at 60 000/h P[0] underflows and it exits 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"flows": [{"intensity_per_hour": lam}],
+                                   "mc": {"kind": "single_lane"}}))
+        out = tmp_path / "out"
+        res = run_python(
+            "import sys\nfrom taskload.cli import main\n"
+            f"sys.exit(main(['analytic', '--config', {str(cfg)!r}, "
+            f"'--out', {str(out)!r}]))\n")
+        assert res.returncode == rc, res.stderr
+        if rc == 0:
+            rows = [ln.split(",") for ln in
+                    (out / "analytic_total.csv").read_text().splitlines()
+                    if ln[0].isdigit()]
+            mean = sum(int(n) * float(p) for n, p in rows)
+            per_ac = per_aircraft_pmf(OU_FTE_CENTERED, FlowSpec(lam), 120.0,
+                                      1.0)["total"]
+            assert mean == pytest.approx(800.0 * per_ac.mean(), rel=1e-9)
 
 
 class TestSingleLane:
     def test_idle_aircraft(self):
         flow = FlowSpec(intensity_per_hour=10.0)
-        out = single_lane_pmf(flow, delta_pmf(0, horizon=120.0),
-                              occ_eps=1e-12)
+        out = single_lane_pmf(flow, delta_pmf(0, horizon=120.0))
         assert out.probs[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_one_each_reproduces_occupancy(self):
@@ -52,8 +190,8 @@ class TestSingleLane:
     def test_wald_mean_identity(self):
         flow = FlowSpec(intensity_per_hour=25.0)
         per_ac = TaskloadPmf(np.array([0.7, 0.2, 0.1]), horizon=120.0)
-        lane = single_lane_pmf(flow, per_ac, occ_eps=1e-12)
-        expected = poisson_occupancy(flow, eps=1e-12).mean() * per_ac.mean()
+        lane = single_lane_pmf(flow, per_ac)
+        expected = poisson_occupancy(flow).mean() * per_ac.mean()
         assert lane.mean() == pytest.approx(expected, rel=1e-6)
 
 
@@ -68,11 +206,10 @@ class TestMultilane:
 
     def test_identity_for_arbitrary_intensity_splits(self):
         per_ac = TaskloadPmf(np.array([0.9, 0.08, 0.02]), horizon=120.0)
-        single = single_lane_pmf(FlowSpec(intensity_per_hour=48.0), per_ac,
-                                 occ_eps=1e-13)
+        single = single_lane_pmf(FlowSpec(intensity_per_hour=48.0), per_ac)
         for split in ((1.0, 47.0), (12.0, 36.0), (24.0, 24.0)):
-            parts = [single_lane_pmf(FlowSpec(intensity_per_hour=s), per_ac,
-                                     occ_eps=1e-13) for s in split]
+            parts = [single_lane_pmf(FlowSpec(intensity_per_hour=s), per_ac)
+                     for s in split]
             total = convolve_pmf(parts[0], parts[1])
             assert tv_distance(total, single) <= 1e-9
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (TaskloadPmf, autoconvolve_pmf, convolve_pmf, delta_pmf,
-                      tv_distance, wilson_interval)
+from taskload import (TaskloadPmf, convolve_pmf, delta_pmf, tv_distance,
+                      wilson_interval)
 
 
 def poisson_pmf(lam, kmax=64):
@@ -26,13 +26,8 @@ def test_identity_element():
 
 def test_fair_coin_autoconvolution():
     p = TaskloadPmf(np.array([0.5, 0.5]))
-    out = autoconvolve_pmf(p, 1)
+    out = convolve_pmf(p, p)
     assert np.allclose(out.probs, [0.25, 0.5, 0.25])
-
-
-def test_order_zero_is_input():
-    p = TaskloadPmf(np.array([0.1, 0.9]))
-    assert autoconvolve_pmf(p, 0) is p
 
 
 def test_poisson_closed_under_convolution():

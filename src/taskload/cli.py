@@ -6,8 +6,8 @@ the config's output.format), prefixed by a provenance comment block
 (tool version, config hash, and the seed for the commands that draw)
 sufficient to reproduce the numeric payload byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-failure, 5 comparison failure.
+Exit codes: 0 success, 2 config or usage error, 3 data error, 4
+numerical failure, 5 comparison failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -201,7 +202,7 @@ def cmd_calibrate(args) -> int:
                "both": ["least_squares", "mle"]}[args.method]
     body: dict = {"series": args.input, "reports": {}}
     for axis, values in series.items():
-        ts = calibration.TimeSeries(values, dt=args.dt or 1.0)
+        ts = calibration.TimeSeries(values, dt=args.dt)
         body["reports"][axis] = {}
         for method in methods:
             fit = (calibration.fit_least_squares if method == "least_squares"
@@ -280,14 +281,13 @@ def _estimate_tables(est: McEstimate) -> dict[str, tuple[list[str], list[list]]]
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seed
-    scenario = cfg.scenario(n_runs=args.runs, dt=args.dt, seed=seed)
+    scenario = cfg.scenario(n_runs=args.runs, seed=seed)
     runner = {"single_lane": run_single_lane, "multilane": run_multilane,
               "crossing": run_crossing}[scenario.kind]
     est = runner(scenario)
     prov = _provenance(cfg, {
         "command": "simulate", "kind": scenario.kind,
-        "n_runs": scenario.n_runs, "dt_min": scenario.dt,
-        "n_aircraft": est.n_aircraft}, seed)
+        "n_runs": scenario.n_runs, "n_aircraft": est.n_aircraft}, seed)
     os.makedirs(args.out, exist_ok=True)
     _write_resolved_config(cfg, args.out)
     fmt = _format(args, cfg)
@@ -392,11 +392,22 @@ def _load(args) -> ConfigFile:
     return default_config()
 
 
+def _checked(cast, ok, what: str):
+    """An argparse type: cast, then reject values failing ok (exit 2)."""
+    def parse(text: str):
+        val = cast(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return val
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_RUNS = _checked(int, lambda n: n >= 1, "a run count >= 1")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON configuration file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed (generate and "
-                          "simulate; the other commands draw nothing)")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
                      help="table format (default: the config's "
                           "output.format, csv)")
@@ -411,9 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generate", help="write synthetic FTE samples")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the config's mc.seed")
     p.add_argument("--axis", choices=("lateral", "vertical", "longitudinal"),
                    required=True)
-    p.add_argument("-n", type=int, required=True, help="sample count")
+    p.add_argument("-n", required=True, help="sample count",
+                   type=_checked(int, lambda n: n >= 0, "a count >= 0"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -421,8 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--in", dest="input", required=True, help="input CSV")
     p.add_argument("--method", choices=("ls", "mle", "both"), default="both")
-    p.add_argument("--dt", type=float, default=None,
-                   help="sampling step in minutes (default 1)")
+    p.add_argument("--dt", default=1.0,
+                   help="sampling step in minutes (default 1)",
+                   type=_checked(float, lambda x: 0.0 < x < math.inf,
+                                 "a finite step > 0"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -433,24 +449,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="Monte Carlo taskload estimate")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the config's mc.seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--runs", type=_RUNS, default=None,
+                   help="override the config's run count")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("compare", help="TV comparison of two PMF tables")
     p.add_argument("--analytic", required=True)
     p.add_argument("--mc", required=True)
     p.add_argument("--tv", type=float, default=0.02)
-    p.add_argument("--runs", type=int, default=None,
-                   help="MC run count behind the estimate")
+    p.add_argument("--runs", type=_RUNS, default=None,
+                   help="MC run count behind the estimate (default: the "
+                        "n_runs in its provenance)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("safe-zone", help="solve crossing safe-zone bounds")
     _add_common(p)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="crossing angle override (degrees)")
+    p.add_argument("--alpha", default=None,
+                   help="crossing angle override (degrees)",
+                   type=_checked(float, lambda a: 0.0 < a < 180.0,
+                                 "an angle in (0, 180) degrees"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_safe_zone)
     return parser

@@ -1,9 +1,11 @@
 """Configuration schema, published defaults, and provenance hashing.
 
-One structured JSON file drives every command. Unknown keys are
-rejected with their full path so typos never silently fall back to a
-default. Defaults carry the published per-axis generator and dynamics
-parameters, the named tolerance standards, and the reference scenario
+One structured JSON file drives every command, and every key it takes
+reaches some command's output. Unknown keys are rejected with their
+full path so typos never silently fall back to a default; the
+RETIRED_KEYS load with a warning and are ignored. Defaults carry the
+published per-axis generator and dynamics parameters, the named
+tolerance standards, and the reference scenario
 run counts; the one deliberate departure is that scenario dynamics
 center the reversion mean on the nominal trajectory (the fitted means
 are generator offsets, and corridor bounds are symmetric about the
@@ -15,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -34,15 +38,24 @@ MULTILANE_RUNS = {2.5: 229158, 5.0: 16670, 7.5: 14592, 10.0: 13537, 60.0: 10426}
 CROSSING_RUNS = {30.0: 5412, 90.0: 10463, 120.0: 3826}
 DEFAULT_RUNS = 10000
 
+#: Keys no output reads, by section ("flows[]": each flow). Old configs
+#: carrying them load; they are never read, so never hashed or resolved.
+RETIRED_KEYS = {"mc": {"dt_min"}, "analytic": {"oracle_paths"},
+                "flows[]": {"speed_kt", "lateral_extent_nm"}}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
 def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+    section = re.sub(r"\[\d+\]$", "[]", path)
+    retired = RETIRED_KEYS.get(section, set()) & set(obj)
+    unknown = set(obj) - allowed - retired
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path or '<root>'}")
+    for key in sorted(retired):
+        warnings.warn(f"config key {section}.{key} is retired and ignored")
 
 
 def _get_num(obj: dict, key: str, default, path: str):
@@ -66,7 +79,6 @@ class ConfigFile:
     geometry: CrossingGeometry
     kind: str = "single_lane"
     horizon_min: float = 120.0
-    dt_min: float = 0.1
     obs_dt_min: float = 1.0
     n_runs: int | None = None
     seed: int = 0
@@ -88,7 +100,7 @@ class ConfigFile:
                                       DEFAULT_RUNS)
         return CROSSING_RUNS.get(self.geometry.alpha_deg, DEFAULT_RUNS)
 
-    def scenario(self, n_runs: int | None = None, dt: float | None = None,
+    def scenario(self, n_runs: int | None = None,
                  seed: int | None = None) -> ScenarioConfig:
         return ScenarioConfig(
             kind=self.kind,
@@ -96,7 +108,6 @@ class ConfigFile:
             ou=dict(self.ou),
             geometry=self.geometry if self.kind == "crossing" else None,
             horizon=self.horizon_min,
-            dt=dt if dt is not None else self.dt_min,
             obs_dt=self.obs_dt_min,
             n_runs=n_runs if n_runs is not None else self.resolved_runs(),
             seed=seed if seed is not None else self.seed,
@@ -116,11 +127,9 @@ class ConfigFile:
             "flows": [{
                 "intensity_per_hour": f.intensity_per_hour,
                 "t_cross_min": f.t_cross_min,
-                "speed_kt": f.speed_kt,
                 "tolerance": {"lateral_nm": f.tolerance.lateral_nm,
                               "vertical_ft": f.tolerance.vertical_ft,
                               "longitudinal_nm": f.tolerance.longitudinal_nm},
-                "lateral_extent_nm": f.lateral_extent_nm,
             } for f in self.flows],
             "geometry": {"alpha_deg": self.geometry.alpha_deg,
                          "e1_nm": self.geometry.e1_nm,
@@ -128,7 +137,7 @@ class ConfigFile:
                          "d_min_nm": self.geometry.d_min_nm,
                          "speed_kt": self.geometry.speed_kt},
             "mc": {"kind": self.kind, "horizon_min": self.horizon_min,
-                   "dt_min": self.dt_min, "obs_dt_min": self.obs_dt_min,
+                   "obs_dt_min": self.obs_dt_min,
                    "n_runs": self.n_runs, "seed": self.seed,
                    "stream_id": self.stream_id,
                    "count_full_horizon": self.count_full_horizon},
@@ -181,8 +190,7 @@ def _parse_tolerance(obj, path: str) -> ToleranceBounds:
 
 
 def _parse_flow(obj: dict, path: str) -> FlowSpec:
-    allowed = {"intensity_per_hour", "t_cross_min", "speed_kt", "standard",
-               "tolerance", "lateral_extent_nm"}
+    allowed = {"intensity_per_hour", "t_cross_min", "standard", "tolerance"}
     _require_keys(obj, allowed, path)
     if "standard" in obj and "tolerance" in obj:
         raise ConfigError(f"{path}: give either 'standard' or 'tolerance'")
@@ -196,9 +204,7 @@ def _parse_flow(obj: dict, path: str) -> FlowSpec:
         return FlowSpec(
             intensity_per_hour=_get_num(obj, "intensity_per_hour", 2.5, path),
             t_cross_min=_get_num(obj, "t_cross_min", 20.0, path),
-            speed_kt=_get_num(obj, "speed_kt", 480.0, path),
-            tolerance=tol,
-            lateral_extent_nm=_get_num(obj, "lateral_extent_nm", 1.0, path))
+            tolerance=tol)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -253,18 +259,16 @@ def parse_config(data: dict) -> ConfigFile:
             raise ConfigError(f"geometry: {exc}") from exc
     if "mc" in data:
         mc = data["mc"]
-        _require_keys(mc, {"kind", "horizon_min", "dt_min", "obs_dt_min",
-                           "n_runs", "seed", "stream_id",
-                           "count_full_horizon"}, "mc")
+        _require_keys(mc, {"kind", "horizon_min", "obs_dt_min", "n_runs",
+                           "seed", "stream_id", "count_full_horizon"}, "mc")
         kind = mc.get("kind", cfg.kind)
         if kind not in ("single_lane", "multilane", "crossing"):
             raise ConfigError(f"mc.kind: unknown scenario {kind!r}")
         cfg.kind = kind
         cfg.horizon_min = _get_num(mc, "horizon_min", cfg.horizon_min, "mc")
-        cfg.dt_min = _get_num(mc, "dt_min", cfg.dt_min, "mc")
         cfg.obs_dt_min = _get_num(mc, "obs_dt_min", cfg.obs_dt_min, "mc")
-        if cfg.horizon_min <= 0 or cfg.dt_min <= 0 or cfg.obs_dt_min <= 0:
-            raise ConfigError("mc horizon/dt/obs_dt must be > 0")
+        if cfg.horizon_min <= 0 or cfg.obs_dt_min <= 0:
+            raise ConfigError("mc horizon_min and obs_dt_min must be > 0")
         n_runs = mc.get("n_runs", None)
         if n_runs is not None:
             if not isinstance(n_runs, int) or n_runs < 1:
@@ -282,13 +286,8 @@ def parse_config(data: dict) -> ConfigFile:
         cfg.count_full_horizon = cfh
     if "analytic" in data:
         an = data["analytic"]
-        _require_keys(an, {"oracle_paths", "n_max"}, "analytic")
-        # oracle_paths sized the retired simulation oracle: still
-        # validated, so saved configs load, but it changes no output
-        paths = an.get("oracle_paths", 1)
+        _require_keys(an, {"n_max"}, "analytic")
         nmax = an.get("n_max", cfg.n_max)
-        if not isinstance(paths, int) or paths < 1:
-            raise ConfigError("analytic.oracle_paths must be a positive integer")
         if not isinstance(nmax, int) or nmax < 1:
             raise ConfigError("analytic.n_max must be a positive integer")
         cfg.n_max = nmax

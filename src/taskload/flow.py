@@ -67,21 +67,17 @@ TOLERANCE_STANDARDS = {
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One lane: Poisson intensity, residency, speed, bounds, width."""
+    """One lane: Poisson intensity, residency and tolerance bounds."""
 
     intensity_per_hour: float
     t_cross_min: float = 20.0
-    speed_kt: float = 480.0
     tolerance: ToleranceBounds = TOLERANCE_STANDARDS["stringent"].bounds
-    lateral_extent_nm: float = 1.0
 
     def __post_init__(self):
         if self.intensity_per_hour < 0.0:
             raise ValueError("intensity must be >= 0")
-        if self.t_cross_min <= 0.0 or self.speed_kt <= 0.0:
-            raise ValueError("t_cross and speed must be > 0")
-        if self.lateral_extent_nm < 0.0:
-            raise ValueError("lateral extent must be >= 0")
+        if self.t_cross_min <= 0.0:
+            raise ValueError("t_cross must be > 0")
 
     @property
     def intensity_per_min(self) -> float:
@@ -192,7 +188,8 @@ def single_lane_pmf(flow: FlowSpec, per_aircraft: TaskloadPmf) -> TaskloadPmf:
 
 def multilane_pmf(flows: list[FlowSpec],
                   per_aircraft: list[TaskloadPmf]) -> TaskloadPmf:
-    """Taskload of parallel independent lanes.
+    """Taskload of independent lanes: parallel lanes, or the flows
+    through a crossing's safe zone (lanes whose residency is the transit).
 
     The lanes' compound Poissons superpose into one whose aircraft mix
     the per-aircraft laws by lane occupancy lambda * t_cross; identical
@@ -347,14 +344,12 @@ def conflict_interventions_pmf(occupancy: TaskloadPmf) -> TaskloadPmf:
     return TaskloadPmf(out, occupancy.truncation_mass)
 
 
-def crossing_pmf(g: CrossingGeometry, flows: list[FlowSpec],
-                 per_aircraft: list[TaskloadPmf]) -> TaskloadPmf:
+def crossing_pmf(occupancy: TaskloadPmf, control: TaskloadPmf) -> TaskloadPmf:
     """Total crossing taskload: conflicts plus deviation control.
 
-    The two flows merge into one Poisson stream through the zone; the
-    deviation-control PMF is its compound Poisson over the zone transit,
-    each aircraft drawn from flow i with probability lam_i / (lam1 +
-    lam2). The total combines it with the conflict count A-1:
+    Combines the safe-zone occupancy A with the deviation-control law N
+    of the aircraft in the zone (the flows' compound Poissons over the
+    transit, superposed) through the conflict count A-1:
 
         P[total = n] = sum_i P[A = i+1] P[N = n-i]   (n >= 1)
         P[total = 0] = P[A = 0] + P[A = 1] P[N = 0]
@@ -362,17 +357,10 @@ def crossing_pmf(g: CrossingGeometry, flows: list[FlowSpec],
     exactly as displayed; the A = 0 branch carries no control taskload
     since an empty zone needs no in-zone interventions.
     """
-    if len(flows) != 2 or len(per_aircraft) != 2:
-        raise ValueError("a crossing joins exactly two flows")
-    if not g.solved:
-        raise ValueError("solve_safe_zone first: t_safe unknown")
-    occ = conflict_pmf(g, flows[0].intensity_per_hour,
-                       flows[1].intensity_per_hour)
-    control = _superposed([f.intensity_per_min * g.t_safe_min for f in flows],
-                          per_aircraft)
     # P[A = i + 1] weights the control law shifted by i
-    out = np.convolve(occ.padded(occ.probs.size + 1)[1:], control.probs)
-    out[0] += occ.probs[0]
-    trunc = (occ.truncation_mass
-             + occ.probs[1:].sum() * control.truncation_mass)
+    out = np.convolve(occupancy.padded(occupancy.probs.size + 1)[1:],
+                      control.probs)
+    out[0] += occupancy.probs[0]
+    trunc = (occupancy.truncation_mass
+             + occupancy.probs[1:].sum() * control.truncation_mass)
     return TaskloadPmf(out, trunc, control.horizon)

@@ -8,8 +8,7 @@ observes deviations at a fixed surveillance cadence (obs_dt, 1 minute
 by default), and every observation beyond an axis bound counts one
 intervention and returns that axis to the nominal trajectory. Only
 observed states are scored and transitions are exact, so the simulation
-steps once per observation, one normal draw per aircraft-axis; the
-configured `dt` is kept in provenance but does not change estimates.
+steps once per observation, one normal draw per aircraft-axis.
 
 Runs draw from substreams keyed by (seed, stream) and run index, so
 estimates from disjoint run ranges merge by count addition into exactly
@@ -47,14 +46,12 @@ class ScenarioConfig:
         default_factory=lambda: dict(OU_FTE_CENTERED))
     geometry: CrossingGeometry | None = None
     horizon: float = 120.0
-    dt: float = 0.1
     obs_dt: float = 1.0
     n_runs: int = 1000
     seed: int = 0
     stream_id: int = 0
     run_offset: int = 0
     count_full_horizon: bool = False
-    axes: tuple[str, ...] = AXES
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -68,11 +65,11 @@ class ScenarioConfig:
                 raise ValueError("crossing takes exactly two flows")
             if self.geometry is None:
                 raise ValueError("crossing requires geometry")
-        if self.horizon <= 0.0 or self.dt <= 0.0 or self.obs_dt <= 0.0:
-            raise ValueError("horizon, dt, obs_dt must be > 0")
+        if self.horizon <= 0.0 or self.obs_dt <= 0.0:
+            raise ValueError("horizon and obs_dt must be > 0")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        for axis in self.axes:
+        for axis in AXES:
             if axis not in self.ou:
                 raise ValueError(f"missing OU parameters for axis {axis!r}")
 
@@ -165,10 +162,10 @@ def _lane_counts(cfg: ScenarioConfig, flows: list[FlowSpec],
     entry times of each lane of run r.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
-    n_lanes, n_axes = len(flows), len(cfg.axes)
+    n_lanes, n_axes = len(flows), len(AXES)
     coeffs = [np.array(c) for c in zip(
-        *(transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in cfg.axes))]
-    bounds = [np.array([f.tolerance.for_axis(a) for a in cfg.axes])
+        *(transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in AXES))]
+    bounds = [np.array([f.tolerance.for_axis(a) for a in AXES])
               for f in flows]
     per_run = np.zeros((cfg.n_runs * n_lanes, n_axes), dtype=np.int64)
     n_aircraft, block, rows, first = 0, [], 0, 0
@@ -230,15 +227,14 @@ def run_single_lane(cfg: ScenarioConfig) -> McEstimate:
     """Estimate the lane taskload PMF (per axis and all axes combined)."""
     if cfg.kind != "single_lane":
         raise ValueError("config kind must be single_lane")
-    n_axes = len(cfg.axes)
     per_run, n_aircraft = _lane_counts(cfg, cfg.flows, cfg.count_full_horizon)
     per_run = per_run[:, 0]
     comps: dict[str, EmpiricalPmf] = {}
-    for i, axis in enumerate(cfg.axes):
+    for i, axis in enumerate(AXES):
         comps[axis] = EmpiricalPmf(_bincount(per_run[:, i]), cfg.n_runs,
                                    n_aircraft, cfg.horizon)
     comps["total"] = EmpiricalPmf(_bincount(per_run.sum(axis=1)), cfg.n_runs,
-                                  n_aircraft * n_axes, cfg.horizon)
+                                  n_aircraft * len(AXES), cfg.horizon)
     return McEstimate(comps, cfg.n_runs, n_aircraft, cfg.seed,
                       cfg.stream_id, cfg.kind)
 
@@ -253,15 +249,13 @@ def run_multilane(cfg: ScenarioConfig) -> McEstimate:
     if cfg.kind != "multilane":
         raise ValueError("config kind must be multilane")
     n_lanes = len(cfg.flows)
-    n_axes = len(cfg.axes)
     per_run, n_aircraft = _lane_counts(cfg, cfg.flows, cfg.count_full_horizon)
     comps: dict[str, EmpiricalPmf] = {}
     for prefix in range(1, n_lanes + 1):
         tot = per_run[:, :prefix, :].sum(axis=(1, 2))
-        lat = per_run[:, :prefix, cfg.axes.index("lateral")].sum(axis=1) \
-            if "lateral" in cfg.axes else tot
+        lat = per_run[:, :prefix, AXES.index("lateral")].sum(axis=1)
         comps[f"lanes{prefix}_total"] = EmpiricalPmf(
-            _bincount(tot), cfg.n_runs, n_aircraft * n_axes, cfg.horizon)
+            _bincount(tot), cfg.n_runs, n_aircraft * len(AXES), cfg.horizon)
         comps[f"lanes{prefix}_lateral"] = EmpiricalPmf(
             _bincount(lat), cfg.n_runs, n_aircraft, cfg.horizon)
     comps["total"] = comps[f"lanes{n_lanes}_total"]
@@ -298,14 +292,13 @@ def run_crossing(cfg: ScenarioConfig) -> McEstimate:
     transits = [replace(f, t_cross_min=t_safe) for f in cfg.flows]
     per_run, n_aircraft = _lane_counts(cfg, transits, False, occupy)
     dev, conf = per_run.sum(axis=(1, 2)), np.maximum(occupancy - 1, 0)
-    n_axes = len(cfg.axes)
     comps = {
         "deviation_control": EmpiricalPmf(_bincount(dev), cfg.n_runs,
-                                          n_aircraft * n_axes, cfg.horizon),
+                                          n_aircraft * len(AXES), cfg.horizon),
         "conflict_resolution": EmpiricalPmf(_bincount(conf), cfg.n_runs,
                                             0, cfg.horizon),
         "total": EmpiricalPmf(_bincount(dev + conf), cfg.n_runs,
-                              n_aircraft * n_axes, cfg.horizon),
+                              n_aircraft * len(AXES), cfg.horizon),
     }
     return McEstimate(comps, cfg.n_runs, n_aircraft, cfg.seed,
                       cfg.stream_id, cfg.kind)

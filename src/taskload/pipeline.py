@@ -27,8 +27,7 @@ from .pmf import TaskloadPmf, convolve_pmf, delta_pmf
 
 
 def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
-                     obs_dt: float, axes: tuple[str, ...] = AXES,
-                     n_max: int = 32,
+                     obs_dt: float, n_max: int = 32,
                      densities_out: dict[str, DensityGrid] | None = None
                      ) -> dict[str, TaskloadPmf]:
     """Per-axis and combined intervention-count PMFs for one aircraft
@@ -41,7 +40,7 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
     n_obs = math.floor(horizon / obs_dt + 1e-9)
     out: dict[str, TaskloadPmf] = {}
     combined = delta_pmf(0, horizon)
-    for axis in axes:
+    for axis in AXES:
         f = first_hit_law(ou[axis], flow.tolerance.for_axis(axis), obs_dt,
                           n_obs)
         if densities_out is not None:
@@ -55,21 +54,19 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
 
 def analytic_single_lane(flow: FlowSpec, ou: dict[str, OuParams],
                          horizon: float, obs_dt: float,
-                         axes: tuple[str, ...] = AXES,
                          densities_out: dict[str, DensityGrid] | None = None,
                          n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Lane taskload PMFs keyed by axis plus 'total'."""
-    per_ac = per_aircraft_pmf(ou, flow, horizon, obs_dt, axes, n_max=n_max,
+    per_ac = per_aircraft_pmf(ou, flow, horizon, obs_dt, n_max=n_max,
                               densities_out=densities_out)
     return {key: single_lane_pmf(flow, pmf) for key, pmf in per_ac.items()}
 
 
 def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
                        horizon: float, obs_dt: float,
-                       axes: tuple[str, ...] = AXES,
                        n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Cumulative lane-prefix taskload PMFs (total and lateral)."""
-    per_ac = [per_aircraft_pmf(ou, f, horizon, obs_dt, axes, n_max=n_max)
+    per_ac = [per_aircraft_pmf(ou, f, horizon, obs_dt, n_max=n_max)
               for f in flows]
     out: dict[str, TaskloadPmf] = {}
     for k in range(1, len(flows) + 1):
@@ -84,26 +81,27 @@ def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
 
 def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
                       ou: dict[str, OuParams], horizon: float, obs_dt: float,
-                      axes: tuple[str, ...] = AXES,
                       n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Crossing taskload: conflict, deviation-control, and total PMFs.
 
     Deviation control counts each aircraft over the observations of its
     safe-zone transit, floor(t_safe / obs_dt) of them (none gives zero
-    counts); the conflict PMF is the zone-occupancy law shifted by one.
+    counts), under its own flow's bounds; flows with equal bounds share
+    one per-aircraft law. The conflict PMF is the zone-occupancy law
+    shifted by one.
     """
     geom = geometry if geometry.solved else solve_safe_zone(geometry)
     lam1, lam2 = (f.intensity_per_hour for f in flows)
     occupancy = conflict_pmf(geom, lam1, lam2)
-    transit_flow = replace(flows[0], t_cross_min=geom.t_safe_min)
-    combined = per_aircraft_pmf(ou, transit_flow, geom.t_safe_min, obs_dt,
-                                axes, n_max=n_max)["total"]
-    control = single_lane_pmf(
-        replace(transit_flow, intensity_per_hour=lam1 + lam2), combined)
-    total = crossing_pmf(geom, flows, [combined, combined])
+    # a zone transit is a lane whose residency is the safe-zone time
+    transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
+    laws = {tol: per_aircraft_pmf(ou, f, geom.t_safe_min, obs_dt,
+                                  n_max=n_max)["total"]
+            for tol, f in {f.tolerance: f for f in transits}.items()}
+    control = multilane_pmf(transits, [laws[f.tolerance] for f in transits])
     return {
         "occupancy": occupancy,
         "conflict_resolution": conflict_interventions_pmf(occupancy),
         "deviation_control": control,
-        "total": total,
+        "total": crossing_pmf(occupancy, control),
     }

@@ -1,4 +1,6 @@
+import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ class TestConfig:
         # scenario dynamics center the reversion mean on the nominal path
         assert all(p.mu == 0.0 for p in cfg.ou.values())
         assert cfg.flows[0].t_cross_min == 20.0
-        assert cfg.flows[0].speed_kt == 480.0
+        assert cfg.geometry.speed_kt == 480.0
         assert cfg.flows[0].tolerance.lateral_nm == 0.1
         assert cfg.geometry.d_min_nm == 5.0
         assert cfg.horizon_min == 120.0
@@ -156,8 +158,11 @@ class TestCli:
         assert rc == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        rc = main(["generate", "--axis", "lateral", "-n", "-5",
-                   "--out", str(tmp_path / "x.csv")])
+        # a lane too dense for P[0] to be a normal float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"flows": [{"intensity_per_hour": 6e4}]}))
+        rc = main(["analytic", "--config", str(cfg),
+                   "--out", str(tmp_path / "an")])
         assert rc == 4
 
     def test_simulate_writes_components_and_reproduces(self, tmp_path):
@@ -229,7 +234,6 @@ class TestCli:
         cfg.write_text(json.dumps({
             "flows": [{"intensity_per_hour": 0.0}],
             "mc": {"kind": "single_lane", "seed": 2},
-            "analytic": {"oracle_paths": 2000},
         }))
         out = tmp_path / "an"
         rc = main(["analytic", "--config", str(cfg), "--out", str(out)])
@@ -242,8 +246,7 @@ class TestCli:
 def lane_config(tmp_path, **sections):
     cfg = tmp_path / "cfg.json"
     data = {"flows": [{"intensity_per_hour": 60.0}],
-            "mc": {"kind": "single_lane", "n_runs": 400, "seed": 31},
-            "analytic": {"oracle_paths": 20000}}
+            "mc": {"kind": "single_lane", "n_runs": 400, "seed": 31}}
     for key, val in sections.items():
         data[key] = {**data.get(key, {}), **val}
     cfg.write_text(json.dumps(data))
@@ -300,34 +303,222 @@ class TestConfigReachesOutput:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "per_aircraft_pmf", spy)
-        cfg = lane_config(tmp_path, analytic={"n_max": 4,
-                                              "oracle_paths": 2000})
+        cfg = lane_config(tmp_path, analytic={"n_max": 4})
         assert main(["analytic", "--config", str(cfg),
                      "--out", str(tmp_path / "an")]) == 0
         assert seen == [4]
 
 
+RETIRED = ("mc.dt_min", "analytic.oracle_paths", "flows[].speed_kt",
+           "flows[].lateral_extent_nm")
+
+
+def payload(path):
+    """A written table without its provenance."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        body = json.loads(text)
+        body.pop("provenance", None)
+        return body
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def tables(out_dir):
+    return {p.name: payload(p) for p in sorted(out_dir.iterdir())
+            if p.name != "config_resolved.json"}
+
+
+def main_recording(*argvs):
+    """Exit codes of commands run in one process, and the warnings shown
+    under the default filter, which shows each message once."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("default")
+        codes = [main(argv) for argv in argvs]
+    return codes, [str(w.message) for w in rec]
+
+
 class TestAnalyticIsDeterministic:
     def test_tables_ignore_seed_and_oracle_paths(self, tmp_path):
-        # whole files, provenance included: nothing analytic is drawn, so
-        # no seed is written
-        tables = []
-        for paths, seed in ((2000, "1"), (500000, "987")):
-            cfg = lane_config(tmp_path, analytic={"oracle_paths": paths})
-            out = tmp_path / f"an{seed}"
-            assert main(["analytic", "--config", str(cfg), "--seed", seed,
+        # nothing analytic is drawn: mc.seed moves no table row and no
+        # seed is written; the retired oracle_paths moves no byte
+        files = {}
+        for paths, seed in ((2000, 1), (500000, 1), (None, 987)):
+            sections = {"mc": {"seed": seed}}
+            if paths is not None:
+                sections["analytic"] = {"oracle_paths": paths}
+            cfg = lane_config(tmp_path, **sections)
+            out = tmp_path / f"an{paths}-{seed}"
+            assert main(["analytic", "--config", str(cfg),
                          "--out", str(out)]) == 0
-            tables.append({p.name: read_payload(p) for p in out.iterdir()})
+            files[paths, seed] = {p.name: p.read_text()
+                                  for p in out.iterdir()}
         # 3 axes and the total, 3 densities, the resolved config
-        assert len(tables[0]) == 8
-        assert tables[0] == tables[1]
-        assert "# seed=" not in tables[0]["analytic_total.csv"]
-        assert "# stream_id=" not in tables[0]["analytic_total.csv"]
+        assert len(files[2000, 1]) == 8
+        assert files[2000, 1] == files[500000, 1]
+        assert tables(tmp_path / "an2000-1") == tables(tmp_path / "anNone-987")
+        assert "# seed=" not in files[2000, 1]["analytic_total.csv"]
+        assert "# stream_id=" not in files[2000, 1]["analytic_total.csv"]
 
-    def test_oracle_paths_validated_but_not_hashed(self):
-        base = default_config()
-        cfg = parse_config({"analytic": {"oracle_paths": 1234}})
-        assert "oracle_paths" not in cfg.to_canonical_dict()["analytic"]
-        assert cfg.sha256() == base.sha256()
-        with pytest.raises(ConfigError):
-            parse_config({"analytic": {"oracle_paths": 0}})
+    def test_retired_keys_dropped_unhashed(self):
+        # accepted whatever their value, named once each, then dropped
+        data = {"mc": {"dt_min": 0.0}, "analytic": {"oracle_paths": "any"},
+                "flows": [{"intensity_per_hour": 2.5, "speed_kt": -1,
+                           "lateral_extent_nm": None}]}
+        with pytest.warns(UserWarning) as rec:
+            cfg = parse_config(data)
+        notices = [str(w.message) for w in rec]
+        assert len(notices) == len(RETIRED)
+        for key in RETIRED:
+            assert sum(key in n for n in notices) == 1
+        canonical = cfg.to_canonical_dict()
+        assert "dt_min" not in canonical["mc"]
+        assert "oracle_paths" not in canonical["analytic"]
+        assert set(canonical["flows"][0]) == {"intensity_per_hour",
+                                              "t_cross_min", "tolerance"}
+        assert cfg.sha256() == default_config().sha256()
+        # any other unknown key is still rejected with its path
+        with pytest.raises(ConfigError, match=r"at mc$"):
+            parse_config({"mc": {"dt": 0.1}})
+        with pytest.raises(ConfigError, match=r"at flows\[1\]$"):
+            parse_config({"flows": [{}, {"speed": 480.0}]})
+
+
+class TestCommandLineValues:
+    """Flags a command does not use, and out-of-range values, are usage
+    errors: exit 2 before anything runs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analytic", "--seed", "1", "--out", "o"], "unrecognized"),
+        (["calibrate", "--seed", "1", "--in", "x.csv", "--out", "r.json"],
+         "unrecognized"),
+        (["safe-zone", "--seed", "1"], "unrecognized"),
+        (["simulate", "--dt", "0.1", "--out", "o"], "unrecognized"),
+        (["safe-zone", "--alpha", "200"], "200 is not"),
+        (["simulate", "--runs", "0", "--out", "o"], "0 is not"),
+        (["generate", "--axis", "lateral", "-n", "-3", "--out", "x.csv"],
+         "-3 is not"),
+        (["calibrate", "--dt", "0", "--in", "x.csv", "--out", "r.json"],
+         "0 is not"),
+        (["compare", "--analytic", "a.csv", "--mc", "m.csv", "--runs", "0"],
+         "0 is not"),
+    ])
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
+                                 message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def bench_shaped_config(tmp_path, kind, intensities, retired):
+    """A scenario config laid out like the benchmark's generated ones,
+    with or without the retired keys those carry."""
+    flows = [{"intensity_per_hour": lam, "t_cross_min": 20.0,
+              "tolerance": {"lateral_nm": 0.1, "vertical_ft": 20.0,
+                            "longitudinal_nm": 0.5}} for lam in intensities]
+    mc = {"kind": kind, "horizon_min": 120.0, "obs_dt_min": 1.0,
+          "n_runs": 30, "seed": 5}
+    data = {"schema_version": 1, "flows": flows, "mc": mc}
+    if kind == "crossing":
+        data["geometry"] = {"alpha_deg": 90.0, "e1_nm": 1.0, "e2_nm": 1.0,
+                            "d_min_nm": 5.0, "speed_kt": 480.0}
+    if retired:
+        for flow in flows:
+            flow["speed_kt"] = 480.0
+        mc["dt_min"] = 0.1
+        data["analytic"] = {"oracle_paths": 20000}
+    path = tmp_path / f"{kind}-{retired}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestRetiredKeysStillLoad:
+    @pytest.mark.parametrize("kind, intensities", [
+        ("single_lane", [60.0]), ("multilane", [5.0, 5.0, 5.0]),
+        ("crossing", [5.0, 5.0])])
+    def test_bench_shaped_configs_run_unchanged(self, tmp_path, kind,
+                                                intensities):
+        files = {}
+        for retired in (True, False):
+            cfg = bench_shaped_config(tmp_path, kind, intensities, retired)
+            codes, notices = main_recording(*(
+                [command, "--config", str(cfg),
+                 "--out", str(tmp_path / f"{retired}" / command)]
+                for command in ("analytic", "simulate")))
+            assert codes == [0, 0]
+            named = RETIRED[:3] if retired else ()
+            assert len(notices) == len(named)
+            for key in named:
+                assert sum(key in n for n in notices) == 1
+            files[retired] = {p.relative_to(tmp_path / f"{retired}"):
+                              p.read_bytes()
+                              for p in (tmp_path / f"{retired}").rglob("*")
+                              if p.is_file()}
+        # the retired keys reach neither the hash nor the tables
+        assert len(files[True]) > 8
+        assert files[True] == files[False]
+
+
+def leaves(obj, path=()):
+    """(key path, value) of every leaf of a nested dict/list."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, val in items:
+            yield from leaves(val, path + (key,))
+    else:
+        yield path, obj
+
+
+class TestEveryLeafReachesOutput:
+    """Each config leaf, perturbed, changes the table rows of at least
+    one command; provenance and config_resolved.json do not count."""
+
+    BASE = {"flows": [{"intensity_per_hour": 10.0}],
+            "mc": {"kind": "single_lane", "n_runs": 20, "seed": 3}}
+    # where a plain step would leave the output alone or be invalid
+    CHOSEN = {("mc", "kind"): "multilane", ("output", "format"): "json",
+              ("analytic", "n_max"): 3}
+
+    @classmethod
+    def perturbed(cls, path, value):
+        if path in cls.CHOSEN:
+            return cls.CHOSEN[path]
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, int):
+            return value + 1
+        return value * 1.25 + 0.01
+
+    @staticmethod
+    def outputs(tmp_path, data, tag):
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / tag
+        runs = [["analytic", "--out", str(out / "analytic")],
+                ["simulate", "--out", str(out / "simulate")],
+                ["safe-zone", "--out", str(out / "safe-zone" / "zone.csv")]]
+        runs += [["generate", "--axis", axis, "-n", "5",
+                  "--out", str(out / "generate" / f"{axis}.csv")]
+                 for axis in ("lateral", "vertical", "longitudinal")]
+        for argv in runs:
+            assert main(argv + ["--config", str(cfg)]) == 0, argv
+        return {d.name: tables(d) for d in sorted(out.iterdir())}
+
+    def test_every_leaf_changes_some_table(self, tmp_path):
+        canonical = parse_config(self.BASE).to_canonical_dict()
+        # schema_version tags the format; any other value is rejected
+        # (test_bad_schema_version)
+        del canonical["schema_version"]
+        base = self.outputs(tmp_path, canonical, "base")
+        ignored = []
+        for i, (path, value) in enumerate(leaves(canonical)):
+            data = copy.deepcopy(canonical)
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = self.perturbed(path, value)
+            if self.outputs(tmp_path, data, f"leaf{i}") == base:
+                ignored.append(path)
+        assert ignored == []

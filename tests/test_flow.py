@@ -118,7 +118,8 @@ class TestCompoundPoisson:
                           tolerance=TOLERANCE_STANDARDS["lax"].bounds)]
         pmfs = [TaskloadPmf(np.array([0.9, 0.08, 0.02]), horizon=g.t_safe_min),
                 TaskloadPmf(np.array([0.99, 0.01]), horizon=g.t_safe_min)]
-        total = crossing_pmf(g, flows, pmfs)
+        total = crossing_pmf(conflict_pmf(g, 2.5, 7.5),
+                             multilane_pmf(flows, pmfs))
         # reference: control is the sum of the two flows' own lane laws,
         # combined with A - 1 conflicts as displayed
         control = convolve_pmf(*(single_lane_pmf(f, p)
@@ -336,6 +337,11 @@ class TestCrossing:
                                  horizon=g.t_safe_min)
         return g, flows, per_ac
 
+    @staticmethod
+    def _total(g, flows, per_ac):
+        return crossing_pmf(conflict_pmf(g, 2.5, 2.5),
+                            multilane_pmf(flows, [per_ac, per_ac]))
+
     def test_forced_single_occupancy_reduces_to_control(self):
         g, flows, per_ac = self._setup()
         control = single_lane_pmf(
@@ -351,7 +357,7 @@ class TestCrossing:
     def test_idle_aircraft_leaves_conflicts_only(self):
         g, flows, _ = self._setup()
         idle = delta_pmf(0, horizon=g.t_safe_min)
-        total = crossing_pmf(g, flows, [idle, idle])
+        total = self._total(g, flows, idle)
         occ = conflict_pmf(g, 2.5, 2.5)
         shifted = conflict_interventions_pmf(occ)
         assert tv_distance(total, TaskloadPmf(
@@ -359,7 +365,7 @@ class TestCrossing:
 
     def test_zero_line_as_displayed(self):
         g, flows, per_ac = self._setup()
-        total = crossing_pmf(g, flows, [per_ac, per_ac])
+        total = self._total(g, flows, per_ac)
         occ = conflict_pmf(g, 2.5, 2.5)
         control = single_lane_pmf(
             replace(flows[0], intensity_per_hour=5.0), per_ac)
@@ -368,6 +374,6 @@ class TestCrossing:
 
     def test_mass_normalizes(self):
         g, flows, per_ac = self._setup()
-        total = crossing_pmf(g, flows, [per_ac, per_ac])
+        total = self._total(g, flows, per_ac)
         assert total.probs.sum() + total.truncation_mass == pytest.approx(
             1.0, abs=1e-9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (OU_FTE_CENTERED, CrossingGeometry, EmpiricalPmf,
+from taskload import (AXES, OU_FTE_CENTERED, CrossingGeometry, EmpiricalPmf,
                       FlowSpec, RandomSource, ScenarioConfig, TaskloadPmf,
                       compare, compare_empirical,
                       conflict_interventions_pmf, conflict_pmf, delta_pmf,
@@ -18,7 +18,7 @@ from taskload.harness import _BLOCK_ROWS
 def lane_cfg(**kw):
     defaults = dict(kind="single_lane",
                     flows=[FlowSpec(intensity_per_hour=10.0)],
-                    n_runs=200, seed=3, dt=1.0)
+                    n_runs=200, seed=3)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -55,8 +55,8 @@ def reference_counts(cfg, flows, full_horizon, t_star=None):
     from a plain loop over runs, lanes, aircraft, axes and observations,
     drawing in the documented order."""
     src = RandomSource(cfg.seed, cfg.stream_id)
-    coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in cfg.axes]
-    per_run = np.zeros((cfg.n_runs, len(flows), len(cfg.axes)), dtype=int)
+    coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in AXES]
+    per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
     occupancy = np.zeros(cfg.n_runs, dtype=int)
     n_aircraft = 0
     for r in range(cfg.n_runs):
@@ -78,9 +78,9 @@ def reference_counts(cfg, flows, full_horizon, t_star=None):
                 m_last = [math.floor(flow.t_cross_min / cfg.obs_dt + 1e-9)] * k
             if max(m_last) == 0:
                 continue
-            z = rs.standard_normal((max(m_last), k, len(cfg.axes)))
+            z = rs.standard_normal((max(m_last), k, len(AXES)))
             for i in range(k):
-                for j, axis in enumerate(cfg.axes):
+                for j, axis in enumerate(AXES):
                     a, b, s = coeffs[j]
                     bound = flow.tolerance.for_axis(axis)
                     x = 0.0
@@ -109,7 +109,7 @@ class TestEngine:
         per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows,
                                                   full_horizon)
         assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
-        for j, axis in enumerate(cfg.axes):
+        for j, axis in enumerate(AXES):
             assert np.array_equal(est.components[axis].counts,
                                   bincount(per_run[:, 0, j]))
         assert np.array_equal(est.components["total"].counts,
@@ -125,7 +125,7 @@ class TestEngine:
         slow = {a: replace(p, kappa=p.kappa / 20)
                 for a, p in OU_FTE_CENTERED.items()}
         cfg = ScenarioConfig(kind="multilane", flows=flows, ou=slow,
-                             n_runs=41, seed=53, dt=0.1)
+                             n_runs=41, seed=53)
         est = run_multilane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, flows, False)
         assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
@@ -143,7 +143,7 @@ class TestEngine:
                  FlowSpec(intensity_per_hour=30.0,
                           tolerance=TOLERANCE_STANDARDS["severe"].bounds)]
         cfg = ScenarioConfig(kind="crossing", flows=flows, geometry=geom,
-                             n_runs=23, seed=55, dt=0.1)
+                             n_runs=23, seed=55)
         est = run_crossing(cfg)
         transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
         per_run, n_aircraft, occupancy = reference_counts(
@@ -159,30 +159,12 @@ class TestEngine:
         assert np.array_equal(est.components["total"].counts,
                               bincount(dev + conf))
 
-    def test_counts_do_not_depend_on_dt(self):
-        geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
-        flows = [FlowSpec(intensity_per_hour=30.0)] * 2
-        cases = [
-            (run_single_lane, dict(kind="single_lane", flows=flows[:1])),
-            (run_multilane, dict(kind="multilane", flows=flows)),
-            (run_crossing, dict(kind="crossing", flows=flows,
-                                geometry=geom)),
-        ]
-        for runner, kw in cases:
-            ests = [runner(ScenarioConfig(n_runs=60, seed=57, dt=dt, **kw))
-                    for dt in (1.0, 0.1, 0.05)]
-            for est in ests[1:]:
-                assert est.n_aircraft == ests[0].n_aircraft
-                for key, emp in ests[0].components.items():
-                    assert np.array_equal(est.components[key].counts,
-                                          emp.counts)
-
     def test_merge_split_inside_a_block(self):
         # about 22 runs of a 10/h lane fill one block, so run 37 falls
         # inside the second block of the whole range
-        whole = run_single_lane(lane_cfg(n_runs=150, dt=0.1))
-        first = run_single_lane(lane_cfg(n_runs=37, dt=0.1))
-        second = run_single_lane(lane_cfg(n_runs=113, run_offset=37, dt=0.1))
+        whole = run_single_lane(lane_cfg(n_runs=150))
+        first = run_single_lane(lane_cfg(n_runs=37))
+        second = run_single_lane(lane_cfg(n_runs=113, run_offset=37))
         merged = first.merge(second)
         assert merged.n_aircraft == whole.n_aircraft
         for key in whole.components:
@@ -221,7 +203,7 @@ class TestMultilane:
         flows = [FlowSpec(intensity_per_hour=10.0)]
         single = run_single_lane(lane_cfg(n_runs=150))
         multi = run_multilane(ScenarioConfig(
-            kind="multilane", flows=flows, n_runs=150, seed=3, dt=1.0))
+            kind="multilane", flows=flows, n_runs=150, seed=3))
         assert np.array_equal(multi.components["lanes1_total"].counts,
                               single.components["total"].counts)
 
@@ -230,7 +212,7 @@ class TestMultilane:
                           tolerance=TOLERANCE_STANDARDS[name].bounds)
                  for name in ("stringent", "severe")]
         est = run_multilane(ScenarioConfig(
-            kind="multilane", flows=flows, n_runs=100, seed=5, dt=1.0))
+            kind="multilane", flows=flows, n_runs=100, seed=5))
         m = lambda e: float(np.arange(e.counts.size) @ e.probs)
         assert m(est.components["lanes2_total"]) >= m(
             est.components["lanes1_total"])
@@ -238,10 +220,10 @@ class TestMultilane:
     def test_identical_lanes_match_summed_intensity(self):
         half = [FlowSpec(intensity_per_hour=30.0)] * 2
         twin = run_multilane(ScenarioConfig(
-            kind="multilane", flows=half, n_runs=2000, seed=17, dt=1.0))
+            kind="multilane", flows=half, n_runs=2000, seed=17))
         single = run_single_lane(ScenarioConfig(
             kind="single_lane", flows=[FlowSpec(intensity_per_hour=60.0)],
-            n_runs=2000, seed=23, dt=1.0))
+            n_runs=2000, seed=23))
         report = compare_empirical(twin.components["total"],
                                    single.components["total"], z_max=3.5)
         assert report.passed
@@ -253,7 +235,7 @@ class TestCrossing:
         geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
         flows = [FlowSpec(intensity_per_hour=2.5)] * 2
         defaults = dict(kind="crossing", flows=flows, geometry=geom,
-                        n_runs=3000, seed=29, dt=1.0)
+                        n_runs=3000, seed=29)
         defaults.update(kw)
         return ScenarioConfig(**defaults), geom
 
@@ -290,7 +272,7 @@ class TestCrossing:
             geom = solve_safe_zone(CrossingGeometry(alpha_deg=alpha))
             est = run_crossing(ScenarioConfig(
                 kind="crossing", flows=[FlowSpec(intensity_per_hour=2.5)] * 2,
-                geometry=geom, n_runs=20000, seed=seed, dt=1.0))
+                geometry=geom, n_runs=20000, seed=seed))
             dev = est.components["deviation_control"]
             p0[alpha] = dev.probs[0]
             se[alpha] = np.sqrt(p0[alpha] * (1 - p0[alpha]) / dev.n_runs)

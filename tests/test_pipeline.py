@@ -3,7 +3,7 @@ import pytest
 
 from taskload import (CrossingGeometry, FlowSpec, solve_safe_zone,
                       tv_distance)
-from taskload.flow import TOLERANCE_STANDARDS
+from taskload.flow import TOLERANCE_STANDARDS, _superposed
 from taskload.ou import OU_FTE_CENTERED
 from taskload.pipeline import (analytic_crossing, analytic_multilane,
                                analytic_single_lane, per_aircraft_pmf)
@@ -68,3 +68,25 @@ def test_crossing_transit_without_observation_counts_nothing():
     assert out["deviation_control"].probs.size == 1
     assert out["deviation_control"].mean() == 0.0
     assert tv_distance(out["total"], out["conflict_resolution"]) < 1e-9
+
+
+def test_crossing_scores_each_flow_with_its_own_law():
+    # unequal bounds and intensities: the deviation-control law must mix
+    # each flow's own per-aircraft law, whichever flow is listed first
+    geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
+    stringent = FlowSpec(intensity_per_hour=30.0)
+    lax = FlowSpec(intensity_per_hour=10.0,
+                   tolerance=TOLERANCE_STANDARDS["lax"].bounds)
+    ab = analytic_crossing(geom, [stringent, lax], OU_FTE_CENTERED, 120.0, 1.0)
+    ba = analytic_crossing(geom, [lax, stringent], OU_FTE_CENTERED, 120.0, 1.0)
+    for name, pmf in ab.items():
+        assert np.array_equal(pmf.probs, ba[name].probs), name
+        assert pmf.truncation_mass == ba[name].truncation_mass, name
+    laws = [per_aircraft_pmf(OU_FTE_CENTERED, f, geom.t_safe_min, 1.0)["total"]
+            for f in (stringent, lax)]
+    mixed = _superposed([f.intensity_per_min * geom.t_safe_min
+                         for f in (stringent, lax)], laws)
+    assert tv_distance(ab["deviation_control"], mixed) <= 1e-15
+    assert mixed.mean() == pytest.approx(
+        geom.t_safe_min * (0.5 * laws[0].mean() + laws[1].mean() / 6.0),
+        rel=1e-9)

@@ -21,9 +21,8 @@ from .flow import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
                    conflict_interventions_pmf, conflict_pmf, crossing_pmf,
                    min_corner_separation, multilane_pmf, poisson_occupancy,
                    single_lane_pmf, solve_safe_zone)
-from .harness import (EmpiricalPmf, McEstimate, ScenarioConfig, compare,
-                      compare_empirical, run_crossing, run_multilane,
-                      run_single_lane)
+from .harness import (EmpiricalPmf, McEstimate, compare, compare_empirical,
+                      run_crossing, run_multilane, run_single_lane)
 from .hitting import (DensityGrid, closed_form_divergence_report,
                       convolve_density, first_hit_law,
                       fpt_density_closed_form, fpt_density_oracle,

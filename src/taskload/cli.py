@@ -4,7 +4,11 @@ Commands: generate, calibrate, analytic, simulate, compare, safe-zone.
 All tabular output is CSV with fixed headers (or JSON via --format or
 the config's output.format), prefixed by a provenance comment block
 (tool version, config hash, and the seed for the commands that draw)
-sufficient to reproduce the numeric payload byte for byte.
+sufficient to reproduce the numeric payload byte for byte. analytic
+and simulate both read the loaded config.ConfigFile; simulate runs a
+copy carrying its --runs and --seed overrides, while provenance and
+config_resolved.json describe the config as loaded. calibrate and
+compare read no config and record no config hash.
 
 Exit codes: 0 success, 2 config or usage error, 3 data error, 4
 numerical failure, 5 comparison failure.
@@ -20,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,13 +69,14 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
-def _provenance(cfg: ConfigFile, extra: dict, seed: int | None = None) -> dict:
-    """Provenance block; seed and stream_id only for commands that draw."""
-    prov = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": f"{TOOL_NAME} {TOOL_VERSION}",
-        "config_sha256": cfg.sha256(),
-    }
+def _provenance(cfg: ConfigFile | None, extra: dict,
+                seed: int | None = None) -> dict:
+    """Provenance block; the config hash only for commands that read a
+    config, seed and stream_id only for commands that draw."""
+    prov = {"schema_version": SCHEMA_VERSION,
+            "tool": f"{TOOL_NAME} {TOOL_VERSION}"}
+    if cfg is not None:
+        prov["config_sha256"] = cfg.sha256()
     if seed is not None:
         prov.update(seed=seed, stream_id=cfg.stream_id)
     prov.update(extra)
@@ -196,7 +202,6 @@ def _report_dict(rep: calibration.CalibrationReport) -> dict:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load(args)
     series = _read_series_csv(args.input)
     methods = {"ls": ["least_squares"], "mle": ["mle"],
                "both": ["least_squares", "mle"]}[args.method]
@@ -231,7 +236,7 @@ def cmd_calibrate(args) -> int:
                 "beta1": mom.beta1, "beta2": mom.beta2}
         except (calibration.DegenerateDataError, ValueError) as exc:
             body["reports"][axis]["sample_moments"] = {"error": str(exc)}
-    prov = _provenance(cfg, {"command": "calibrate"})
+    prov = _provenance(None, {"command": "calibrate"})
     _atomic_write(args.out, _json_payload(prov, body))
     return EXIT_OK
 
@@ -251,8 +256,7 @@ def cmd_analytic(args) -> int:
                                     cfg.obs_dt_min, n_max=cfg.n_max)
     else:
         tables = analytic_crossing(cfg.geometry, cfg.flows, cfg.ou,
-                                   cfg.horizon_min, cfg.obs_dt_min,
-                                   n_max=cfg.n_max)
+                                   cfg.obs_dt_min, n_max=cfg.n_max)
     os.makedirs(out_dir, exist_ok=True)
     _write_resolved_config(cfg, out_dir)
     for name, pmf in tables.items():
@@ -280,14 +284,14 @@ def _estimate_tables(est: McEstimate) -> dict[str, tuple[list[str], list[list]]]
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    seed = args.seed if args.seed is not None else cfg.seed
-    scenario = cfg.scenario(n_runs=args.runs, seed=seed)
+    run = replace(cfg, n_runs=args.runs or cfg.resolved_runs(),
+                  seed=cfg.seed if args.seed is None else args.seed)
     runner = {"single_lane": run_single_lane, "multilane": run_multilane,
-              "crossing": run_crossing}[scenario.kind]
-    est = runner(scenario)
+              "crossing": run_crossing}[run.kind]
+    est = runner(run)
     prov = _provenance(cfg, {
-        "command": "simulate", "kind": scenario.kind,
-        "n_runs": scenario.n_runs, "n_aircraft": est.n_aircraft}, seed)
+        "command": "simulate", "kind": run.kind,
+        "n_runs": run.n_runs, "n_aircraft": est.n_aircraft}, run.seed)
     os.makedirs(args.out, exist_ok=True)
     _write_resolved_config(cfg, args.out)
     fmt = _format(args, cfg)
@@ -347,11 +351,9 @@ def cmd_compare(args) -> int:
         "passed": report.passed,
         "max_abs_z": float(np.max(np.abs(report.z_scores))),
     }
-    prov = {"schema_version": SCHEMA_VERSION,
-            "tool": f"{TOOL_NAME} {TOOL_VERSION}",
-            "command": "compare",
-            "analytic": os.path.basename(args.analytic),
-            "mc": os.path.basename(args.mc)}
+    prov = _provenance(None, {"command": "compare",
+                              "analytic": os.path.basename(args.analytic),
+                              "mc": os.path.basename(args.mc)})
     payload = _json_payload(prov, body)
     if args.out:
         _atomic_write(args.out, payload)
@@ -364,7 +366,6 @@ def cmd_safe_zone(args) -> int:
     cfg = _load(args)
     geom = cfg.geometry
     if args.alpha is not None:
-        from dataclasses import replace
         geom = replace(geom, alpha_deg=args.alpha)
     solved = solve_safe_zone(geom)
     prov = _provenance(cfg, {"command": "safe-zone"})
@@ -387,7 +388,7 @@ def _format(args, cfg: ConfigFile) -> str:
 
 
 def _load(args) -> ConfigFile:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     return default_config()
 
@@ -431,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = subs.add_parser("calibrate", help="fit dynamics to a deviation series")
-    _add_common(p)
+    p = subs.add_parser("calibrate", help="fit dynamics to a deviation "
+                        "series; writes a JSON report")
     p.add_argument("--in", dest="input", required=True, help="input CSV")
     p.add_argument("--method", choices=("ls", "mle", "both"), default="both")
     p.add_argument("--dt", default=1.0,

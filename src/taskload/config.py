@@ -1,9 +1,14 @@
 """Configuration schema, published defaults, and provenance hashing.
 
 One structured JSON file drives every command, and every key it takes
-reaches some command's output. Unknown keys are rejected with their
+reaches some command's output. It resolves to a ConfigFile, the one
+description of a scenario: the analytic pipeline and the Monte Carlo
+harness both read it, and its checks (scenario kind, flows per kind,
+horizon and cadence, run count) run whenever one is built, so both
+routes accept the same scenarios. Unknown keys are rejected with their
 full path so typos never silently fall back to a default; the
-RETIRED_KEYS load with a warning and are ignored. Defaults carry the
+RETIRED_KEYS load with a warning and are ignored (the retired counting
+switch only when it is off). Defaults carry the
 published per-axis generator and dynamics parameters, the named
 tolerance standards, and the reference scenario
 run counts; the one deliberate departure is that scenario dynamics
@@ -19,13 +24,12 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .distributions import AXES, JOHNSON_FTE, JohnsonSuParams
 from .flow import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
                    ToleranceBounds)
-from .harness import ScenarioConfig
 from .ou import OU_FTE_CENTERED, OuParams
 
 SCHEMA_VERSION = 1
@@ -38,9 +42,16 @@ MULTILANE_RUNS = {2.5: 229158, 5.0: 16670, 7.5: 14592, 10.0: 13537, 60.0: 10426}
 CROSSING_RUNS = {30.0: 5412, 90.0: 10463, 120.0: 3826}
 DEFAULT_RUNS = 10000
 
+#: Flows each scenario kind takes: (fewest, most).
+FLOW_COUNTS = {"single_lane": (1, 1), "multilane": (1, math.inf),
+               "crossing": (2, 2)}
+
 #: Keys no output reads, by section ("flows[]": each flow). Old configs
 #: carrying them load; they are never read, so never hashed or resolved.
-RETIRED_KEYS = {"mc": {"dt_min"}, "analytic": {"oracle_paths"},
+#: The retired mc counting switch loads only when off, the counting
+#: that remains; on, it is a ConfigError.
+RETIRED_KEYS = {"mc": {"dt_min", "count_full_horizon"},
+                "analytic": {"oracle_paths"},
                 "flows[]": {"speed_kt", "lateral_extent_nm"}}
 
 
@@ -71,21 +82,54 @@ def _get_num(obj: dict, key: str, default, path: str):
 
 @dataclass
 class ConfigFile:
-    """Resolved configuration with every default applied."""
+    """One scenario, validated on construction (and on every
+    dataclasses.replace); both the analytic route and the Monte Carlo
+    harness read it."""
 
-    distributions: dict[str, JohnsonSuParams]
-    ou: dict[str, OuParams]
-    flows: list[FlowSpec]
-    geometry: CrossingGeometry
+    distributions: dict[str, JohnsonSuParams] = field(
+        default_factory=lambda: dict(JOHNSON_FTE))
+    ou: dict[str, OuParams] = field(
+        default_factory=lambda: dict(OU_FTE_CENTERED))
+    flows: list[FlowSpec] = field(
+        default_factory=lambda: [FlowSpec(intensity_per_hour=2.5)])
+    geometry: CrossingGeometry = field(
+        default_factory=lambda: CrossingGeometry(alpha_deg=90.0))
     kind: str = "single_lane"
     horizon_min: float = 120.0
     obs_dt_min: float = 1.0
     n_runs: int | None = None
     seed: int = 0
     stream_id: int = 0
-    count_full_horizon: bool = False
     n_max: int = 32
     output_format: str = "csv"
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in FLOW_COUNTS:
+            raise ConfigError(f"mc.kind: unknown scenario {self.kind!r}")
+        fewest, most = FLOW_COUNTS[self.kind]
+        if not fewest <= len(self.flows) <= most:
+            need = (f"exactly {fewest}" if fewest == most
+                    else f"at least {fewest}")
+            raise ConfigError(f"mc.kind {self.kind!r} takes {need} flow"
+                              f"{'s' if fewest > 1 else ''}, got "
+                              f"{len(self.flows)}")
+        for key in ("horizon_min", "obs_dt_min"):
+            val = getattr(self, key)
+            if val is None or not val > 0:
+                raise ConfigError(f"mc.{key} must be > 0, got {val!r}")
+        if self.n_runs is not None and (not isinstance(self.n_runs, int)
+                                        or self.n_runs < 1):
+            raise ConfigError("mc.n_runs must be a positive integer")
+        if not (isinstance(self.seed, int) and isinstance(self.stream_id, int)):
+            raise ConfigError("mc.seed and mc.stream_id must be integers")
+        missing = [axis for axis in AXES if axis not in self.ou]
+        if missing:
+            raise ConfigError(f"ou: no parameters for axis {missing}")
+        if not isinstance(self.n_max, int) or self.n_max < 1:
+            raise ConfigError("analytic.n_max must be a positive integer")
+        if self.output_format not in ("csv", "json"):
+            raise ConfigError(f"output.format must be csv or json, "
+                              f"got {self.output_format!r}")
 
     def resolved_runs(self) -> int:
         """Config value if given, else the reference table for the
@@ -99,21 +143,6 @@ class ConfigFile:
             return MULTILANE_RUNS.get(self.flows[0].intensity_per_hour,
                                       DEFAULT_RUNS)
         return CROSSING_RUNS.get(self.geometry.alpha_deg, DEFAULT_RUNS)
-
-    def scenario(self, n_runs: int | None = None,
-                 seed: int | None = None) -> ScenarioConfig:
-        return ScenarioConfig(
-            kind=self.kind,
-            flows=list(self.flows),
-            ou=dict(self.ou),
-            geometry=self.geometry if self.kind == "crossing" else None,
-            horizon=self.horizon_min,
-            obs_dt=self.obs_dt_min,
-            n_runs=n_runs if n_runs is not None else self.resolved_runs(),
-            seed=seed if seed is not None else self.seed,
-            stream_id=self.stream_id,
-            count_full_horizon=self.count_full_horizon,
-        )
 
     def to_canonical_dict(self) -> dict[str, Any]:
         return {
@@ -139,8 +168,7 @@ class ConfigFile:
             "mc": {"kind": self.kind, "horizon_min": self.horizon_min,
                    "obs_dt_min": self.obs_dt_min,
                    "n_runs": self.n_runs, "seed": self.seed,
-                   "stream_id": self.stream_id,
-                   "count_full_horizon": self.count_full_horizon},
+                   "stream_id": self.stream_id},
             "analytic": {"n_max": self.n_max},
             "output": {"format": self.output_format},
         }
@@ -210,16 +238,12 @@ def _parse_flow(obj: dict, path: str) -> FlowSpec:
 
 
 def default_config() -> ConfigFile:
-    return ConfigFile(
-        distributions=dict(JOHNSON_FTE),
-        ou=dict(OU_FTE_CENTERED),
-        flows=[FlowSpec(intensity_per_hour=2.5)],
-        geometry=CrossingGeometry(alpha_deg=90.0),
-    )
+    return ConfigFile()
 
 
 def parse_config(data: dict) -> ConfigFile:
-    """Build a resolved ConfigFile from a parsed JSON object."""
+    """Build a resolved ConfigFile from a parsed JSON object; keys it
+    leaves out take ConfigFile's defaults."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     allowed = {"schema_version", "distributions", "ou", "flows", "geometry",
@@ -229,27 +253,28 @@ def parse_config(data: dict) -> ConfigFile:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
-    cfg = default_config()
+    kw: dict[str, Any] = {}
     if "distributions" in data:
-        cfg.distributions = _parse_axis_table(
+        kw["distributions"] = _parse_axis_table(
             data["distributions"], AXES,
             ("gamma", "delta", "scale_lambda", "xi"),
             JohnsonSuParams, dict(JOHNSON_FTE), "distributions")
     if "ou" in data:
-        cfg.ou = _parse_axis_table(
+        kw["ou"] = _parse_axis_table(
             data["ou"], AXES, ("kappa", "mu", "sigma"),
             OuParams, dict(OU_FTE_CENTERED), "ou")
     if "flows" in data:
         flows = data["flows"]
-        if not isinstance(flows, list) or not flows:
-            raise ConfigError("flows must be a non-empty list")
-        cfg.flows = [_parse_flow(f, f"flows[{i}]") for i, f in enumerate(flows)]
+        if not isinstance(flows, list):
+            raise ConfigError("flows must be a list")
+        kw["flows"] = [_parse_flow(f, f"flows[{i}]")
+                       for i, f in enumerate(flows)]
     if "geometry" in data:
         g = data["geometry"]
         _require_keys(g, {"alpha_deg", "e1_nm", "e2_nm", "d_min_nm",
                           "speed_kt"}, "geometry")
         try:
-            cfg.geometry = CrossingGeometry(
+            kw["geometry"] = CrossingGeometry(
                 alpha_deg=_get_num(g, "alpha_deg", 90.0, "geometry"),
                 e1_nm=_get_num(g, "e1_nm", 1.0, "geometry"),
                 e2_nm=_get_num(g, "e2_nm", 1.0, "geometry"),
@@ -257,48 +282,26 @@ def parse_config(data: dict) -> ConfigFile:
                 speed_kt=_get_num(g, "speed_kt", 480.0, "geometry"))
         except ValueError as exc:
             raise ConfigError(f"geometry: {exc}") from exc
-    if "mc" in data:
-        mc = data["mc"]
-        _require_keys(mc, {"kind", "horizon_min", "obs_dt_min", "n_runs",
-                           "seed", "stream_id", "count_full_horizon"}, "mc")
-        kind = mc.get("kind", cfg.kind)
-        if kind not in ("single_lane", "multilane", "crossing"):
-            raise ConfigError(f"mc.kind: unknown scenario {kind!r}")
-        cfg.kind = kind
-        cfg.horizon_min = _get_num(mc, "horizon_min", cfg.horizon_min, "mc")
-        cfg.obs_dt_min = _get_num(mc, "obs_dt_min", cfg.obs_dt_min, "mc")
-        if cfg.horizon_min <= 0 or cfg.obs_dt_min <= 0:
-            raise ConfigError("mc horizon_min and obs_dt_min must be > 0")
-        n_runs = mc.get("n_runs", None)
-        if n_runs is not None:
-            if not isinstance(n_runs, int) or n_runs < 1:
-                raise ConfigError("mc.n_runs must be a positive integer")
-        cfg.n_runs = n_runs
-        seed = mc.get("seed", 0)
-        stream = mc.get("stream_id", 0)
-        if not isinstance(seed, int) or not isinstance(stream, int):
-            raise ConfigError("mc.seed and mc.stream_id must be integers")
-        cfg.seed = seed
-        cfg.stream_id = stream
-        cfh = mc.get("count_full_horizon", False)
-        if not isinstance(cfh, bool):
-            raise ConfigError("mc.count_full_horizon must be a boolean")
-        cfg.count_full_horizon = cfh
-    if "analytic" in data:
-        an = data["analytic"]
-        _require_keys(an, {"n_max"}, "analytic")
-        nmax = an.get("n_max", cfg.n_max)
-        if not isinstance(nmax, int) or nmax < 1:
-            raise ConfigError("analytic.n_max must be a positive integer")
-        cfg.n_max = nmax
-    if "output" in data:
-        out = data["output"]
-        _require_keys(out, {"format"}, "output")
-        fmt = out.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-        cfg.output_format = fmt
-    return cfg
+    mc = data.get("mc", {})
+    if mc.get("count_full_horizon", False) is not False:
+        raise ConfigError("mc.count_full_horizon was removed: each aircraft "
+                          "is scored only while it is in the sector; drop "
+                          "the key")
+    _require_keys(mc, {"kind", "horizon_min", "obs_dt_min", "n_runs",
+                       "seed", "stream_id"}, "mc")
+    kw.update({key: _get_num(mc, key, None, "mc")
+               for key in ("horizon_min", "obs_dt_min") if key in mc})
+    kw.update({key: mc[key] for key in ("kind", "n_runs", "seed", "stream_id")
+               if key in mc})
+    analytic = data.get("analytic", {})
+    _require_keys(analytic, {"n_max"}, "analytic")
+    if "n_max" in analytic:
+        kw["n_max"] = analytic["n_max"]
+    output = data.get("output", {})
+    _require_keys(output, {"format"}, "output")
+    if "format" in output:
+        kw["output_format"] = output["format"]
+    return ConfigFile(**kw)
 
 
 def load_config(path: str) -> ConfigFile:

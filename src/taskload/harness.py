@@ -1,77 +1,40 @@
 """Monte Carlo estimation of corridor taskload PMFs.
 
-A run is one horizon-long realization of a scenario. Arrivals are
-seeded one residency before the window opens so the sector starts in
-occupancy steady state. Each aircraft's three deviation axes evolve
-independently through exact mean-reverting transitions; the controller
-observes deviations at a fixed surveillance cadence (obs_dt, 1 minute
-by default), and every observation beyond an axis bound counts one
-intervention and returns that axis to the nominal trajectory. Only
-observed states are scored and transitions are exact, so the simulation
-steps once per observation, one normal draw per aircraft-axis.
+Each runner takes the scenario's config.ConfigFile, the same object the
+analytic pipeline reads, and makes cfg.resolved_runs() runs. A run is
+one horizon-long realization of the scenario. Arrivals are seeded one
+residency before the window opens so the sector starts in occupancy
+steady state. Each aircraft's three deviation axes evolve independently
+through exact mean-reverting transitions; the controller observes
+deviations at a fixed surveillance cadence (obs_dt_min, 1 minute by
+default) while the aircraft is in the sector, and every observation
+beyond an axis bound counts one intervention and returns that axis to
+the nominal trajectory. Only observations inside the horizon are
+counted. Transitions are exact, so the simulation steps once per
+observation, one normal draw per aircraft-axis.
 
-Runs draw from substreams keyed by (seed, stream) and run index, so
-estimates from disjoint run ranges merge by count addition into exactly
-the estimate of the combined run range. Blocks of runs are stacked and
-scored together; each run still draws from its own substream in a
-fixed order, so block boundaries change no output.
+Run r draws from the substream keyed by (seed, stream) and run_offset +
+r, so estimates from disjoint run ranges merge by count addition into
+exactly the estimate of the combined run range. Blocks of runs are
+stacked and scored together; each run still draws from its own
+substream in a fixed order, so block boundaries change no output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import CrossingGeometry, FlowSpec, solve_safe_zone
+from .config import ConfigFile
 from .distributions import AXES
-from .ou import (OU_FTE_CENTERED, OuParams, _observe_and_reset,
-                 transition_coeffs)
+from .flow import FlowSpec, solve_safe_zone
+from .ou import _observe_and_reset, transition_coeffs
 from .pmf import TaskloadPmf, wilson_interval
 from .rng import RandomSource
 
-SCENARIO_KINDS = ("single_lane", "multilane", "crossing")
-
 _BLOCK_ROWS = 512  # aircraft rows per engine call; bounds the noise held
-
-
-@dataclass
-class ScenarioConfig:
-    """Everything needed to reproduce one Monte Carlo experiment."""
-
-    kind: str
-    flows: list[FlowSpec]
-    ou: dict[str, OuParams] = field(
-        default_factory=lambda: dict(OU_FTE_CENTERED))
-    geometry: CrossingGeometry | None = None
-    horizon: float = 120.0
-    obs_dt: float = 1.0
-    n_runs: int = 1000
-    seed: int = 0
-    stream_id: int = 0
-    run_offset: int = 0
-    count_full_horizon: bool = False
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if not self.flows:
-            raise ValueError("at least one flow required")
-        if self.kind == "single_lane" and len(self.flows) != 1:
-            raise ValueError("single_lane takes exactly one flow")
-        if self.kind == "crossing":
-            if len(self.flows) != 2:
-                raise ValueError("crossing takes exactly two flows")
-            if self.geometry is None:
-                raise ValueError("crossing requires geometry")
-        if self.horizon <= 0.0 or self.obs_dt <= 0.0:
-            raise ValueError("horizon and obs_dt must be > 0")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        for axis in AXES:
-            if axis not in self.ou:
-                raise ValueError(f"missing OU parameters for axis {axis!r}")
 
 
 @dataclass
@@ -149,30 +112,32 @@ def _bincount(per_run: np.ndarray) -> np.ndarray:
     return np.bincount(per_run, minlength=int(per_run.max(initial=0)) + 1)
 
 
-def _lane_counts(cfg: ScenarioConfig, flows: list[FlowSpec],
-                 full_horizon: bool, on_arrivals=None
-                 ) -> tuple[np.ndarray, int]:
+def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
+                 run_offset: int, on_arrivals=None) -> tuple[np.ndarray, int]:
     """Intervention counts per (run, lane, axis) and the aircraft total.
 
-    Each run draws from its own substream, lane by lane: arrival count,
-    arrival times, then the lane's noise tensor (observations, aircraft,
-    axes). A lane's residency is its flow's t_cross_min. Runs are scored
-    in blocks of about _BLOCK_ROWS aircraft, one engine call each, so
-    block boundaries change no count. on_arrivals(r, entries) sees the
-    entry times of each lane of run r.
+    Run r draws from substream run_offset + r, lane by lane: arrival
+    count, arrival times, then the lane's noise tensor (observations,
+    aircraft, axes). A lane's residency is its flow's t_cross_min, and
+    each aircraft is observed floor(t_cross_min / obs_dt_min) times.
+    Runs are scored in blocks of about _BLOCK_ROWS aircraft, one engine
+    call each, so block boundaries change no count. on_arrivals(r,
+    entries) sees the entry times of each lane of run r.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
     n_lanes, n_axes = len(flows), len(AXES)
     coeffs = [np.array(c) for c in zip(
-        *(transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in AXES))]
+        *(transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES))]
     bounds = [np.array([f.tolerance.for_axis(a) for a in AXES])
               for f in flows]
-    per_run = np.zeros((cfg.n_runs * n_lanes, n_axes), dtype=np.int64)
+    n_obs = [int(math.floor(f.t_cross_min / cfg.obs_dt_min + 1e-9))
+             for f in flows]
+    per_run = np.zeros((n_runs * n_lanes, n_axes), dtype=np.int64)
     n_aircraft, block, rows, first = 0, [], 0, 0
-    for r in range(cfg.n_runs):
-        rs = src.substream(cfg.run_offset + r)
+    for r in range(n_runs):
+        rs = src.substream(run_offset + r)
         for li, flow in enumerate(flows):
-            window = cfg.horizon + flow.t_cross_min
+            window = cfg.horizon_min + flow.t_cross_min
             k = int(rs.poisson(flow.intensity_per_min * window))
             n_aircraft += k
             if k == 0:
@@ -180,42 +145,39 @@ def _lane_counts(cfg: ScenarioConfig, flows: list[FlowSpec],
             entries = -flow.t_cross_min + rs.uniform(k) * window
             if on_arrivals is not None:
                 on_arrivals(r, entries)
-            if full_horizon:
-                m_last = np.floor((cfg.horizon - entries) / cfg.obs_dt
-                                  + 1e-9).astype(int).clip(min=0)
-            else:
-                m_last = np.full(
-                    k, int(math.floor(flow.t_cross_min / cfg.obs_dt + 1e-9)))
-            if m_last.max() > 0:
-                z = rs.standard_normal((int(m_last.max()), k, n_axes))
-                block.append(((r - first) * n_lanes + li, entries, m_last, z,
+            if n_obs[li] > 0:
+                z = rs.standard_normal((n_obs[li], k, n_axes))
+                block.append(((r - first) * n_lanes + li, entries, z,
                               bounds[li]))
                 rows += k
-        if rows >= _BLOCK_ROWS or r == cfg.n_runs - 1:
+        if rows >= _BLOCK_ROWS or r == n_runs - 1:
             if block:
                 per_run[first * n_lanes:(r + 1) * n_lanes] = _count_block(
                     cfg, block, coeffs, (r + 1 - first) * n_lanes)
             block, rows, first = [], 0, r + 1
-    return per_run.reshape(cfg.n_runs, n_lanes, n_axes), n_aircraft
+    return per_run.reshape(n_runs, n_lanes, n_axes), n_aircraft
 
 
-def _count_block(cfg: ScenarioConfig, block: list, coeffs,
+def _count_block(cfg: ConfigFile, block: list, coeffs,
                  n_groups: int) -> np.ndarray:
-    """Counts per (group, axis) of (group, entries, m_last, noise,
-    bounds) lane draws, stacked and scored by one engine call. Every
-    excursion is reset, including those during the pre-window warm-up;
-    it counts if observed (steps 1..m_last) inside the horizon. Resets
-    after m_last touch only states that are never scored."""
-    groups, entries, m_last, noise, bounds = zip(*block)
+    """Counts per (group, axis) of (group, entries, noise, bounds) lane
+    draws, stacked and scored by one engine call. A lane's aircraft are
+    observed m_last times, the length of its noise. Every excursion is
+    reset, including those during the pre-window warm-up; it counts if
+    observed (steps 1..m_last) inside the horizon. Resets after m_last
+    touch only states that are never scored."""
+    groups, entries, noise, bounds = zip(*block)
     sizes = [e.size for e in entries]
-    entries, m_last = np.concatenate(entries), np.concatenate(m_last)
+    m_last = np.repeat([part.shape[0] for part in noise], sizes)
+    entries = np.concatenate(entries)
     bounds = np.repeat(np.stack(bounds), sizes, axis=0)
     z = np.zeros((int(m_last.max()),) + bounds.shape)
     for part, i in zip(noise, np.cumsum([0] + sizes)):
         z[:part.shape[0], i:i + part.shape[1]] = part
     m = np.arange(1, z.shape[0] + 1)[:, None]
-    t_obs = entries + m * cfg.obs_dt
-    counted = (m <= m_last) & (t_obs >= -1e-9) & (t_obs <= cfg.horizon + 1e-9)
+    t_obs = entries + m * cfg.obs_dt_min
+    counted = ((m <= m_last) & (t_obs >= -1e-9)
+               & (t_obs <= cfg.horizon_min + 1e-9))
     x, counts = np.zeros(bounds.shape), np.zeros(bounds.shape, np.int64)
     _observe_and_reset(x, z, coeffs, bounds, counts, counted)
     group = np.repeat(groups, sizes)
@@ -223,23 +185,26 @@ def _count_block(cfg: ScenarioConfig, block: list, coeffs,
                     axis=1).astype(np.int64)
 
 
-def run_single_lane(cfg: ScenarioConfig) -> McEstimate:
-    """Estimate the lane taskload PMF (per axis and all axes combined)."""
+def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
+    """Estimate the lane taskload PMF (per axis and all axes combined)
+    over cfg.resolved_runs() runs, the first drawn from substream
+    run_offset."""
     if cfg.kind != "single_lane":
         raise ValueError("config kind must be single_lane")
-    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, cfg.count_full_horizon)
+    n_runs = cfg.resolved_runs()
+    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, n_runs, run_offset)
     per_run = per_run[:, 0]
     comps: dict[str, EmpiricalPmf] = {}
     for i, axis in enumerate(AXES):
-        comps[axis] = EmpiricalPmf(_bincount(per_run[:, i]), cfg.n_runs,
-                                   n_aircraft, cfg.horizon)
-    comps["total"] = EmpiricalPmf(_bincount(per_run.sum(axis=1)), cfg.n_runs,
-                                  n_aircraft * len(AXES), cfg.horizon)
-    return McEstimate(comps, cfg.n_runs, n_aircraft, cfg.seed,
+        comps[axis] = EmpiricalPmf(_bincount(per_run[:, i]), n_runs,
+                                   n_aircraft, cfg.horizon_min)
+    comps["total"] = EmpiricalPmf(_bincount(per_run.sum(axis=1)), n_runs,
+                                  n_aircraft * len(AXES), cfg.horizon_min)
+    return McEstimate(comps, n_runs, n_aircraft, cfg.seed,
                       cfg.stream_id, cfg.kind)
 
 
-def run_multilane(cfg: ScenarioConfig) -> McEstimate:
+def run_multilane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     """Estimate multilane taskload with cumulative lane-prefix PMFs.
 
     All lanes of a run share the run substream, so prefix PMFs are
@@ -248,23 +213,23 @@ def run_multilane(cfg: ScenarioConfig) -> McEstimate:
     """
     if cfg.kind != "multilane":
         raise ValueError("config kind must be multilane")
-    n_lanes = len(cfg.flows)
-    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, cfg.count_full_horizon)
+    n_lanes, n_runs = len(cfg.flows), cfg.resolved_runs()
+    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, n_runs, run_offset)
     comps: dict[str, EmpiricalPmf] = {}
     for prefix in range(1, n_lanes + 1):
         tot = per_run[:, :prefix, :].sum(axis=(1, 2))
         lat = per_run[:, :prefix, AXES.index("lateral")].sum(axis=1)
         comps[f"lanes{prefix}_total"] = EmpiricalPmf(
-            _bincount(tot), cfg.n_runs, n_aircraft * len(AXES), cfg.horizon)
+            _bincount(tot), n_runs, n_aircraft * len(AXES), cfg.horizon_min)
         comps[f"lanes{prefix}_lateral"] = EmpiricalPmf(
-            _bincount(lat), cfg.n_runs, n_aircraft, cfg.horizon)
+            _bincount(lat), n_runs, n_aircraft, cfg.horizon_min)
     comps["total"] = comps[f"lanes{n_lanes}_total"]
     comps["lateral"] = comps[f"lanes{n_lanes}_lateral"]
-    return McEstimate(comps, cfg.n_runs, n_aircraft, cfg.seed,
+    return McEstimate(comps, n_runs, n_aircraft, cfg.seed,
                       cfg.stream_id, cfg.kind)
 
 
-def run_crossing(cfg: ScenarioConfig) -> McEstimate:
+def run_crossing(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     """Estimate crossing taskload split into deviation control and
     conflict resolution.
 
@@ -281,8 +246,9 @@ def run_crossing(cfg: ScenarioConfig) -> McEstimate:
     if not geom.solved:
         geom = solve_safe_zone(geom)
     t_safe = geom.t_safe_min
-    t_star = cfg.horizon / 2.0
-    occupancy = np.zeros(cfg.n_runs, dtype=np.int64)
+    t_star = cfg.horizon_min / 2.0
+    n_runs = cfg.resolved_runs()
+    occupancy = np.zeros(n_runs, dtype=np.int64)
 
     def occupy(r, entries):
         occupancy[r] += int(((entries <= t_star)
@@ -290,17 +256,19 @@ def run_crossing(cfg: ScenarioConfig) -> McEstimate:
 
     # a zone transit is a lane whose residency is the safe-zone time
     transits = [replace(f, t_cross_min=t_safe) for f in cfg.flows]
-    per_run, n_aircraft = _lane_counts(cfg, transits, False, occupy)
+    per_run, n_aircraft = _lane_counts(cfg, transits, n_runs, run_offset,
+                                       occupy)
     dev, conf = per_run.sum(axis=(1, 2)), np.maximum(occupancy - 1, 0)
+    scored = n_aircraft * len(AXES)
     comps = {
-        "deviation_control": EmpiricalPmf(_bincount(dev), cfg.n_runs,
-                                          n_aircraft * len(AXES), cfg.horizon),
-        "conflict_resolution": EmpiricalPmf(_bincount(conf), cfg.n_runs,
-                                            0, cfg.horizon),
-        "total": EmpiricalPmf(_bincount(dev + conf), cfg.n_runs,
-                              n_aircraft * len(AXES), cfg.horizon),
+        "deviation_control": EmpiricalPmf(_bincount(dev), n_runs, scored,
+                                          cfg.horizon_min),
+        "conflict_resolution": EmpiricalPmf(_bincount(conf), n_runs, 0,
+                                            cfg.horizon_min),
+        "total": EmpiricalPmf(_bincount(dev + conf), n_runs, scored,
+                              cfg.horizon_min),
     }
-    return McEstimate(comps, cfg.n_runs, n_aircraft, cfg.seed,
+    return McEstimate(comps, n_runs, n_aircraft, cfg.seed,
                       cfg.stream_id, cfg.kind)
 
 

@@ -80,7 +80,7 @@ def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
 
 
 def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
-                      ou: dict[str, OuParams], horizon: float, obs_dt: float,
+                      ou: dict[str, OuParams], obs_dt: float,
                       n_max: int = 32) -> dict[str, TaskloadPmf]:
     """Crossing taskload: conflict, deviation-control, and total PMFs.
 
@@ -88,7 +88,7 @@ def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
     safe-zone transit, floor(t_safe / obs_dt) of them (none gives zero
     counts), under its own flow's bounds; flows with equal bounds share
     one per-aircraft law. The conflict PMF is the zone-occupancy law
-    shifted by one.
+    shifted by one. No table depends on the scenario horizon.
     """
     geom = geometry if geometry.solved else solve_safe_zone(geometry)
     lam1, lam2 = (f.intensity_per_hour for f in flows)

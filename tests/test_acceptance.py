@@ -34,8 +34,8 @@ from scipy import stats
 
 import taskload as tl
 from taskload import (Barrier, CrossingGeometry, EmpiricalPmf, FlowSpec,
-                      RandomSource, ScenarioConfig, TaskloadPmf, compare,
-                      compare_empirical, first_passage_mc, multilane_pmf,
+                      RandomSource, TaskloadPmf, compare, compare_empirical,
+                      default_config, first_passage_mc, multilane_pmf,
                       run_crossing, run_multilane, run_single_lane,
                       single_lane_pmf, solve_safe_zone, tv_distance)
 from taskload.cli import main as cli_main
@@ -73,8 +73,8 @@ def c7_bundle():
     """Very-high-density stringent lane: analytic route plus one MC run."""
     flow = FlowSpec(intensity_per_hour=60.0)
     analytic = analytic_single_lane(flow, CENTERED, 120.0, 1.0)
-    cfg = ScenarioConfig(kind="single_lane", flows=[flow], n_runs=16000,
-                         seed=7002)
+    cfg = replace(default_config(), kind="single_lane", flows=[flow],
+                  n_runs=16000, seed=7002)
     return {"flow": flow, "analytic": analytic, "mc": run_single_lane(cfg)}
 
 
@@ -247,12 +247,13 @@ def test_c06a_superposition_analytic():
 
 
 def test_c06b_superposition_monte_carlo():
-    twin = run_multilane(ScenarioConfig(
-        kind="multilane", flows=[FlowSpec(intensity_per_hour=30.0)] * 2,
-        n_runs=4000, seed=6002))
-    single = run_single_lane(ScenarioConfig(
-        kind="single_lane", flows=[FlowSpec(intensity_per_hour=60.0)],
-        n_runs=4000, seed=6003))
+    twin = run_multilane(replace(
+        default_config(), kind="multilane",
+        flows=[FlowSpec(intensity_per_hour=30.0)] * 2, n_runs=4000,
+        seed=6002))
+    single = run_single_lane(replace(
+        default_config(), kind="single_lane",
+        flows=[FlowSpec(intensity_per_hour=60.0)], n_runs=4000, seed=6003))
     rep = compare_empirical(twin.components["total"],
                             single.components["total"], z_max=3.5)
     ok = announce("c06b", rep.passed,
@@ -291,8 +292,9 @@ def test_c08_multilane_marginality():
     names = ("stringent", "severe", "intermediate", "lax")
     flows = [FlowSpec(intensity_per_hour=60.0,
                       tolerance=TOLERANCE_STANDARDS[n].bounds) for n in names]
-    est = run_multilane(ScenarioConfig(
-        kind="multilane", flows=flows, n_runs=4000, seed=8001))
+    est = run_multilane(replace(
+        default_config(), kind="multilane", flows=flows, n_runs=4000,
+        seed=8001))
     worst = 0.0
     for comp in ("total", "lateral"):
         base = est.components[f"lanes2_{comp}"]
@@ -422,8 +424,8 @@ def test_c10a_lax_standards_drive_no_deviation_control():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     flows = [FlowSpec(intensity_per_hour=2.5,
                       tolerance=TOLERANCE_STANDARDS["lax"].bounds)] * 2
-    est = run_crossing(ScenarioConfig(kind="crossing", flows=flows,
-                                      geometry=geom, n_runs=3000, seed=10001))
+    est = run_crossing(replace(default_config(), kind="crossing", flows=flows,
+                               geometry=geom, n_runs=3000, seed=10001))
     p0 = est.components["deviation_control"].probs[0]
     ok = announce("c10a", p0 > 0.99,
                   f"P[no deviation-control interventions] = {p0:.5f}")
@@ -433,8 +435,8 @@ def test_c10a_lax_standards_drive_no_deviation_control():
 def test_c10b_conflict_pmf_cross_validation():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     flows = [FlowSpec(intensity_per_hour=2.5)] * 2
-    est = run_crossing(ScenarioConfig(kind="crossing", flows=flows,
-                                      geometry=geom, n_runs=10463, seed=10002))
+    est = run_crossing(replace(default_config(), kind="crossing", flows=flows,
+                               geometry=geom, n_runs=10463, seed=10002))
     shifted = conflict_interventions_pmf(conflict_pmf(geom, 2.5, 2.5))
     rep = compare(TaskloadPmf(shifted.probs, shifted.truncation_mass),
                   est.components["conflict_resolution"], tv_threshold=0.03)

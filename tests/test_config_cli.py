@@ -1,6 +1,7 @@
 import copy
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ class TestConfig:
         cfg = default_config()
         again = parse_config(cfg.to_canonical_dict())
         assert again.sha256() == cfg.sha256()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"kind": "warp_drive"}, "mc.kind: unknown scenario"),
+        ({"kind": "crossing"}, "takes exactly 2 flows, got 1"),
+        ({"flows": []}, "takes exactly 1 flow, got 0"),
+        ({"horizon_min": 0.0}, "mc.horizon_min must be > 0"),
+        ({"obs_dt_min": -1.0}, "mc.obs_dt_min must be > 0"),
+        ({"n_runs": 0}, "mc.n_runs must be a positive integer"),
+        ({"ou": {}}, "ou: no parameters for axis"),
+    ])
+    def test_built_configs_checked_like_files(self, change, message):
+        # the harness and the pipeline take a ConfigFile built in code
+        # too; it is held to the same checks as one read from a file
+        with pytest.raises(ConfigError, match=message):
+            replace(default_config(), **change)
+
+    def test_count_full_horizon_loads_only_off(self):
+        with pytest.warns(UserWarning, match="mc.count_full_horizon"):
+            cfg = parse_config({"mc": {"count_full_horizon": False}})
+        assert "count_full_horizon" not in cfg.to_canonical_dict()["mc"]
+        assert cfg.sha256() == default_config().sha256()
+        with pytest.raises(ConfigError, match="count_full_horizon was removed"):
+            parse_config({"mc": {"count_full_horizon": True}})
 
 
 def read_payload(path):
@@ -401,6 +425,10 @@ class TestCommandLineValues:
          "0 is not"),
         (["compare", "--analytic", "a.csv", "--mc", "m.csv", "--runs", "0"],
          "0 is not"),
+        (["calibrate", "--format", "csv", "--in", "x.csv", "--out", "r.csv"],
+         "unrecognized"),
+        (["calibrate", "--config", "c.json", "--in", "x.csv",
+          "--out", "r.json"], "unrecognized"),
     ])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
@@ -410,6 +438,28 @@ class TestCommandLineValues:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFlowCountPerKind:
+    """Flows that do not fit mc.kind are a config error on both routes,
+    before anything is written."""
+
+    @pytest.mark.parametrize("kind, n_flows, takes", [
+        ("single_lane", 2, "exactly 1 flow"),
+        ("crossing", 1, "exactly 2 flows"),
+        ("crossing", 3, "exactly 2 flows")])
+    def test_exits_2(self, tmp_path, capsys, kind, n_flows, takes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "flows": [{"intensity_per_hour": 5.0}] * n_flows,
+            "mc": {"kind": kind, "n_runs": 5}}))
+        for command in ("analytic", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"mc.kind '{kind}' takes {takes}, got {n_flows}" in err
+            assert not out.exists()
 
 
 def bench_shaped_config(tmp_path, kind, intensities, retired):

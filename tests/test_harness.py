@@ -6,11 +6,11 @@ import pytest
 from scipy import stats
 
 from taskload import (AXES, OU_FTE_CENTERED, CrossingGeometry, EmpiricalPmf,
-                      FlowSpec, RandomSource, ScenarioConfig, TaskloadPmf,
-                      compare, compare_empirical,
-                      conflict_interventions_pmf, conflict_pmf, delta_pmf,
-                      run_crossing, run_multilane, run_single_lane,
-                      solve_safe_zone, transition_coeffs, wilson_interval)
+                      FlowSpec, RandomSource, TaskloadPmf, compare,
+                      compare_empirical, conflict_interventions_pmf,
+                      conflict_pmf, default_config, delta_pmf, run_crossing,
+                      run_multilane, run_single_lane, solve_safe_zone,
+                      transition_coeffs, wilson_interval)
 from taskload.flow import TOLERANCE_STANDARDS
 from taskload.harness import _BLOCK_ROWS
 
@@ -20,7 +20,7 @@ def lane_cfg(**kw):
                     flows=[FlowSpec(intensity_per_hour=10.0)],
                     n_runs=200, seed=3)
     defaults.update(kw)
-    return ScenarioConfig(**defaults)
+    return replace(default_config(), **defaults)
 
 
 class TestDeterminism:
@@ -43,26 +43,26 @@ class TestDeterminism:
         # seed-disjoint batches keyed by run offset merge exactly
         whole = run_single_lane(lane_cfg(n_runs=200))
         first = run_single_lane(lane_cfg(n_runs=120))
-        second = run_single_lane(lane_cfg(n_runs=80, run_offset=120))
+        second = run_single_lane(lane_cfg(n_runs=80), run_offset=120)
         merged = first.merge(second)
         for key in whole.components:
             assert np.array_equal(merged.components[key].counts,
                                   whole.components[key].counts)
 
 
-def reference_counts(cfg, flows, full_horizon, t_star=None):
+def reference_counts(cfg, flows, t_star=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star
     from a plain loop over runs, lanes, aircraft, axes and observations,
     drawing in the documented order."""
     src = RandomSource(cfg.seed, cfg.stream_id)
-    coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt) for a in AXES]
+    coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
     occupancy = np.zeros(cfg.n_runs, dtype=int)
     n_aircraft = 0
     for r in range(cfg.n_runs):
-        rs = src.substream(cfg.run_offset + r)
+        rs = src.substream(r)
         for li, flow in enumerate(flows):
-            window = cfg.horizon + flow.t_cross_min
+            window = cfg.horizon_min + flow.t_cross_min
             k = int(rs.poisson(flow.intensity_per_min * window))
             n_aircraft += k
             if k == 0:
@@ -71,24 +71,20 @@ def reference_counts(cfg, flows, full_horizon, t_star=None):
             if t_star is not None:
                 occupancy[r] += sum(e <= t_star < e + flow.t_cross_min
                                     for e in entries)
-            if full_horizon:
-                m_last = [max(math.floor((cfg.horizon - e) / cfg.obs_dt
-                                         + 1e-9), 0) for e in entries]
-            else:
-                m_last = [math.floor(flow.t_cross_min / cfg.obs_dt + 1e-9)] * k
-            if max(m_last) == 0:
+            m_last = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
+            if m_last == 0:
                 continue
-            z = rs.standard_normal((max(m_last), k, len(AXES)))
+            z = rs.standard_normal((m_last, k, len(AXES)))
             for i in range(k):
                 for j, axis in enumerate(AXES):
                     a, b, s = coeffs[j]
                     bound = flow.tolerance.for_axis(axis)
                     x = 0.0
-                    for m in range(1, m_last[i] + 1):
+                    for m in range(1, m_last + 1):
                         x = a * x + b + s * z[m - 1, i, j]
                         if abs(x) >= bound:
-                            t_obs = entries[i] + m * cfg.obs_dt
-                            if -1e-9 <= t_obs <= cfg.horizon + 1e-9:
+                            t_obs = entries[i] + m * cfg.obs_dt_min
+                            if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
                                 per_run[r, li, j] += 1
                             x = 0.0
     return per_run, n_aircraft, occupancy
@@ -102,12 +98,10 @@ class TestEngine:
     """The block engine against a plain per-aircraft loop. Run counts are
     not multiples of any block, and each case spans several blocks."""
 
-    @pytest.mark.parametrize("full_horizon", [False, True])
-    def test_single_lane_matches_reference_loop(self, full_horizon):
-        cfg = lane_cfg(n_runs=97, seed=51, count_full_horizon=full_horizon)
+    def test_single_lane_matches_reference_loop(self):
+        cfg = lane_cfg(n_runs=97, seed=51)
         est = run_single_lane(cfg)
-        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows,
-                                                  full_horizon)
+        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows)
         assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
         for j, axis in enumerate(AXES):
             assert np.array_equal(est.components[axis].counts,
@@ -124,10 +118,10 @@ class TestEngine:
         # slow reversion keeps an unreset excursion beyond the bound
         slow = {a: replace(p, kappa=p.kappa / 20)
                 for a, p in OU_FTE_CENTERED.items()}
-        cfg = ScenarioConfig(kind="multilane", flows=flows, ou=slow,
-                             n_runs=41, seed=53)
+        cfg = replace(default_config(), kind="multilane", flows=flows,
+                      ou=slow, n_runs=41, seed=53)
         est = run_multilane(cfg)
-        per_run, n_aircraft, _ = reference_counts(cfg, flows, False)
+        per_run, n_aircraft, _ = reference_counts(cfg, flows)
         assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
         for prefix in (1, 2, 3):
             assert np.array_equal(
@@ -142,12 +136,12 @@ class TestEngine:
         flows = [FlowSpec(intensity_per_hour=60.0),
                  FlowSpec(intensity_per_hour=30.0,
                           tolerance=TOLERANCE_STANDARDS["severe"].bounds)]
-        cfg = ScenarioConfig(kind="crossing", flows=flows, geometry=geom,
-                             n_runs=23, seed=55)
+        cfg = replace(default_config(), kind="crossing", flows=flows,
+                      geometry=geom, n_runs=23, seed=55)
         est = run_crossing(cfg)
         transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
         per_run, n_aircraft, occupancy = reference_counts(
-            cfg, transits, False, t_star=cfg.horizon / 2.0)
+            cfg, transits, t_star=cfg.horizon_min / 2.0)
         assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
         dev = per_run.sum(axis=(1, 2))
         conf = np.maximum(occupancy - 1, 0)
@@ -164,7 +158,7 @@ class TestEngine:
         # inside the second block of the whole range
         whole = run_single_lane(lane_cfg(n_runs=150))
         first = run_single_lane(lane_cfg(n_runs=37))
-        second = run_single_lane(lane_cfg(n_runs=113, run_offset=37))
+        second = run_single_lane(lane_cfg(n_runs=113), run_offset=37)
         merged = first.merge(second)
         assert merged.n_aircraft == whole.n_aircraft
         for key in whole.components:
@@ -189,21 +183,14 @@ class TestSingleLane:
         se = np.sqrt(expected / 600)  # Poisson-ish
         assert abs(mean - expected) < 4 * se
 
-    def test_full_horizon_flag_counts_more(self):
-        short = run_single_lane(lane_cfg(seed=13, n_runs=300,
-                                         count_full_horizon=False))
-        full = run_single_lane(lane_cfg(seed=13, n_runs=300,
-                                        count_full_horizon=True))
-        m = lambda e: float(np.arange(e.counts.size) @ e.probs)
-        assert m(full.components["total"]) >= m(short.components["total"])
-
 
 class TestMultilane:
     def test_one_lane_equals_single_lane(self):
         flows = [FlowSpec(intensity_per_hour=10.0)]
         single = run_single_lane(lane_cfg(n_runs=150))
-        multi = run_multilane(ScenarioConfig(
-            kind="multilane", flows=flows, n_runs=150, seed=3))
+        multi = run_multilane(replace(
+            default_config(), kind="multilane", flows=flows, n_runs=150,
+            seed=3))
         assert np.array_equal(multi.components["lanes1_total"].counts,
                               single.components["total"].counts)
 
@@ -211,19 +198,21 @@ class TestMultilane:
         flows = [FlowSpec(intensity_per_hour=30.0,
                           tolerance=TOLERANCE_STANDARDS[name].bounds)
                  for name in ("stringent", "severe")]
-        est = run_multilane(ScenarioConfig(
-            kind="multilane", flows=flows, n_runs=100, seed=5))
+        est = run_multilane(replace(
+            default_config(), kind="multilane", flows=flows, n_runs=100,
+            seed=5))
         m = lambda e: float(np.arange(e.counts.size) @ e.probs)
         assert m(est.components["lanes2_total"]) >= m(
             est.components["lanes1_total"])
 
     def test_identical_lanes_match_summed_intensity(self):
         half = [FlowSpec(intensity_per_hour=30.0)] * 2
-        twin = run_multilane(ScenarioConfig(
-            kind="multilane", flows=half, n_runs=2000, seed=17))
-        single = run_single_lane(ScenarioConfig(
-            kind="single_lane", flows=[FlowSpec(intensity_per_hour=60.0)],
-            n_runs=2000, seed=23))
+        twin = run_multilane(replace(
+            default_config(), kind="multilane", flows=half, n_runs=2000,
+            seed=17))
+        single = run_single_lane(replace(
+            default_config(), kind="single_lane",
+            flows=[FlowSpec(intensity_per_hour=60.0)], n_runs=2000, seed=23))
         report = compare_empirical(twin.components["total"],
                                    single.components["total"], z_max=3.5)
         assert report.passed
@@ -237,7 +226,7 @@ class TestCrossing:
         defaults = dict(kind="crossing", flows=flows, geometry=geom,
                         n_runs=3000, seed=29)
         defaults.update(kw)
-        return ScenarioConfig(**defaults), geom
+        return replace(default_config(), **defaults), geom
 
     def test_conflict_counts_match_occupancy_shift(self):
         cfg, geom = self.cfg()
@@ -270,9 +259,10 @@ class TestCrossing:
         p0, se = {}, {}
         for alpha, seed in ((30.0, 31), (90.0, 37), (120.0, 41)):
             geom = solve_safe_zone(CrossingGeometry(alpha_deg=alpha))
-            est = run_crossing(ScenarioConfig(
-                kind="crossing", flows=[FlowSpec(intensity_per_hour=2.5)] * 2,
-                geometry=geom, n_runs=20000, seed=seed))
+            est = run_crossing(replace(
+                default_config(), kind="crossing",
+                flows=[FlowSpec(intensity_per_hour=2.5)] * 2, geometry=geom,
+                n_runs=20000, seed=seed))
             dev = est.components["deviation_control"]
             p0[alpha] = dev.probs[0]
             se[alpha] = np.sqrt(p0[alpha] * (1 - p0[alpha]) / dev.n_runs)

@@ -46,7 +46,7 @@ def test_analytic_multilane_prefixes():
 def test_analytic_crossing_components():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     flows = [FlowSpec(intensity_per_hour=2.5)] * 2
-    out = analytic_crossing(geom, flows, OU_FTE_CENTERED, 120.0, 1.0)
+    out = analytic_crossing(geom, flows, OU_FTE_CENTERED, 1.0)
     occ = out["occupancy"]
     assert occ.probs[0] == pytest.approx(np.exp(-5 / 60 * geom.t_safe_min),
                                          rel=1e-6)
@@ -63,7 +63,7 @@ def test_crossing_transit_without_observation_counts_nothing():
     # a transit shorter than one observation step is never observed
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     flows = [FlowSpec(intensity_per_hour=2.5)] * 2
-    out = analytic_crossing(geom, flows, OU_FTE_CENTERED, 120.0,
+    out = analytic_crossing(geom, flows, OU_FTE_CENTERED,
                             obs_dt=2.0 * geom.t_safe_min)
     assert out["deviation_control"].probs.size == 1
     assert out["deviation_control"].mean() == 0.0
@@ -77,8 +77,8 @@ def test_crossing_scores_each_flow_with_its_own_law():
     stringent = FlowSpec(intensity_per_hour=30.0)
     lax = FlowSpec(intensity_per_hour=10.0,
                    tolerance=TOLERANCE_STANDARDS["lax"].bounds)
-    ab = analytic_crossing(geom, [stringent, lax], OU_FTE_CENTERED, 120.0, 1.0)
-    ba = analytic_crossing(geom, [lax, stringent], OU_FTE_CENTERED, 120.0, 1.0)
+    ab = analytic_crossing(geom, [stringent, lax], OU_FTE_CENTERED, 1.0)
+    ba = analytic_crossing(geom, [lax, stringent], OU_FTE_CENTERED, 1.0)
     for name, pmf in ab.items():
         assert np.array_equal(pmf.probs, ba[name].probs), name
         assert pmf.truncation_mass == ba[name].truncation_mass, name

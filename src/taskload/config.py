@@ -5,8 +5,9 @@ reaches some command's output. It resolves to a ConfigFile, the one
 description of a scenario: the analytic pipeline and the Monte Carlo
 harness both read it, and its checks (scenario kind, flows per kind,
 horizon and cadence, run count) run whenever one is built, so both
-routes accept the same scenarios. Unknown keys are rejected with their
-full path so typos never silently fall back to a default; the
+routes accept the same scenarios. Unknown keys, sections that are not
+objects and booleans given as counts are rejected with their full path,
+so typos never silently fall back to a default; the
 RETIRED_KEYS load with a warning and are ignored (the retired counting
 switch only when it is off). Defaults carry the
 published per-axis generator and dynamics parameters, the named
@@ -60,6 +61,9 @@ class ConfigError(ValueError):
 
 
 def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object, "
+                          f"got {obj!r}")
     section = re.sub(r"\[\d+\]$", "[]", path)
     retired = RETIRED_KEYS.get(section, set()) & set(obj)
     unknown = set(obj) - allowed - retired
@@ -78,6 +82,11 @@ def _get_num(obj: dict, key: str, default, path: str):
     if not math.isfinite(val):
         raise ConfigError(f"{path}.{key} must be finite")
     return float(val)
+
+
+def _is_int(val) -> bool:
+    """A JSON integer: bool is an int subclass, but true is not a count."""
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 @dataclass
@@ -117,16 +126,20 @@ class ConfigFile:
             val = getattr(self, key)
             if val is None or not val > 0:
                 raise ConfigError(f"mc.{key} must be > 0, got {val!r}")
-        if self.n_runs is not None and (not isinstance(self.n_runs, int)
+        if self.n_runs is not None and (not _is_int(self.n_runs)
                                         or self.n_runs < 1):
-            raise ConfigError("mc.n_runs must be a positive integer")
-        if not (isinstance(self.seed, int) and isinstance(self.stream_id, int)):
-            raise ConfigError("mc.seed and mc.stream_id must be integers")
+            raise ConfigError(f"mc.n_runs must be a positive integer, "
+                              f"got {self.n_runs!r}")
+        for key in ("seed", "stream_id"):
+            if not _is_int(getattr(self, key)):
+                raise ConfigError(f"mc.{key} must be an integer, "
+                                  f"got {getattr(self, key)!r}")
         missing = [axis for axis in AXES if axis not in self.ou]
         if missing:
             raise ConfigError(f"ou: no parameters for axis {missing}")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ConfigError("analytic.n_max must be a positive integer")
+        if not _is_int(self.n_max) or self.n_max < 1:
+            raise ConfigError(f"analytic.n_max must be a positive integer, "
+                              f"got {self.n_max!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, "
                               f"got {self.output_format!r}")
@@ -186,8 +199,6 @@ def _parse_axis_table(obj: dict, axis_keys: tuple[str, ...], fields: tuple[str, 
     _require_keys(obj, set(axis_keys), path)
     out = dict(defaults)
     for axis, sub in obj.items():
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{path}.{axis} must be an object")
         _require_keys(sub, set(fields), f"{path}.{axis}")
         base = defaults[axis]
         kwargs = {f: _get_num(sub, f, getattr(base, f), f"{path}.{axis}")
@@ -244,14 +255,12 @@ def default_config() -> ConfigFile:
 def parse_config(data: dict) -> ConfigFile:
     """Build a resolved ConfigFile from a parsed JSON object; keys it
     leaves out take ConfigFile's defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
     allowed = {"schema_version", "distributions", "ou", "flows", "geometry",
                "mc", "analytic", "output"}
     _require_keys(data, allowed, "")
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}")
 
     kw: dict[str, Any] = {}
     if "distributions" in data:
@@ -283,7 +292,8 @@ def parse_config(data: dict) -> ConfigFile:
         except ValueError as exc:
             raise ConfigError(f"geometry: {exc}") from exc
     mc = data.get("mc", {})
-    if mc.get("count_full_horizon", False) is not False:
+    if isinstance(mc, dict) and mc.get("count_full_horizon",
+                                       False) is not False:
         raise ConfigError("mc.count_full_horizon was removed: each aircraft "
                           "is scored only while it is in the sector; drop "
                           "the key")

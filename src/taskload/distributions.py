@@ -4,8 +4,9 @@ The lateral FTE of an RNP-equipped aircraft is well described by a
 Johnson "unbounded system" (S_U) transform of a standard normal: heavy
 tailed and skewed. This module carries the fitted per-axis parameter
 sets used as the package-wide data generator, the transform/density/
-inverse/moment machinery, and the Poisson/exponential sampling used by
-the flow layer.
+inverse/moment machinery, the standard normal CDF ``normal_cdf`` that
+``johnson_cdf`` and the hitting kernel share, and the Poisson/exponential
+sampling used by the flow layer.
 
 Units are fixed throughout the package: nautical miles for the lateral
 and longitudinal axes, feet for the vertical axis, minutes for time.
@@ -17,13 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rng import RandomSource
 
 AXES = ("lateral", "vertical", "longitudinal")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,22 @@ def johnson_density(x, p: JohnsonSuParams):
     return out if out.ndim else float(out)
 
 
+def normal_cdf(x):
+    """Standard normal P[Z <= x] = erfc(-x / sqrt 2) / 2.
+
+    erfc keeps its relative precision deep in the lower tail (about
+    1e-13 down to P = 1e-300, near x = -37), where 1 - P[Z > x] would
+    cancel. Accepts scalars or arrays; a scalar gives a float.
+    """
+    z = np.asarray(x, dtype=float) * -_SQRT_HALF
+    out = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float,
+                            z.size).reshape(z.shape)
+    return out if out.ndim else float(out)
+
+
 def johnson_cdf(x, p: JohnsonSuParams):
     """P[X <= x] for the S_U variate."""
-    x = np.asarray(x, dtype=float)
-    out = ndtr(johnson_inverse(x, p))
-    return out if np.ndim(out) else float(out)
+    return normal_cdf(johnson_inverse(x, p))
 
 
 def johnson_sample(p: JohnsonSuParams, src: RandomSource, n: int) -> np.ndarray:

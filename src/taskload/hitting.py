@@ -4,7 +4,8 @@ Three routes to the hitting law exist side by side:
 
 * ``first_hit_law`` computes, without sampling, the law of the first
   observation that finds an axis at or beyond its bound. It is the
-  route all taskload computations use.
+  route all taskload computations use; its exit masses are Gaussian
+  tails from ``distributions.normal_cdf``.
 * ``fpt_density_oracle`` estimates it from grid-monitored first-passage
   simulation; the tests keep it as a cross-check.
 * ``fpt_density_closed_form`` evaluates the published one-sided
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
+from .distributions import normal_cdf
 from .ou import Barrier, OuParams, first_passage_mc, transition_coeffs
 from .pmf import TaskloadPmf
 from .rng import RandomSource
@@ -173,7 +174,8 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     Between observations the state moves by the exact transition
     X' = a X + c + s Z, so the unhit state is a killed Gaussian chain on
     (-bound, bound); Nystrom quadrature on Gauss-Legendre nodes carries
-    its sub-density, and each step's exit mass comes from Gaussian tails.
+    its sub-density, and each step's exit mass comes from the Gaussian
+    tails of distributions.normal_cdf.
     """
     if bound <= 0.0 or n_obs < 0:
         raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
@@ -193,10 +195,16 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     t, w = _legendre(n)
     x = bound * t
     mean = a * np.append(x, 0.0) + c  # from each node, then from the start
-    # step[i, j]: weight of node j times the density of moving i -> j
-    step = np.exp(-0.5 * ((x - mean[:, None]) / s) ** 2) \
-        * (bound * w / (s * math.sqrt(2.0 * math.pi)))
-    exit_mass = ndtr((mean - bound) / s) + ndtr((-bound - mean) / s)
+    # step[i, j]: weight of node j times the density of moving i -> j,
+    # built in place: fresh n^2 temporaries per call cost page faults
+    step = x - mean[:, None]
+    step /= s
+    np.square(step, out=step)
+    step *= -0.5
+    np.exp(step, out=step)
+    step *= bound * w / (s * math.sqrt(2.0 * math.pi))
+    exit_mass = (normal_cdf((mean - bound) / s)
+                 + normal_cdf((-bound - mean) / s))
     f[1], mass = exit_mass[-1], step[-1]
     step, exit_mass = step[:-1], exit_mass[:-1]
     for m in range(2, n_obs + 1):

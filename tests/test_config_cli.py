@@ -1,11 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import taskload
 from taskload import ConfigError, default_config
 from taskload.cli import main
 from taskload.config import parse_config
@@ -460,6 +464,74 @@ class TestFlowCountPerKind:
             err = capsys.readouterr().err
             assert f"mc.kind '{kind}' takes {takes}, got {n_flows}" in err
             assert not out.exists()
+
+
+class TestMalformedValues:
+    """A section that is not an object, or a JSON boolean where a count
+    belongs, is a config error naming its path: exit 2 on both routes,
+    nothing written."""
+
+    @staticmethod
+    def assert_exits_2(tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("analytic", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("data, path", [
+        ({"mc": None}, "mc"),
+        ({"analytic": []}, "analytic"),
+        ({"output": "csv"}, "output"),
+        ({"geometry": []}, "geometry"),
+        ({"flows": [5]}, "flows[0]"),
+        ({"flows": [{}, None]}, "flows[1]"),
+        ({"ou": []}, "ou"),
+        ({"distributions": {"lateral": 1.0}}, "distributions.lateral"),
+    ])
+    def test_section_not_an_object(self, tmp_path, capsys, data, path):
+        self.assert_exits_2(tmp_path, capsys, data,
+                            f"{path} must be an object")
+
+    def test_boolean_is_not_an_integer(self, tmp_path, capsys):
+        for data, message in (
+                ({"mc": {"n_runs": True}},
+                 "mc.n_runs must be a positive integer, got True"),
+                ({"mc": {"n_runs": 5, "seed": True}},
+                 "mc.seed must be an integer, got True"),
+                ({"mc": {"n_runs": 5, "stream_id": False}},
+                 "mc.stream_id must be an integer, got False"),
+                ({"mc": {"n_runs": 5}, "analytic": {"n_max": True}},
+                 "analytic.n_max must be a positive integer, got True"),
+                ({"mc": {"n_runs": 5}, "schema_version": True},
+                 "unsupported schema_version True")):
+            self.assert_exits_2(tmp_path, capsys, data, message)
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # a fresh interpreter, so that the test session's own scipy does
+    # not hide an import from the library
+    cfg = lane_config(tmp_path)
+    code = "\n".join([
+        "import json, sys",
+        "import taskload.cli",
+        "from taskload.config import load_config",
+        f"load_config({str(cfg)!r})",
+        "for cmd in ('analytic', 'simulate'):",
+        f"    assert taskload.cli.main([cmd, '--config', {str(cfg)!r},",
+        f"        '--out', {str(tmp_path / 'out')!r} + cmd]) == 0",
+        "print(json.dumps([m for m in sys.modules",
+        "                  if m.split('.')[0] == 'scipy']))"])
+    src = os.path.dirname(os.path.dirname(taskload.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def bench_shaped_config(tmp_path, kind, intensities, retired):

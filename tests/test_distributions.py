@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from taskload import (JOHNSON_FTE, JohnsonSuParams, MomentSet, RandomSource,
                       exponential_sample, johnson_cdf, johnson_density,
                       johnson_inverse, johnson_moments, johnson_sample,
                       johnson_transform, poisson_sample)
+from taskload.distributions import normal_cdf
 
 LAT = JOHNSON_FTE["lateral"]
 VERT = JOHNSON_FTE["vertical"]
@@ -98,6 +99,27 @@ class TestDensity:
         se = np.sqrt(n * probs * (1 - probs))
         discrepancy = np.abs(counts - n * probs) / se
         assert discrepancy.max() < 3.0
+
+
+class TestNormalCdf:
+    def test_matches_scipy_ndtr_in_both_tails(self):
+        x = np.linspace(-40.0, 40.0, 160001)
+        ref = special.ndtr(x)
+        kept = ref > 1e-300
+        assert kept.sum() > 150000
+        rel = np.abs(normal_cdf(x[kept]) / ref[kept] - 1.0)
+        assert rel.max() <= 1e-12
+
+    def test_scalar_in_float_out_array_in_array_out(self):
+        for x in (0.3, -2, np.float64(0.3), np.array(0.3)):
+            assert isinstance(normal_cdf(x), float)
+        assert normal_cdf(0.0) == 0.5
+        out = normal_cdf([[-1.0, 0.0], [1.0, 2.0]])
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (2, 2)
+        assert normal_cdf(np.array([])).shape == (0,)
+        assert isinstance(johnson_cdf(-0.3, LAT), float)
+        assert johnson_cdf(np.array([-0.3, 0.3]), LAT).shape == (2,)
 
 
 class TestSampler:

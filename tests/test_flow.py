@@ -17,8 +17,9 @@ from taskload import (OU_FTE_CENTERED, TOLERANCE_STANDARDS, CrossingGeometry,
                       crossing_pmf, delta_pmf, min_corner_separation,
                       multilane_pmf, per_aircraft_pmf, poisson_occupancy,
                       single_lane_pmf, solve_safe_zone, tv_distance)
-from taskload.flow import (CP_TAIL, occupancy_pmf,
-                           safe_zone_printed_residuals, solve_safe_zone_printed)
+from taskload.flow import CP_TAIL, occupancy_pmf
+
+from oracles import safe_zone_printed_residuals, solve_safe_zone_printed
 
 
 def poisson_pmf(lam, kmax=80, horizon=None):

@@ -15,9 +15,13 @@ observation, one normal draw per aircraft-axis.
 
 Run r draws from the substream keyed by (seed, stream) and run_offset +
 r, so estimates from disjoint run ranges merge by count addition into
-exactly the estimate of the combined run range. Blocks of runs are
-stacked and scored together; each run still draws from its own
-substream in a fixed order, so block boundaries change no output.
+exactly the estimate of the combined run range. The runs' substreams
+come from RandomSource.substreams, which seeds them all in one
+vectorised pass and draws bit for bit what substream(run_offset + r)
+draws; NEP 19 keeps numpy's SeedSequence and PCG64 seeding, which it
+reimplements, stream-compatible. Blocks of runs are stacked and scored
+together; each run still draws from its own substream in a fixed order,
+so block boundaries change no output.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .ou import _observe_and_reset, transition_coeffs
 from .pmf import TaskloadPmf, wilson_interval
 from .rng import RandomSource
 
-_BLOCK_ROWS = 512  # aircraft rows per engine call; bounds the noise held
+_BLOCK_ROWS = 512  # aircraft per engine call; bounds the draws held
 
 
 @dataclass
@@ -113,16 +117,19 @@ def _bincount(per_run: np.ndarray) -> np.ndarray:
 
 
 def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
-                 run_offset: int, on_arrivals=None) -> tuple[np.ndarray, int]:
-    """Intervention counts per (run, lane, axis) and the aircraft total.
+                 run_offset: int, snapshot: float | None = None
+                 ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Intervention counts per (run, lane, axis), the aircraft total and
+    the occupancy per run at time snapshot.
 
     Run r draws from substream run_offset + r, lane by lane: arrival
     count, arrival times, then the lane's noise tensor (observations,
     aircraft, axes). A lane's residency is its flow's t_cross_min, and
     each aircraft is observed floor(t_cross_min / obs_dt_min) times.
     Runs are scored in blocks of about _BLOCK_ROWS aircraft, one engine
-    call each, so block boundaries change no count. on_arrivals(r,
-    entries) sees the entry times of each lane of run r.
+    call each, so block boundaries change no count. An aircraft occupies
+    its lane at the snapshot if snapshot lies in [entry, entry +
+    t_cross_min); without a snapshot every occupancy is zero.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
     n_lanes, n_axes = len(flows), len(AXES)
@@ -133,9 +140,9 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     n_obs = [int(math.floor(f.t_cross_min / cfg.obs_dt_min + 1e-9))
              for f in flows]
     per_run = np.zeros((n_runs * n_lanes, n_axes), dtype=np.int64)
-    n_aircraft, block, rows, first = 0, [], 0, 0
-    for r in range(n_runs):
-        rs = src.substream(run_offset + r)
+    occupancy = np.zeros(n_runs, dtype=np.int64)
+    n_aircraft, block, arrivals, rows, first = 0, [], [], 0, 0
+    for r, rs in enumerate(src.substreams(run_offset, n_runs)):
         for li, flow in enumerate(flows):
             window = cfg.horizon_min + flow.t_cross_min
             k = int(rs.poisson(flow.intensity_per_min * window))
@@ -143,19 +150,33 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
             if k == 0:
                 continue
             entries = -flow.t_cross_min + rs.uniform(k) * window
-            if on_arrivals is not None:
-                on_arrivals(r, entries)
+            if snapshot is not None:
+                arrivals.append((r - first, flow.t_cross_min, entries))
+            rows += k
             if n_obs[li] > 0:
                 z = rs.standard_normal((n_obs[li], k, n_axes))
                 block.append(((r - first) * n_lanes + li, entries, z,
                               bounds[li]))
-                rows += k
         if rows >= _BLOCK_ROWS or r == n_runs - 1:
             if block:
                 per_run[first * n_lanes:(r + 1) * n_lanes] = _count_block(
                     cfg, block, coeffs, (r + 1 - first) * n_lanes)
-            block, rows, first = [], 0, r + 1
-    return per_run.reshape(n_runs, n_lanes, n_axes), n_aircraft
+            if arrivals:
+                occupancy[first:r + 1] = _occupancy(arrivals, snapshot,
+                                                    r + 1 - first)
+            block, arrivals, rows, first = [], [], 0, r + 1
+    return per_run.reshape(n_runs, n_lanes, n_axes), n_aircraft, occupancy
+
+
+def _occupancy(arrivals: list, t: float, n_runs: int) -> np.ndarray:
+    """Aircraft per run inside their lane at time t, from (run,
+    residency, entries) arrivals of runs 0..n_runs-1, counted by one
+    bincount."""
+    runs, residency, entries = zip(*arrivals)
+    sizes = [e.size for e in entries]
+    entries = np.concatenate(entries)
+    inside = (entries <= t) & (t < entries + np.repeat(residency, sizes))
+    return np.bincount(np.repeat(runs, sizes)[inside], minlength=n_runs)
 
 
 def _count_block(cfg: ConfigFile, block: list, coeffs,
@@ -192,7 +213,7 @@ def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     if cfg.kind != "single_lane":
         raise ValueError("config kind must be single_lane")
     n_runs = cfg.resolved_runs()
-    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, n_runs, run_offset)
+    per_run, n_aircraft, _ = _lane_counts(cfg, cfg.flows, n_runs, run_offset)
     per_run = per_run[:, 0]
     comps: dict[str, EmpiricalPmf] = {}
     for i, axis in enumerate(AXES):
@@ -214,7 +235,7 @@ def run_multilane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     if cfg.kind != "multilane":
         raise ValueError("config kind must be multilane")
     n_lanes, n_runs = len(cfg.flows), cfg.resolved_runs()
-    per_run, n_aircraft = _lane_counts(cfg, cfg.flows, n_runs, run_offset)
+    per_run, n_aircraft, _ = _lane_counts(cfg, cfg.flows, n_runs, run_offset)
     comps: dict[str, EmpiricalPmf] = {}
     for prefix in range(1, n_lanes + 1):
         tot = per_run[:, :prefix, :].sum(axis=(1, 2))
@@ -245,19 +266,11 @@ def run_crossing(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     geom = cfg.geometry
     if not geom.solved:
         geom = solve_safe_zone(geom)
-    t_safe = geom.t_safe_min
-    t_star = cfg.horizon_min / 2.0
     n_runs = cfg.resolved_runs()
-    occupancy = np.zeros(n_runs, dtype=np.int64)
-
-    def occupy(r, entries):
-        occupancy[r] += int(((entries <= t_star)
-                             & (t_star < entries + t_safe)).sum())
-
     # a zone transit is a lane whose residency is the safe-zone time
-    transits = [replace(f, t_cross_min=t_safe) for f in cfg.flows]
-    per_run, n_aircraft = _lane_counts(cfg, transits, n_runs, run_offset,
-                                       occupy)
+    transits = [replace(f, t_cross_min=geom.t_safe_min) for f in cfg.flows]
+    per_run, n_aircraft, occupancy = _lane_counts(
+        cfg, transits, n_runs, run_offset, snapshot=cfg.horizon_min / 2.0)
     dev, conf = per_run.sum(axis=(1, 2)), np.maximum(occupancy - 1, 0)
     scored = n_aircraft * len(AXES)
     comps = {

@@ -52,6 +52,16 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
     return out
 
 
+def _per_flow_laws(ou: dict[str, OuParams], flows: list[FlowSpec],
+                   horizon: float, obs_dt: float,
+                   n_max: int) -> list[dict[str, TaskloadPmf]]:
+    """per_aircraft_pmf of each flow, computed once per distinct
+    tolerance: flows with equal bounds share one per-aircraft law."""
+    laws = {tol: per_aircraft_pmf(ou, f, horizon, obs_dt, n_max=n_max)
+            for tol, f in {f.tolerance: f for f in flows}.items()}
+    return [laws[f.tolerance] for f in flows]
+
+
 def analytic_single_lane(flow: FlowSpec, ou: dict[str, OuParams],
                          horizon: float, obs_dt: float,
                          densities_out: dict[str, DensityGrid] | None = None,
@@ -65,9 +75,9 @@ def analytic_single_lane(flow: FlowSpec, ou: dict[str, OuParams],
 def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
                        horizon: float, obs_dt: float,
                        n_max: int = 32) -> dict[str, TaskloadPmf]:
-    """Cumulative lane-prefix taskload PMFs (total and lateral)."""
-    per_ac = [per_aircraft_pmf(ou, f, horizon, obs_dt, n_max=n_max)
-              for f in flows]
+    """Cumulative lane-prefix taskload PMFs (total and lateral). Lanes
+    with equal bounds share one per-aircraft law."""
+    per_ac = _per_flow_laws(ou, flows, horizon, obs_dt, n_max)
     out: dict[str, TaskloadPmf] = {}
     for k in range(1, len(flows) + 1):
         for name in ("total", "lateral"):
@@ -95,10 +105,8 @@ def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
     occupancy = conflict_pmf(geom, lam1, lam2)
     # a zone transit is a lane whose residency is the safe-zone time
     transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
-    laws = {tol: per_aircraft_pmf(ou, f, geom.t_safe_min, obs_dt,
-                                  n_max=n_max)["total"]
-            for tol, f in {f.tolerance: f for f in transits}.items()}
-    control = multilane_pmf(transits, [laws[f.tolerance] for f in transits])
+    laws = _per_flow_laws(ou, transits, geom.t_safe_min, obs_dt, n_max)
+    control = multilane_pmf(transits, [law["total"] for law in laws])
     return {
         "occupancy": occupancy,
         "conflict_resolution": conflict_interventions_pmf(occupancy),

@@ -153,6 +153,25 @@ class TestEngine:
         assert np.array_equal(est.components["total"].counts,
                               bincount(dev + conf))
 
+    def test_crossing_occupancy_without_observations(self):
+        # a surveillance step longer than the zone transit scores no
+        # aircraft, yet every arrival still counts toward the snapshot
+        geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
+        flows = [FlowSpec(intensity_per_hour=60.0)] * 2
+        cfg = replace(default_config(), kind="crossing", flows=flows,
+                      geometry=geom, obs_dt_min=2 * geom.t_safe_min,
+                      n_runs=31, seed=57)
+        est = run_crossing(cfg)
+        transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
+        _, n_aircraft, occupancy = reference_counts(
+            cfg, transits, t_star=cfg.horizon_min / 2.0)
+        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        assert est.components["deviation_control"].counts.tolist() == [31]
+        conf = np.maximum(occupancy - 1, 0)
+        assert conf.sum() > 0
+        assert np.array_equal(est.components["conflict_resolution"].counts,
+                              bincount(conf))
+
     def test_merge_split_inside_a_block(self):
         # about 22 runs of a 10/h lane fill one block, so run 37 falls
         # inside the second block of the whole range

@@ -249,14 +249,13 @@ def cmd_analytic(args) -> int:
     densities = {}
     if cfg.kind == "single_lane":
         tables = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
-                                      cfg.obs_dt_min, densities_out=densities,
-                                      n_max=cfg.n_max)
+                                      cfg.obs_dt_min, densities_out=densities)
     elif cfg.kind == "multilane":
         tables = analytic_multilane(cfg.flows, cfg.ou, cfg.horizon_min,
-                                    cfg.obs_dt_min, n_max=cfg.n_max)
+                                    cfg.obs_dt_min)
     else:
         tables = analytic_crossing(cfg.geometry, cfg.flows, cfg.ou,
-                                   cfg.obs_dt_min, n_max=cfg.n_max)
+                                   cfg.obs_dt_min)
     os.makedirs(out_dir, exist_ok=True)
     _write_resolved_config(cfg, out_dir)
     for name, pmf in tables.items():

@@ -5,17 +5,21 @@ reaches some command's output. It resolves to a ConfigFile, the one
 description of a scenario: the analytic pipeline and the Monte Carlo
 harness both read it, and its checks (scenario kind, flows per kind,
 horizon and cadence, run count) run whenever one is built, so both
-routes accept the same scenarios. Unknown keys, sections that are not
-objects and booleans given as counts are rejected with their full path,
-so typos never silently fall back to a default; the
+routes accept the same scenarios. Each parameter section (a
+distributions or ou axis, a flow, a bounds object, the geometry) takes
+its dataclass's fields as keys and starts from a default instance, so
+the reader and the canonical form state no key or default of their own.
+Unknown keys, sections that are not objects and values of the wrong
+type (booleans as counts, null as a number) are rejected with their
+full path, so typos never silently fall back to a default; the
 RETIRED_KEYS load with a warning and are ignored (the retired counting
-switch only when it is off). Defaults carry the
-published per-axis generator and dynamics parameters, the named
-tolerance standards, and the reference scenario
-run counts; the one deliberate departure is that scenario dynamics
-center the reversion mean on the nominal trajectory (the fitted means
-are generator offsets, and corridor bounds are symmetric about the
-path), while the fitted values remain available via ou.OU_FTE_FIT.
+switch only when it is off). Defaults carry the published per-axis
+generator and dynamics parameters, the named tolerance standards, and
+the reference scenario run counts; the one deliberate departure is that
+scenario dynamics center the reversion mean on the nominal trajectory
+(the fitted means are generator offsets, and corridor bounds are
+symmetric about the path), while the fitted values remain available via
+ou.OU_FTE_FIT.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .distributions import AXES, JOHNSON_FTE, JohnsonSuParams
@@ -52,8 +56,21 @@ FLOW_COUNTS = {"single_lane": (1, 1), "multilane": (1, math.inf),
 #: The retired mc counting switch loads only when off, the counting
 #: that remains; on, it is a ConfigError.
 RETIRED_KEYS = {"mc": {"dt_min", "count_full_horizon"},
-                "analytic": {"oracle_paths"},
+                "analytic": {"oracle_paths", "n_max"},
                 "flows[]": {"speed_kt", "lateral_extent_nm"}}
+
+#: The lane and the crossing a config describes when it gives none; a
+#: flow or geometry section starts from these.
+DEFAULT_FLOW = FlowSpec(intensity_per_hour=2.5)
+DEFAULT_GEOMETRY = CrossingGeometry(alpha_deg=90.0)
+
+#: The config keys of each parameter section: its dataclass's fields,
+#: less a flow's tolerance (a section of its own) and the safe zone that
+#: solve_safe_zone derives.
+SECTION_KEYS = {cls: tuple(f.name for f in fields(cls) if f.name not in
+                           {"tolerance", "x1_nm", "x2_nm", "t_safe_min"})
+                for cls in (JohnsonSuParams, OuParams, FlowSpec,
+                            ToleranceBounds, CrossingGeometry)}
 
 
 class ConfigError(ValueError):
@@ -73,10 +90,8 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
         warnings.warn(f"config key {section}.{key} is retired and ignored")
 
 
-def _get_num(obj: dict, key: str, default, path: str):
-    val = obj.get(key, default)
-    if val is None:
-        return None
+def _get_num(obj: dict, key: str, path: str) -> float:
+    val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {val!r}")
     if not math.isfinite(val):
@@ -99,17 +114,15 @@ class ConfigFile:
         default_factory=lambda: dict(JOHNSON_FTE))
     ou: dict[str, OuParams] = field(
         default_factory=lambda: dict(OU_FTE_CENTERED))
-    flows: list[FlowSpec] = field(
-        default_factory=lambda: [FlowSpec(intensity_per_hour=2.5)])
+    flows: list[FlowSpec] = field(default_factory=lambda: [DEFAULT_FLOW])
     geometry: CrossingGeometry = field(
-        default_factory=lambda: CrossingGeometry(alpha_deg=90.0))
+        default_factory=lambda: replace(DEFAULT_GEOMETRY))
     kind: str = "single_lane"
     horizon_min: float = 120.0
     obs_dt_min: float = 1.0
     n_runs: int | None = None
     seed: int = 0
     stream_id: int = 0
-    n_max: int = 32
     output_format: str = "csv"
 
     def __post_init__(self):
@@ -137,9 +150,6 @@ class ConfigFile:
         missing = [axis for axis in AXES if axis not in self.ou]
         if missing:
             raise ConfigError(f"ou: no parameters for axis {missing}")
-        if not _is_int(self.n_max) or self.n_max < 1:
-            raise ConfigError(f"analytic.n_max must be a positive integer, "
-                              f"got {self.n_max!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, "
                               f"got {self.output_format!r}")
@@ -160,29 +170,16 @@ class ConfigFile:
     def to_canonical_dict(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
-            "distributions": {
-                ax: {"gamma": p.gamma, "delta": p.delta,
-                     "scale_lambda": p.scale_lambda, "xi": p.xi}
-                for ax, p in self.distributions.items()},
-            "ou": {ax: {"kappa": p.kappa, "mu": p.mu, "sigma": p.sigma}
-                   for ax, p in self.ou.items()},
-            "flows": [{
-                "intensity_per_hour": f.intensity_per_hour,
-                "t_cross_min": f.t_cross_min,
-                "tolerance": {"lateral_nm": f.tolerance.lateral_nm,
-                              "vertical_ft": f.tolerance.vertical_ft,
-                              "longitudinal_nm": f.tolerance.longitudinal_nm},
-            } for f in self.flows],
-            "geometry": {"alpha_deg": self.geometry.alpha_deg,
-                         "e1_nm": self.geometry.e1_nm,
-                         "e2_nm": self.geometry.e2_nm,
-                         "d_min_nm": self.geometry.d_min_nm,
-                         "speed_kt": self.geometry.speed_kt},
+            "distributions": {ax: _section(p)
+                              for ax, p in self.distributions.items()},
+            "ou": {ax: _section(p) for ax, p in self.ou.items()},
+            "flows": [{**_section(f), "tolerance": _section(f.tolerance)}
+                      for f in self.flows],
+            "geometry": _section(self.geometry),
             "mc": {"kind": self.kind, "horizon_min": self.horizon_min,
                    "obs_dt_min": self.obs_dt_min,
                    "n_runs": self.n_runs, "seed": self.seed,
                    "stream_id": self.stream_id},
-            "analytic": {"n_max": self.n_max},
             "output": {"format": self.output_format},
         }
 
@@ -194,20 +191,27 @@ class ConfigFile:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _parse_axis_table(obj: dict, axis_keys: tuple[str, ...], fields: tuple[str, ...],
-                      builder, defaults: dict, path: str) -> dict:
-    _require_keys(obj, set(axis_keys), path)
-    out = dict(defaults)
-    for axis, sub in obj.items():
-        _require_keys(sub, set(fields), f"{path}.{axis}")
-        base = defaults[axis]
-        kwargs = {f: _get_num(sub, f, getattr(base, f), f"{path}.{axis}")
-                  for f in fields}
-        try:
-            out[axis] = builder(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.{axis}: {exc}") from exc
-    return out
+def _section(params) -> dict[str, float]:
+    return {key: getattr(params, key) for key in SECTION_KEYS[type(params)]}
+
+
+def _read_section(obj, base, path: str, other: tuple[str, ...] = ()):
+    """base with each of its section keys that obj gives replaced; other
+    names keys the caller reads itself."""
+    keys = SECTION_KEYS[type(base)]
+    _require_keys(obj, {*keys, *other}, path)
+    given = {key: _get_num(obj, key, path) for key in keys if key in obj}
+    try:
+        return replace(base, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_axes(obj: dict, defaults: dict, path: str) -> dict:
+    _require_keys(obj, set(AXES), path)
+    return {**defaults, **{axis: _read_section(sub, defaults[axis],
+                                               f"{path}.{axis}")
+                           for axis, sub in obj.items()}}
 
 
 def _parse_tolerance(obj, path: str) -> ToleranceBounds:
@@ -218,34 +222,19 @@ def _parse_tolerance(obj, path: str) -> ToleranceBounds:
         return TOLERANCE_STANDARDS[obj].bounds
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a standard name or bounds object")
-    _require_keys(obj, {"lateral_nm", "vertical_ft", "longitudinal_nm"}, path)
-    try:
-        return ToleranceBounds(
-            lateral_nm=_get_num(obj, "lateral_nm", 0.1, path),
-            vertical_ft=_get_num(obj, "vertical_ft", 20.0, path),
-            longitudinal_nm=_get_num(obj, "longitudinal_nm", 0.5, path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _read_section(obj, DEFAULT_FLOW.tolerance, path)
 
 
 def _parse_flow(obj: dict, path: str) -> FlowSpec:
-    allowed = {"intensity_per_hour", "t_cross_min", "standard", "tolerance"}
-    _require_keys(obj, allowed, path)
-    if "standard" in obj and "tolerance" in obj:
+    named = ("standard", "tolerance")
+    flow = _read_section(obj, DEFAULT_FLOW, path, named)
+    given = [key for key in named if key in obj]
+    if len(given) > 1:
         raise ConfigError(f"{path}: give either 'standard' or 'tolerance'")
-    if "standard" in obj:
-        tol = _parse_tolerance(obj["standard"], f"{path}.standard")
-    elif "tolerance" in obj:
-        tol = _parse_tolerance(obj["tolerance"], f"{path}.tolerance")
-    else:
-        tol = TOLERANCE_STANDARDS["stringent"].bounds
-    try:
-        return FlowSpec(
-            intensity_per_hour=_get_num(obj, "intensity_per_hour", 2.5, path),
-            t_cross_min=_get_num(obj, "t_cross_min", 20.0, path),
-            tolerance=tol)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    for key in given:
+        flow = replace(flow, tolerance=_parse_tolerance(obj[key],
+                                                        f"{path}.{key}"))
+    return flow
 
 
 def default_config() -> ConfigFile:
@@ -264,14 +253,10 @@ def parse_config(data: dict) -> ConfigFile:
 
     kw: dict[str, Any] = {}
     if "distributions" in data:
-        kw["distributions"] = _parse_axis_table(
-            data["distributions"], AXES,
-            ("gamma", "delta", "scale_lambda", "xi"),
-            JohnsonSuParams, dict(JOHNSON_FTE), "distributions")
+        kw["distributions"] = _read_axes(data["distributions"], JOHNSON_FTE,
+                                         "distributions")
     if "ou" in data:
-        kw["ou"] = _parse_axis_table(
-            data["ou"], AXES, ("kappa", "mu", "sigma"),
-            OuParams, dict(OU_FTE_CENTERED), "ou")
+        kw["ou"] = _read_axes(data["ou"], OU_FTE_CENTERED, "ou")
     if "flows" in data:
         flows = data["flows"]
         if not isinstance(flows, list):
@@ -279,18 +264,8 @@ def parse_config(data: dict) -> ConfigFile:
         kw["flows"] = [_parse_flow(f, f"flows[{i}]")
                        for i, f in enumerate(flows)]
     if "geometry" in data:
-        g = data["geometry"]
-        _require_keys(g, {"alpha_deg", "e1_nm", "e2_nm", "d_min_nm",
-                          "speed_kt"}, "geometry")
-        try:
-            kw["geometry"] = CrossingGeometry(
-                alpha_deg=_get_num(g, "alpha_deg", 90.0, "geometry"),
-                e1_nm=_get_num(g, "e1_nm", 1.0, "geometry"),
-                e2_nm=_get_num(g, "e2_nm", 1.0, "geometry"),
-                d_min_nm=_get_num(g, "d_min_nm", 5.0, "geometry"),
-                speed_kt=_get_num(g, "speed_kt", 480.0, "geometry"))
-        except ValueError as exc:
-            raise ConfigError(f"geometry: {exc}") from exc
+        kw["geometry"] = _read_section(data["geometry"], DEFAULT_GEOMETRY,
+                                       "geometry")
     mc = data.get("mc", {})
     if isinstance(mc, dict) and mc.get("count_full_horizon",
                                        False) is not False:
@@ -299,14 +274,11 @@ def parse_config(data: dict) -> ConfigFile:
                           "the key")
     _require_keys(mc, {"kind", "horizon_min", "obs_dt_min", "n_runs",
                        "seed", "stream_id"}, "mc")
-    kw.update({key: _get_num(mc, key, None, "mc")
+    kw.update({key: _get_num(mc, key, "mc")
                for key in ("horizon_min", "obs_dt_min") if key in mc})
     kw.update({key: mc[key] for key in ("kind", "n_runs", "seed", "stream_id")
                if key in mc})
-    analytic = data.get("analytic", {})
-    _require_keys(analytic, {"n_max"}, "analytic")
-    if "n_max" in analytic:
-        kw["n_max"] = analytic["n_max"]
+    _require_keys(data.get("analytic", {}), set(), "analytic")
     output = data.get("output", {})
     _require_keys(output, {"format"}, "output")
     if "format" in output:

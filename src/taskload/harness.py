@@ -78,9 +78,6 @@ class EmpiricalPmf:
         p = float(self.counts[n:].sum() / self.n_runs)
         return p, p < self.resolution_floor
 
-    def to_pmf(self) -> TaskloadPmf:
-        return TaskloadPmf(self.probs, 0.0, self.horizon)
-
     def merge(self, other: "EmpiricalPmf") -> "EmpiricalPmf":
         size = max(self.counts.size, other.counts.size)
         counts = np.zeros(size, dtype=np.int64)

@@ -14,7 +14,9 @@ Three routes to the hitting law exist side by side:
   is kept only for traceability; nothing downstream consumes it.
 
 Hits are renewals on the observation lattice, so counts follow from an
-exact discrete convolution of the first-hit law.
+exact discrete convolution of the first-hit law, carried until at most
+1e-15 of the mass is left; a count never exceeds the number of
+observations, so there is no cap to set.
 """
 
 from __future__ import annotations
@@ -219,34 +221,31 @@ def convolve_density(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.convolve(f, g)[:f.size]
 
 
-def intervention_pmf(f: np.ndarray, n_obs: int, n_max: int = 64,
-                     trunc_eps: float = 1e-6,
+def intervention_pmf(f: np.ndarray, n_obs: int,
                      horizon: float | None = None) -> TaskloadPmf:
     """Count PMF of a renewal chain over observations 1..n_obs whose gaps
     (in observations) have law f, f[m] = P[gap = m] (f[0] = 0).
 
     P[N = n] = sum_t P[S_n = t] P[gap > n_obs - t] with S_n the time of
-    the n-th hit, a sum of nonnegative terms; mass beyond n_max is
-    truncation, and more than trunc_eps of it raises.
+    the n-th hit, a sum of nonnegative terms. Terms are added until at
+    most 1e-15 of the mass is left, kept as truncation mass: a gap lasts
+    at least one observation, so S_n >= n and no law takes more than
+    n_obs + 1 terms.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     f = np.asarray(f, dtype=float)[:n_obs + 1]
     if n_obs < 0 or f.size != n_obs + 1:
         raise ValueError(f"gap law does not cover observations 0..{n_obs}")
+    if f[0] != 0.0:
+        raise ValueError(f"a gap lasts at least one observation: "
+                         f"f[0] = {f[0]}")
     # survival[k] = P[gap > n_obs - k]
     survival = np.clip(1.0 - np.cumsum(f), 0.0, None)[::-1]
     law = np.eye(1, n_obs + 1)[0]  # S_0 = 0
-    probs = []
-    for _ in range(n_max + 1):
+    probs, trunc = [], 1.0
+    while trunc > 1e-15:
         probs.append(float(law @ survival))
         law = convolve_density(law, f)
         trunc = float(law.sum())
-        if trunc < 1e-15:
-            break
-    if trunc > trunc_eps:
-        raise ValueError(
-            f"truncation mass {trunc} exceeds {trunc_eps}; raise n_max")
     return TaskloadPmf(np.array(probs), trunc, horizon)
 
 

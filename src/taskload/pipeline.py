@@ -27,7 +27,7 @@ from .pmf import TaskloadPmf, convolve_pmf, delta_pmf
 
 
 def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
-                     obs_dt: float, n_max: int = 32,
+                     obs_dt: float,
                      densities_out: dict[str, DensityGrid] | None = None
                      ) -> dict[str, TaskloadPmf]:
     """Per-axis and combined intervention-count PMFs for one aircraft
@@ -46,38 +46,38 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
         if densities_out is not None:
             densities_out[axis] = DensityGrid(0.0, obs_dt,
                                               np.append(f, 0.0) / obs_dt)
-        out[axis] = intervention_pmf(f, n_obs, n_max=n_max, horizon=horizon)
+        out[axis] = intervention_pmf(f, n_obs, horizon=horizon)
         combined = convolve_pmf(combined, out[axis]).trimmed(1e-15)
     out["total"] = combined
     return out
 
 
 def _per_flow_laws(ou: dict[str, OuParams], flows: list[FlowSpec],
-                   horizon: float, obs_dt: float,
-                   n_max: int) -> list[dict[str, TaskloadPmf]]:
+                   horizon: float, obs_dt: float
+                   ) -> list[dict[str, TaskloadPmf]]:
     """per_aircraft_pmf of each flow, computed once per distinct
     tolerance: flows with equal bounds share one per-aircraft law."""
-    laws = {tol: per_aircraft_pmf(ou, f, horizon, obs_dt, n_max=n_max)
+    laws = {tol: per_aircraft_pmf(ou, f, horizon, obs_dt)
             for tol, f in {f.tolerance: f for f in flows}.items()}
     return [laws[f.tolerance] for f in flows]
 
 
 def analytic_single_lane(flow: FlowSpec, ou: dict[str, OuParams],
                          horizon: float, obs_dt: float,
-                         densities_out: dict[str, DensityGrid] | None = None,
-                         n_max: int = 32) -> dict[str, TaskloadPmf]:
+                         densities_out: dict[str, DensityGrid] | None = None
+                         ) -> dict[str, TaskloadPmf]:
     """Lane taskload PMFs keyed by axis plus 'total'."""
-    per_ac = per_aircraft_pmf(ou, flow, horizon, obs_dt, n_max=n_max,
+    per_ac = per_aircraft_pmf(ou, flow, horizon, obs_dt,
                               densities_out=densities_out)
     return {key: single_lane_pmf(flow, pmf) for key, pmf in per_ac.items()}
 
 
 def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
-                       horizon: float, obs_dt: float,
-                       n_max: int = 32) -> dict[str, TaskloadPmf]:
+                       horizon: float, obs_dt: float
+                       ) -> dict[str, TaskloadPmf]:
     """Cumulative lane-prefix taskload PMFs (total and lateral). Lanes
     with equal bounds share one per-aircraft law."""
-    per_ac = _per_flow_laws(ou, flows, horizon, obs_dt, n_max)
+    per_ac = _per_flow_laws(ou, flows, horizon, obs_dt)
     out: dict[str, TaskloadPmf] = {}
     for k in range(1, len(flows) + 1):
         for name in ("total", "lateral"):
@@ -90,8 +90,8 @@ def analytic_multilane(flows: list[FlowSpec], ou: dict[str, OuParams],
 
 
 def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
-                      ou: dict[str, OuParams], obs_dt: float,
-                      n_max: int = 32) -> dict[str, TaskloadPmf]:
+                      ou: dict[str, OuParams], obs_dt: float
+                      ) -> dict[str, TaskloadPmf]:
     """Crossing taskload: conflict, deviation-control, and total PMFs.
 
     Deviation control counts each aircraft over the observations of its
@@ -105,7 +105,7 @@ def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
     occupancy = conflict_pmf(geom, lam1, lam2)
     # a zone transit is a lane whose residency is the safe-zone time
     transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
-    laws = _per_flow_laws(ou, transits, geom.t_safe_min, obs_dt, n_max)
+    laws = _per_flow_laws(ou, transits, geom.t_safe_min, obs_dt)
     control = multilane_pmf(transits, [law["total"] for law in laws])
     return {
         "occupancy": occupancy,

@@ -223,7 +223,7 @@ def test_c05_renewal_poisson_oracle():
         p = -math.expm1(-rate_per_hour / 60.0 * h)
         f = np.zeros(n_obs + 1)
         f[1:] = p * (1.0 - p) ** np.arange(n_obs)
-        pmf = intervention_pmf(f, n_obs, n_max=64)
+        pmf = intervention_pmf(f, n_obs)
         n = np.arange(pmf.probs.size)
         target = TaskloadPmf(stats.binom.pmf(n, n_obs, p),
                              stats.binom.sf(n[-1], n_obs, p), 120.0)

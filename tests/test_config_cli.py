@@ -15,6 +15,39 @@ from taskload.cli import main
 from taskload.config import parse_config
 
 
+#: A crossing config with every key set off its default: bounds on one
+#: flow, a standard name on the other.
+OFF_DEFAULT = {
+    "schema_version": 1,
+    "distributions": {
+        "lateral": {"gamma": 0.5, "delta": 2.0, "scale_lambda": 0.05,
+                    "xi": -0.04},
+        "vertical": {"gamma": -0.2, "delta": 1.5, "scale_lambda": 8.0,
+                     "xi": 9.0},
+        "longitudinal": {"gamma": 0.1, "delta": 1.2, "scale_lambda": 0.3,
+                         "xi": 0.2}},
+    "ou": {"lateral": {"kappa": 3.0, "mu": 0.01, "sigma": 0.08},
+           "vertical": {"kappa": 2.0, "mu": -1.0, "sigma": 9.0},
+           "longitudinal": {"kappa": 2.5, "mu": 0.05, "sigma": 0.3}},
+    "flows": [{"intensity_per_hour": 7.5, "t_cross_min": 15.0,
+               "tolerance": {"lateral_nm": 0.3, "vertical_ft": 35.0,
+                             "longitudinal_nm": 1.2}},
+              {"intensity_per_hour": 4.0, "t_cross_min": 25.0,
+               "standard": "severe"}],
+    "geometry": {"alpha_deg": 60.0, "e1_nm": 2.0, "e2_nm": 1.5,
+                 "d_min_nm": 3.0, "speed_kt": 420.0},
+    "mc": {"kind": "crossing", "horizon_min": 90.0, "obs_dt_min": 0.5,
+           "n_runs": 123, "seed": 9, "stream_id": 4},
+    "output": {"format": "json"},
+}
+
+PINNED_SHA256 = {
+    "default":
+        "70073ce1341d058de700c8581f0b0af04d28767524fa7b852fb436bde98e0684",
+    "off_default":
+        "78c8014277e86e060d5244d67071c8becf675c9172e9549e22a47d78b3fe3ab4"}
+
+
 class TestConfig:
     def test_defaults_carry_published_tables(self):
         cfg = default_config()
@@ -72,6 +105,27 @@ class TestConfig:
         cfg = default_config()
         again = parse_config(cfg.to_canonical_dict())
         assert again.sha256() == cfg.sha256()
+
+    def test_every_key_off_its_default(self):
+        cfg = parse_config(OFF_DEFAULT)
+        defaults = dict(leaves(default_config().to_canonical_dict()))
+        for path, value in leaves(cfg.to_canonical_dict()):
+            # each flow is compared with the default lane
+            base = (path[0], 0, *path[2:]) if path[0] == "flows" else path
+            assert path == ("schema_version",) or value != defaults[base], \
+                path
+
+    def test_off_default_round_trip(self):
+        cfg = parse_config(OFF_DEFAULT)
+        again = parse_config(cfg.to_canonical_dict())
+        assert again == cfg
+        assert again.sha256() == cfg.sha256()
+
+    def test_pinned_hashes(self):
+        # a change of the canonical form moves every provenance hash
+        assert default_config().sha256() == PINNED_SHA256["default"]
+        assert parse_config(OFF_DEFAULT).sha256() == \
+            PINNED_SHA256["off_default"]
 
     @pytest.mark.parametrize("change, message", [
         ({"kind": "warp_drive"}, "mc.kind: unknown scenario"),
@@ -321,21 +375,6 @@ class TestConfigReachesOutput:
         assert (out / "mc_total.csv").exists()
         assert not (out / "mc_total.json").exists()
 
-    def test_n_max_reaches_per_aircraft_pmf(self, tmp_path, monkeypatch):
-        from taskload import pipeline
-        seen = []
-        real = pipeline.per_aircraft_pmf
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("n_max"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "per_aircraft_pmf", spy)
-        cfg = lane_config(tmp_path, analytic={"n_max": 4})
-        assert main(["analytic", "--config", str(cfg),
-                     "--out", str(tmp_path / "an")]) == 0
-        assert seen == [4]
-
 
 RETIRED = ("mc.dt_min", "analytic.oracle_paths", "flows[].speed_kt",
            "flows[].lateral_extent_nm")
@@ -400,7 +439,7 @@ class TestAnalyticIsDeterministic:
             assert sum(key in n for n in notices) == 1
         canonical = cfg.to_canonical_dict()
         assert "dt_min" not in canonical["mc"]
-        assert "oracle_paths" not in canonical["analytic"]
+        assert "analytic" not in canonical
         assert set(canonical["flows"][0]) == {"intensity_per_hour",
                                               "t_cross_min", "tolerance"}
         assert cfg.sha256() == default_config().sha256()
@@ -496,6 +535,34 @@ class TestMalformedValues:
         self.assert_exits_2(tmp_path, capsys, data,
                             f"{path} must be an object")
 
+    @pytest.mark.parametrize("data, path", [
+        ({"geometry": {"alpha_deg": None}}, "geometry.alpha_deg"),
+        ({"flows": [{"intensity_per_hour": None}]},
+         "flows[0].intensity_per_hour"),
+        ({"flows": [{"t_cross_min": None}]}, "flows[0].t_cross_min"),
+        ({"flows": [{"tolerance": {"lateral_nm": None}}]},
+         "flows[0].tolerance.lateral_nm"),
+        ({"ou": {"lateral": {"kappa": None}}}, "ou.lateral.kappa"),
+        ({"distributions": {"lateral": {"delta": None}}},
+         "distributions.lateral.delta"),
+    ])
+    def test_null_is_not_a_number(self, tmp_path, capsys, data, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**data, "mc": {"n_runs": 5}}))
+        for command in ("analytic", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path} must be a number, got None" in err
+            assert err.count(path) == 1
+            assert not out.exists()
+
+    def test_null_run_count_is_unset(self):
+        cfg = parse_config({"mc": {"n_runs": None}})
+        assert cfg.n_runs is None
+        assert cfg.resolved_runs() == default_config().resolved_runs()
+
     def test_boolean_is_not_an_integer(self, tmp_path, capsys):
         for data, message in (
                 ({"mc": {"n_runs": True}},
@@ -504,8 +571,6 @@ class TestMalformedValues:
                  "mc.seed must be an integer, got True"),
                 ({"mc": {"n_runs": 5, "stream_id": False}},
                  "mc.stream_id must be an integer, got False"),
-                ({"mc": {"n_runs": 5}, "analytic": {"n_max": True}},
-                 "analytic.n_max must be a positive integer, got True"),
                 ({"mc": {"n_runs": 5}, "schema_version": True},
                  "unsupported schema_version True")):
             self.assert_exits_2(tmp_path, capsys, data, message)
@@ -583,6 +648,49 @@ class TestRetiredKeysStillLoad:
         assert files[True] == files[False]
 
 
+class TestRetiredCountCap:
+    """Counts are carried to a 1e-15 tail and never exceed the number of
+    observations, so analytic.n_max caps nothing: it loads as retired."""
+
+    def test_n_max_loads_with_one_warning_unhashed(self):
+        with pytest.warns(UserWarning) as rec:
+            cfg = parse_config({"analytic": {"n_max": 3}})
+        assert [str(w.message) for w in rec] == [
+            "config key analytic.n_max is retired and ignored"]
+        assert cfg.sha256() == default_config().sha256()
+
+    def test_n_max_moves_no_byte(self, tmp_path):
+        files = {}
+        for n_max in (3, None):
+            sections = {"mc": {"n_runs": 20}}
+            if n_max is not None:
+                sections["analytic"] = {"n_max": n_max}
+            cfg = lane_config(tmp_path, **sections)
+            out = tmp_path / f"n_max-{n_max}"
+            codes, notices = main_recording(*(
+                [command, "--config", str(cfg), "--out", str(out / command)]
+                for command in ("analytic", "simulate")))
+            assert codes == [0, 0]
+            assert len(notices) == (n_max is not None)
+            files[n_max] = {p.relative_to(out): p.read_bytes()
+                            for p in out.rglob("*") if p.is_file()}
+        assert len(files[3]) > 8
+        assert files[3] == files[None]
+
+    def test_tight_bound_carries_every_count(self, tmp_path):
+        # a lateral bound hit at almost every observation: up to 120
+        # counts per aircraft, all of them kept
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"flows": [{"tolerance": {"lateral_nm": 0.01}}]}))
+        out = tmp_path / "an"
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = payload(out / "analytic_total.csv")[1:]
+        mass = sum(float(row.split(",")[1]) for row in rows)
+        assert mass == pytest.approx(1.0, abs=1e-9)
+
+
 def leaves(obj, path=()):
     """(key path, value) of every leaf of a nested dict/list."""
     if isinstance(obj, (dict, list)):
@@ -600,8 +708,7 @@ class TestEveryLeafReachesOutput:
     BASE = {"flows": [{"intensity_per_hour": 10.0}],
             "mc": {"kind": "single_lane", "n_runs": 20, "seed": 3}}
     # where a plain step would leave the output alone or be invalid
-    CHOSEN = {("mc", "kind"): "multilane", ("output", "format"): "json",
-              ("analytic", "n_max"): 3}
+    CHOSEN = {("mc", "kind"): "multilane", ("output", "format"): "json"}
 
     @classmethod
     def perturbed(cls, path, value):

@@ -203,7 +203,7 @@ class TestInterventionPmf:
         # the module's primary correctness anchor: a chain hit with the
         # same probability at every observation counts binomially
         p_obs = -math.expm1(-rate_per_hour / 60.0 * 0.05)
-        pmf = intervention_pmf(geometric_law(p_obs, 2400), 2400, n_max=64)
+        pmf = intervention_pmf(geometric_law(p_obs, 2400), 2400)
         n = np.arange(pmf.probs.size)
         target = TaskloadPmf(stats.binom.pmf(n, 2400, p_obs),
                              stats.binom.sf(n[-1], 2400, p_obs), 120.0)
@@ -213,7 +213,7 @@ class TestInterventionPmf:
         # gaps of exactly 10 observations give floor(35/10) renewals
         f = np.zeros(41)
         f[10] = 1.0
-        pmf = intervention_pmf(f, 35, n_max=8)
+        pmf = intervention_pmf(f, 35)
         assert pmf.mode() == 3
         assert pmf.probs[3] > 0.99
 
@@ -233,18 +233,25 @@ class TestInterventionPmf:
         p_long = intervention_pmf(f, 120)
         assert p_long.p_geq(1) >= p_short.p_geq(1)
 
-    def test_truncation_guard(self):
-        with pytest.raises(ValueError):
-            intervention_pmf(geometric_law(10.0 / 60.0, 120), 120, n_max=10)
-
     def test_broken_density_raises(self):
-        # the guard wiring: an impossible truncation threshold raises, and
-        # so does a law that does not reach the counting window
-        with pytest.raises(ValueError):
-            intervention_pmf(geometric_law(10.0 / 60.0, 120), 120, n_max=12,
-                             trunc_eps=1e-12)
+        # the guard wiring: a law that does not reach the counting window
         with pytest.raises(ValueError):
             intervention_pmf(np.zeros(61), 120)
+
+    def test_gap_of_zero_observations_raises(self):
+        # f[0] = 0 is what bounds a count by n_obs
+        f = geometric_law(10.0 / 60.0, 120)
+        f[0] = 1e-3
+        with pytest.raises(ValueError, match=r"f\[0\]"):
+            intervention_pmf(f, 120)
+
+    def test_every_count_up_to_n_obs_is_carried(self):
+        # a hit at every observation: the count is n_obs, with no cap
+        f = np.zeros(121)
+        f[1] = 1.0
+        pmf = intervention_pmf(f, 120)
+        assert pmf.mode() == 120 and pmf.probs.size == 121
+        assert pmf.truncation_mass == 0.0
 
     def test_mean_is_sum_of_per_observation_hits(self):
         # E[N] = sum_m h_m with h_m = sum_j f_j h_{m-j} the probability of
@@ -254,7 +261,7 @@ class TestInterventionPmf:
         h[0] = 1.0
         for m in range(1, 121):
             h[m] = sum(f[j] * h[m - j] for j in range(1, m + 1))
-        pmf = intervention_pmf(f, 120, n_max=32)
+        pmf = intervention_pmf(f, 120)
         assert pmf.mean() == pytest.approx(h[1:].sum(), abs=1e-12)
 
 
@@ -269,11 +276,10 @@ class TestCrossValidation:
         horizon, res = 120.0, 1.0
         mc = intervention_count_mc(p, b, horizon, res, 0.0, 100000,
                                    RandomSource(113))
-        kernel = intervention_pmf(first_hit_law(p, 0.1, res, 120), 120,
-                                  n_max=16)
+        kernel = intervention_pmf(first_hit_law(p, 0.1, res, 120), 120)
         grid = fpt_density_oracle(p, b, horizon, res, 300000,
                                   RandomSource(109))
-        oracle = intervention_pmf(grid.values[:121] * res, 120, n_max=16)
+        oracle = intervention_pmf(grid.values[:121] * res, 120)
         assert tv_distance(kernel, mc) < 0.02
         assert tv_distance(oracle, mc) < 0.02
         assert tv_distance(kernel, oracle) < 0.02

@@ -4,7 +4,10 @@ Commands: generate, calibrate, analytic, simulate, compare, safe-zone.
 All tabular output is CSV with fixed headers (or JSON via --format or
 the config's output.format), prefixed by a provenance comment block
 (tool version, config hash, and the seed for the commands that draw)
-sufficient to reproduce the numeric payload byte for byte. analytic
+sufficient to reproduce the numeric payload byte for byte. A count
+table also records its own horizon_min, unless its law has no time
+window (the crossing's occupancy and conflict tables); compare refuses
+two tables whose recorded horizons differ (exit 3). analytic
 and simulate both read the loaded config.ConfigFile; simulate runs a
 copy carrying its --runs and --seed overrides, while provenance and
 config_resolved.json describe the config as loaded. calibrate and
@@ -33,8 +36,9 @@ from .config import (SCHEMA_VERSION, TOOL_NAME, TOOL_VERSION, ConfigError,
                      ConfigFile, default_config, load_config)
 from .distributions import johnson_sample
 from .flow import solve_safe_zone
-from .harness import (McEstimate, compare as compare_pmfs, run_crossing,
-                      run_multilane, run_single_lane)
+from .harness import (EmpiricalPmf, McEstimate, compare as compare_pmfs,
+                      run_crossing, run_multilane, run_single_lane,
+                      same_horizon)
 from .pipeline import (analytic_crossing, analytic_multilane,
                        analytic_single_lane)
 from .pmf import TaskloadPmf
@@ -81,6 +85,12 @@ def _provenance(cfg: ConfigFile | None, extra: dict,
         prov.update(seed=seed, stream_id=cfg.stream_id)
     prov.update(extra)
     return prov
+
+
+def _with_horizon(prov: dict, horizon: float | None) -> dict:
+    """A table's provenance: prov plus the horizon its counts refer to,
+    omitted for window-free laws."""
+    return prov if horizon is None else {**prov, "horizon_min": horizon}
 
 
 def _fmt(x: float) -> str:
@@ -260,7 +270,8 @@ def cmd_analytic(args) -> int:
     _write_resolved_config(cfg, out_dir)
     for name, pmf in tables.items():
         path = os.path.join(out_dir, f"analytic_{name}.{fmt}")
-        _write_table(path, fmt, prov, ["n", "prob"], _pmf_rows(pmf))
+        _write_table(path, fmt, _with_horizon(prov, pmf.horizon),
+                     ["n", "prob"], _pmf_rows(pmf))
     for axis, grid in densities.items():
         path = os.path.join(out_dir, f"density_{axis}.{fmt}")
         rows = [[float(t), float(v)]
@@ -296,12 +307,15 @@ def cmd_simulate(args) -> int:
     fmt = _format(args, cfg)
     for name, (header, rows) in _estimate_tables(est).items():
         path = os.path.join(args.out, f"mc_{name}.{fmt}")
-        _write_table(path, fmt, prov, header, rows)
+        horizon = est.components[name].horizon
+        _write_table(path, fmt, _with_horizon(prov, horizon), header, rows)
     return EXIT_OK
 
 
-def _read_pmf_table(path: str) -> tuple[np.ndarray, float, int | None]:
-    """(probs, truncation, n_runs if recorded) from a written table."""
+def _read_pmf_table(path: str
+                    ) -> tuple[np.ndarray, float, int | None, float | None]:
+    """(probs, truncation, n_runs, horizon_min) from a written table; a
+    value its provenance does not record is None."""
     probs = []
     trunc = 0.0
     try:
@@ -310,39 +324,50 @@ def _read_pmf_table(path: str) -> tuple[np.ndarray, float, int | None]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if path.endswith(".json"):
-        payload = json.loads("\n".join(lines))
-        rows = payload["rows"]
-        n_runs = payload.get("provenance", {}).get("n_runs")
+        try:
+            payload = json.loads("\n".join(lines))
+            rows, prov = payload["rows"], payload.get("provenance", {})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: not a JSON table: {exc!r}") from None
     else:
         body = [ln for ln in lines if ln and not ln.startswith("#")]
         rows = list(csv.reader(body))[1:]
-        n_runs = next((ln.partition("=")[2] for ln in lines
-                       if ln.startswith("# n_runs=")), None)
+        prov = dict(ln[2:].partition("=")[::2] for ln in lines
+                    if ln.startswith("# "))
     for row in rows:
-        if row[0] == "truncation":
-            trunc = float(row[1])
-        else:
-            probs.append(float(row[1]))
+        try:
+            if row[0] == "truncation":
+                trunc = float(row[1])
+            else:
+                probs.append(float(row[1]))
+        except (IndexError, KeyError, TypeError, ValueError):
+            raise DataError(f"{path}: malformed PMF row {row!r}") from None
     if not probs:
         raise DataError(f"{path}: no PMF rows")
-    try:
-        n_runs = None if n_runs is None else int(n_runs)
-    except ValueError:
-        raise DataError(f"{path}: bad n_runs {n_runs!r}") from None
-    return np.asarray(probs), trunc, n_runs
+    recorded = []
+    for key, cast in (("n_runs", int), ("horizon_min", float)):
+        val = prov.get(key)
+        try:
+            recorded.append(None if val is None else cast(val))
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: bad {key} {val!r}") from None
+    return np.asarray(probs), trunc, *recorded
 
 
 def cmd_compare(args) -> int:
-    from .harness import EmpiricalPmf
-    a_probs, a_trunc, _ = _read_pmf_table(args.analytic)
-    m_probs, _, recorded_runs = _read_pmf_table(args.mc)
-    analytic = TaskloadPmf(a_probs, a_trunc)
+    a_probs, a_trunc, _, a_horizon = _read_pmf_table(args.analytic)
+    m_probs, _, recorded_runs, m_horizon = _read_pmf_table(args.mc)
+    if not same_horizon(a_horizon, m_horizon):
+        raise DataError(f"{args.analytic} counts over horizon_min="
+                        f"{a_horizon} but {args.mc} over horizon_min="
+                        f"{m_horizon}; the tables are not comparable")
+    analytic = TaskloadPmf(a_probs, a_trunc, a_horizon)
     n_runs = args.runs or recorded_runs
     if not n_runs:
         raise DataError(f"{args.mc}: no n_runs in its provenance; "
                         f"give --runs")
     counts = np.rint(m_probs * n_runs).astype(np.int64)
-    mc = EmpiricalPmf(counts, int(counts.sum()), 0)
+    mc = EmpiricalPmf(counts, int(counts.sum()), 0, m_horizon)
     report = compare_pmfs(analytic, mc, tv_threshold=args.tv)
     body = {
         "tv_distance": report.tv,

@@ -282,12 +282,15 @@ def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
 def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
                        counts: np.ndarray, counted: np.ndarray | None = None,
                        reset: float = 0.0, two_sided: bool = True) -> None:
-    """Step x (rows, axes) through one exact transition (coeffs = per-axis
-    (a, b, s) at the observation step) per slice of the noise block z
+    """Step x (rows, axes) through one exact transition (coeffs = (a, b,
+    s) at the observation step) per slice of the noise block z
     (observations, rows, axes) and observe it; x, counts and z (scaled
     by s) are updated in place. A row-axis at or beyond its bound is a
-    hit and resets to `reset`; hits on rows counted at that step (an
-    (observations, rows) mask, all by default) add one to counts."""
+    hit and resets to `reset`; hits on row-axes counted at that step (an
+    (observations, rows, axes) mask, all by default) add one to counts.
+    Each element computes ((a x) + b) + s z. Coefficients and bounds
+    broadcast to x; give them x's full shape so that each ufunc runs one
+    contiguous inner loop, not one of length axes per row."""
     a, b, s = coeffs
     z *= s
     hits, tmp = np.empty(x.shape, dtype=bool), np.empty_like(x)
@@ -299,7 +302,7 @@ def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
                          out=hits)
         np.copyto(x, reset, where=hits)
         if counted is not None:
-            hits &= counted[m][:, None]
+            hits &= counted[m]
         counts += hits
 
 

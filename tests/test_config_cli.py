@@ -691,6 +691,88 @@ class TestRetiredCountCap:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
+def recorded_horizon(path):
+    """The horizon_min a written table records, or None."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["provenance"].get("horizon_min")
+    return next((float(line.partition("=")[2])
+                 for line in path.read_text().splitlines()
+                 if line.startswith("# horizon_min=")), None)
+
+
+class TestCompareChecksHorizons:
+    """Each count table records its own horizon; compare refuses a pair
+    whose recorded horizons differ and compares every other pair."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_crossing_deviation_control_refused(self, tmp_path, capsys, fmt):
+        cfg = bench_shaped_config(tmp_path, "crossing", [5.0, 5.0], False)
+        out = {}
+        for command in ("analytic", "simulate"):
+            out[command] = tmp_path / command
+            assert main([command, "--config", str(cfg), "--format", fmt,
+                         "--out", str(out[command])]) == 0
+        analytic = out["analytic"] / f"analytic_deviation_control.{fmt}"
+        mc = out["simulate"] / f"mc_deviation_control.{fmt}"
+        t_safe = recorded_horizon(analytic)
+        assert t_safe == pytest.approx(1.0088834764831847, rel=1e-12)
+        assert recorded_horizon(mc) == 120.0
+        capsys.readouterr()
+        assert main(["compare", "--analytic", str(analytic),
+                     "--mc", str(mc)]) == 3
+        err = capsys.readouterr().err
+        assert f"horizon_min={t_safe}" in err
+        assert "horizon_min=120.0" in err
+        # window-free laws record no horizon and still compare
+        for name in ("occupancy", "conflict_resolution"):
+            assert recorded_horizon(
+                out["analytic"] / f"analytic_{name}.{fmt}") is None
+        assert main(["compare", "--analytic",
+                     str(out["analytic"] / f"analytic_conflict_resolution"
+                         f".{fmt}"),
+                     "--mc", str(out["simulate"]
+                                 / f"mc_conflict_resolution.{fmt}")]) in (0, 5)
+
+    @pytest.mark.parametrize("name, text", [
+        ("garbled.json", "not json"),
+        ("no_rows.json", '{"columns": ["n", "prob"]}'),
+        ("list.json", "[1, 2]"),
+        ("short_row.csv", "n,prob\n0\n"),
+        ("text_prob.csv", "n,prob\n0,half\n"),
+        ("bad_horizon.csv", "# horizon_min=soon\nn,prob\n0,1\n")])
+    def test_malformed_table_is_a_data_error(self, tmp_path, name, text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        good = tmp_path / "good.csv"
+        good.write_text("# n_runs=10\nn,prob\n0,1\n")
+        assert main(["compare", "--analytic", str(bad),
+                     "--mc", str(good)]) == 3
+
+    def test_lane_pair_compares_as_without_horizons(self, tmp_path):
+        cfg = lane_config(tmp_path)
+        for command in ("analytic", "simulate"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / command)]) == 0
+        for name in ("lateral", "vertical", "longitudinal", "total"):
+            pair = [tmp_path / "analytic" / f"analytic_{name}.csv",
+                    tmp_path / "simulate" / f"mc_{name}.csv"]
+            assert [recorded_horizon(p) for p in pair] == [120.0, 120.0]
+            bare = []
+            for p in pair:
+                bare.append(tmp_path / f"bare_{p.name}")
+                bare[-1].write_text("".join(
+                    line for line in p.read_text().splitlines(True)
+                    if not line.startswith("# horizon_min=")))
+            reports = []
+            for a, m in (pair, bare):
+                rep = tmp_path / "rep.json"
+                code = main(["compare", "--analytic", str(a), "--mc", str(m),
+                             "--out", str(rep)])
+                reports.append((code, payload(rep)))
+            assert reports[0][0] in (0, 5)
+            assert reports[0] == reports[1]
+
+
 def leaves(obj, path=()):
     """(key path, value) of every leaf of a nested dict/list."""
     if isinstance(obj, (dict, list)):

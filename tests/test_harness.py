@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (AXES, OU_FTE_CENTERED, CrossingGeometry, EmpiricalPmf,
-                      FlowSpec, RandomSource, TaskloadPmf, compare,
-                      compare_empirical, conflict_interventions_pmf,
+from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, CrossingGeometry,
+                      EmpiricalPmf, FlowSpec, RandomSource, TaskloadPmf,
+                      compare, compare_empirical, conflict_interventions_pmf,
                       conflict_pmf, default_config, delta_pmf, run_crossing,
                       run_multilane, run_single_lane, solve_safe_zone,
                       transition_coeffs, wilson_interval)
@@ -98,16 +98,28 @@ class TestEngine:
     """The block engine against a plain per-aircraft loop. Run counts are
     not multiples of any block, and each case spans several blocks."""
 
-    def test_single_lane_matches_reference_loop(self):
-        cfg = lane_cfg(n_runs=97, seed=51)
+    @staticmethod
+    def assert_lane_matches_reference_loop(cfg):
         est = run_single_lane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows)
         assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        assert (per_run.sum(axis=(0, 1)) > 0).all()
         for j, axis in enumerate(AXES):
             assert np.array_equal(est.components[axis].counts,
                                   bincount(per_run[:, 0, j]))
         assert np.array_equal(est.components["total"].counts,
                               bincount(per_run.sum(axis=(1, 2))))
+
+    def test_single_lane_matches_reference_loop(self):
+        self.assert_lane_matches_reference_loop(lane_cfg(n_runs=97, seed=51))
+
+    def test_single_lane_with_reversion_means_matches_reference_loop(self):
+        # nonzero means give every axis its own b, so a coefficient
+        # repeated along the wrong axis of a block changes the counts
+        assert len({transition_coeffs(p, 1.0)[1]
+                    for p in OU_FTE_FIT.values()}) == len(AXES)
+        self.assert_lane_matches_reference_loop(
+            lane_cfg(n_runs=89, seed=57, ou=dict(OU_FTE_FIT)))
 
     def test_multilane_matches_reference_loop(self):
         # lanes of unequal residency pad the shorter ones' noise in a block

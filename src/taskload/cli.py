@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -438,6 +439,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "output.format, csv)")
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taskload",

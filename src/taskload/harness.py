@@ -19,9 +19,21 @@ exactly the estimate of the combined run range. The runs' substreams
 come from RandomSource.substreams, which seeds them all in one
 vectorised pass and draws bit for bit what substream(run_offset + r)
 draws; NEP 19 keeps numpy's SeedSequence and PCG64 seeding, which it
-reimplements, stream-compatible. Blocks of runs are stacked and scored
-together; each run still draws from its own substream in a fixed order,
-so block boundaries change no output.
+reimplements, stream-compatible.
+
+The run loop only draws. Its draws are scored in blocks of runs, each
+block by one engine call and a fixed number of array calls, however
+many runs and lanes it holds. A block is laid out lane-major: the rows
+of one lane, its aircraft of every run in run order, are one column
+range of the (observations, rows, axes) noise block, filled by one copy
+per lane. Lanes that are never observed (residency below one
+surveillance step) come last and stay out of the engine; their aircraft
+still count toward aircraft and occupancy. Each run draws from its own
+substream in a fixed order, so neither the layout nor the block
+boundaries change an output. _BLOCK_ROWS, about 2 048 aircraft, is the
+knee of the benchmark's Monte Carlo throughput: smaller blocks pay the
+per-block array calls more often, and larger ones gain nothing more
+while holding more draws.
 
 The step loop runs on full (rows, axes) operands: the per-axis
 transition coefficients are repeated to the block's shape, as its
@@ -47,7 +59,7 @@ from .ou import _observe_and_reset, transition_coeffs
 from .pmf import TaskloadPmf, wilson_interval
 from .rng import RandomSource
 
-_BLOCK_ROWS = 512  # aircraft per engine call; bounds the draws held
+_BLOCK_ROWS = 2048  # aircraft per engine call; bounds the draws held
 
 
 @dataclass
@@ -132,87 +144,111 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     count, arrival times, then the lane's noise tensor (observations,
     aircraft, axes). A lane's residency is its flow's t_cross_min, and
     each aircraft is observed floor(t_cross_min / obs_dt_min) times.
-    Runs are scored in blocks of about _BLOCK_ROWS aircraft, one engine
-    call each, so block boundaries change no count. An aircraft occupies
-    its lane at the snapshot if snapshot lies in [entry, entry +
-    t_cross_min); without a snapshot every occupancy is zero.
+    The run loop only draws; runs are scored in blocks of about
+    _BLOCK_ROWS aircraft, so block boundaries change no count. An
+    aircraft occupies its lane at the snapshot if snapshot lies in
+    [entry, entry + t_cross_min); without a snapshot every occupancy is
+    zero.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
-    n_lanes, n_axes = len(flows), len(AXES)
-    coeffs = [np.array(c) for c in zip(
-        *(transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES))]
-    bounds = [np.array([f.tolerance.for_axis(a) for a in AXES])
-              for f in flows]
-    n_obs = [int(math.floor(f.t_cross_min / cfg.obs_dt_min + 1e-9))
-             for f in flows]
-    per_run = np.zeros((n_runs * n_lanes, n_axes), dtype=np.int64)
+    lanes = range(len(flows))
+    block = _Block(cfg, flows, snapshot)
+    mean = [f.intensity_per_min * w
+            for f, w in zip(flows, block.window.tolist())]
+    n_obs = block.n_obs.tolist()
+    per_run = np.zeros((n_runs, len(flows), len(AXES)), dtype=np.int64)
     occupancy = np.zeros(n_runs, dtype=np.int64)
-    n_aircraft, block, arrivals, rows, first = 0, [], [], 0, 0
+    n_aircraft, ks, us, zs = 0, [], [[] for _ in lanes], [[] for _ in lanes]
+    rows, first = 0, 0
     for r, rs in enumerate(src.substreams(run_offset, n_runs)):
-        for li, flow in enumerate(flows):
-            window = cfg.horizon_min + flow.t_cross_min
-            k = int(rs.poisson(flow.intensity_per_min * window))
-            n_aircraft += k
-            if k == 0:
-                continue
-            entries = -flow.t_cross_min + rs.uniform(k) * window
-            if snapshot is not None:
-                arrivals.append((r - first, flow.t_cross_min, entries))
-            rows += k
-            if n_obs[li] > 0:
-                z = rs.standard_normal((n_obs[li], k, n_axes))
-                block.append(((r - first) * n_lanes + li, entries, z,
-                              bounds[li]))
+        for li in lanes:
+            k = rs.poisson(mean[li])
+            ks.append(k)
+            if k:
+                us[li].append(rs.uniform(k))
+                if n_obs[li]:
+                    zs[li].append(rs.standard_normal((n_obs[li], k,
+                                                      len(AXES))))
+                rows += k
         if rows >= _BLOCK_ROWS or r == n_runs - 1:
-            if block:
-                per_run[first * n_lanes:(r + 1) * n_lanes] = _count_block(
-                    cfg, block, coeffs, (r + 1 - first) * n_lanes)
-            if arrivals:
-                occupancy[first:r + 1] = _occupancy(arrivals, snapshot,
-                                                    r + 1 - first)
-            block, arrivals, rows, first = [], [], 0, r + 1
-    return per_run.reshape(n_runs, n_lanes, n_axes), n_aircraft, occupancy
+            n_aircraft += rows
+            if rows:
+                per_run[first:r + 1], occupancy[first:r + 1] = block.score(
+                    ks, us, zs)
+            ks, rows, first = [], 0, r + 1
+    return per_run, n_aircraft, occupancy
 
 
-def _occupancy(arrivals: list, t: float, n_runs: int) -> np.ndarray:
-    """Aircraft per run inside their lane at time t, from (run,
-    residency, entries) arrivals of runs 0..n_runs-1, counted by one
-    bincount."""
-    runs, residency, entries = zip(*arrivals)
-    sizes = [e.size for e in entries]
-    entries = np.concatenate(entries)
-    inside = (entries <= t) & (t < entries + np.repeat(residency, sizes))
-    return np.bincount(np.repeat(runs, sizes)[inside], minlength=n_runs)
+class _Block:
+    """Scores the draws of a block of runs with a fixed number of array
+    calls, whatever the number of runs and lanes in it. Rows are laid out
+    lane-major, observed lanes first in config order, each lane's
+    aircraft in run order (see the module docstring)."""
 
+    def __init__(self, cfg: ConfigFile, flows: list[FlowSpec],
+                 snapshot: float | None):
+        self.obs_dt, self.horizon = cfg.obs_dt_min, cfg.horizon_min
+        self.snapshot = snapshot
+        self.t_cross = np.array([f.t_cross_min for f in flows])
+        self.window = cfg.horizon_min + self.t_cross
+        self.n_obs = np.floor(self.t_cross / cfg.obs_dt_min + 1e-9).astype(int)
+        self.order = sorted(range(len(flows)),
+                            key=lambda li: self.n_obs[li] == 0)
+        self.bounds = np.array([[f.tolerance.for_axis(a) for a in AXES]
+                                for f in flows])
+        self.coeffs = np.array([transition_coeffs(cfg.ou[a], cfg.obs_dt_min)
+                                for a in AXES]).T
 
-def _count_block(cfg: ConfigFile, block: list, coeffs,
-                 n_groups: int) -> np.ndarray:
-    """Counts per (group, axis) of (group, entries, noise, bounds) lane
-    draws, stacked and scored by one engine call. A lane's aircraft are
-    observed m_last times, the length of its noise. Every excursion is
-    reset, including those during the pre-window warm-up; it counts if
-    observed (steps 1..m_last) inside the horizon. Resets after m_last
-    touch only states that are never scored."""
-    groups, entries, noise, bounds = zip(*block)
-    sizes = [e.size for e in entries]
-    m_last = np.repeat([part.shape[0] for part in noise], sizes)
-    entries = np.concatenate(entries)
-    bounds = np.repeat(np.stack(bounds), sizes, axis=0)
-    z = np.zeros((int(m_last.max()),) + bounds.shape)
-    for part, i in zip(noise, np.cumsum([0] + sizes)):
-        z[:part.shape[0], i:i + part.shape[1]] = part
-    m = np.arange(1, z.shape[0] + 1)[:, None]
-    t_obs = entries + m * cfg.obs_dt_min
-    counted = ((m <= m_last) & (t_obs >= -1e-9)
-               & (t_obs <= cfg.horizon_min + 1e-9))
-    # full-shape operands: every ufunc of the step loop runs contiguously
-    coeffs = [np.repeat(c[None], bounds.shape[0], axis=0) for c in coeffs]
-    counted = np.repeat(counted[:, :, None], bounds.shape[1], axis=2)
-    x, counts = np.zeros(bounds.shape), np.zeros(bounds.shape, np.int64)
-    _observe_and_reset(x, z, coeffs, bounds, counts, counted)
-    group = np.repeat(groups, sizes)
-    return np.stack([np.bincount(group, c, n_groups) for c in counts.T],
-                    axis=1).astype(np.int64)
+    def score(self, ks: list[int], us: list[list], zs: list[list]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Counts per (run, lane, axis) and occupancy per run of a block
+        of runs, from its flat (run, lane) arrival counts ks and its
+        per-lane lists of arrival uniforms us and noise zs, which it
+        empties. Every excursion is reset, including those during the
+        pre-window warm-up; it counts if observed (steps 1..n_obs of its
+        lane) inside the horizon. Resets after a lane's n_obs touch only
+        states that are never scored."""
+        n_lanes, n_axes = len(us), len(AXES)
+        k = np.array(ks).reshape(-1, n_lanes)[:, self.order].T
+        n_runs, lane_rows = k.shape[1], k.sum(axis=1)
+        run = np.repeat(np.tile(np.arange(n_runs), n_lanes), k.ravel())
+        lane = np.repeat(self.order, lane_rows)
+        u = np.concatenate([part for li in self.order for part in us[li]])
+        for parts in us:
+            parts.clear()
+        entries = -self.t_cross[lane] + u * self.window[lane]
+        occupancy = np.zeros(n_runs, dtype=np.int64)
+        if self.snapshot is not None:
+            t = self.snapshot
+            inside = (entries <= t) & (t < entries + self.t_cross[lane])
+            occupancy = np.bincount(run[inside], minlength=n_runs)
+        counts = np.zeros((n_runs, n_lanes, n_axes), dtype=np.int64)
+        m_last = self.n_obs[lane]
+        n_rows = int(np.count_nonzero(m_last))
+        if n_rows == 0:
+            return counts, occupancy
+        # one copy per lane into a column range of the zero-padded block
+        z = np.zeros((int(m_last.max()), n_rows, n_axes))
+        stops = np.cumsum(lane_rows).tolist()
+        for li, start, stop in zip(self.order, [0] + stops, stops):
+            if zs[li]:
+                np.concatenate(zs[li], axis=1,
+                               out=z[:self.n_obs[li], start:stop])
+                zs[li].clear()
+        m = np.arange(1, z.shape[0] + 1)[:, None]
+        t_obs = entries[:n_rows] + m * self.obs_dt
+        counted = ((m <= m_last[:n_rows]) & (t_obs >= -1e-9)
+                   & (t_obs <= self.horizon + 1e-9))
+        # full-shape operands: every ufunc of the step loop runs contiguously
+        coeffs = np.repeat(self.coeffs[:, None], n_rows, axis=1)
+        counted = np.repeat(counted[:, :, None], n_axes, axis=2)
+        bounds = self.bounds[lane[:n_rows]]
+        x, hits = np.zeros(bounds.shape), np.zeros(bounds.shape, np.int64)
+        _observe_and_reset(x, z, coeffs, bounds, hits, counted)
+        cell = (run[:n_rows] * n_lanes + lane[:n_rows]) * n_axes
+        counts.flat = np.bincount((cell[:, None] + np.arange(n_axes)).ravel(),
+                                  hits.ravel(), counts.size)
+        return counts, occupancy
 
 
 def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:

@@ -590,13 +590,37 @@ def test_runtime_never_imports_scipy(tmp_path):
         f"        '--out', {str(tmp_path / 'out')!r} + cmd]) == 0",
         "print(json.dumps([m for m in sys.modules",
         "                  if m.split('.')[0] == 'scipy']))"])
-    src = os.path.dirname(os.path.dirname(taskload.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this taskload."""
+    src = os.path.dirname(os.path.dirname(taskload.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_one_process_writes_what_fresh_processes_write(tmp_path):
+    # the parser is built once per process: no option of one call may
+    # reach the next
+    cfg = lane_config(tmp_path, mc={"n_runs": 5})
+    assert taskload.cli.build_parser() is taskload.cli.build_parser()
+    for i, argv in enumerate([["simulate", "--runs", "7", "--format", "json"],
+                              ["simulate"]]):
+        argv += ["--config", str(cfg)]
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert main(argv + ["--out", str(here)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "taskload.cli", *argv, "--out", str(fresh)],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written = sorted(p.name for p in here.iterdir())
+        assert written == sorted(p.name for p in fresh.iterdir())
+        assert [read_payload(here / n) for n in written] == \
+            [read_payload(fresh / n) for n in written]
 
 
 def bench_shaped_config(tmp_path, kind, intensities, retired):

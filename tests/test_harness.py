@@ -12,7 +12,7 @@ from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, CrossingGeometry,
                       run_multilane, run_single_lane, solve_safe_zone,
                       transition_coeffs, wilson_interval)
 from taskload.flow import TOLERANCE_STANDARDS
-from taskload.harness import _BLOCK_ROWS
+from taskload import harness
 
 
 def lane_cfg(**kw):
@@ -94,15 +94,23 @@ def bincount(values):
     return np.bincount(values, minlength=int(values.max(initial=0)) + 1)
 
 
+ENGINE_BLOCK_ROWS = 512
+
+
 class TestEngine:
     """The block engine against a plain per-aircraft loop. Run counts are
-    not multiples of any block, and each case spans several blocks."""
+    not multiples of any block, and each case spans several blocks of
+    ENGINE_BLOCK_ROWS aircraft."""
+
+    @pytest.fixture(autouse=True)
+    def pinned_block_rows(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", ENGINE_BLOCK_ROWS)
 
     @staticmethod
     def assert_lane_matches_reference_loop(cfg):
         est = run_single_lane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows)
-        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
         assert (per_run.sum(axis=(0, 1)) > 0).all()
         for j, axis in enumerate(AXES):
             assert np.array_equal(est.components[axis].counts,
@@ -134,7 +142,31 @@ class TestEngine:
                       ou=slow, n_runs=41, seed=53)
         est = run_multilane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, flows)
-        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        for prefix in (1, 2, 3):
+            assert np.array_equal(
+                est.components[f"lanes{prefix}_total"].counts,
+                bincount(per_run[:, :prefix].sum(axis=(1, 2))))
+            assert np.array_equal(
+                est.components[f"lanes{prefix}_lateral"].counts,
+                bincount(per_run[:, :prefix, 0].sum(axis=1)))
+
+    def test_multilane_with_unobserved_lane_matches_reference_loop(self):
+        # the half-minute lane is never observed at a 1-minute cadence:
+        # its aircraft count, but it adds no intervention
+        flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
+                          tolerance=TOLERANCE_STANDARDS[name].bounds)
+                 for name, t_cross in (("stringent", 0.5), ("severe", 7.5),
+                                       ("stringent", 20.0))]
+        slow = {a: replace(p, kappa=p.kappa / 20)
+                for a, p in OU_FTE_CENTERED.items()}
+        cfg = replace(default_config(), kind="multilane", flows=flows,
+                      ou=slow, obs_dt_min=1.0, n_runs=29, seed=59)
+        est = run_multilane(cfg)
+        per_run, n_aircraft, _ = reference_counts(cfg, flows)
+        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        assert per_run[:, 0].sum() == 0
+        assert (per_run[:, 1:].sum(axis=(0, 2)) > 0).all()
         for prefix in (1, 2, 3):
             assert np.array_equal(
                 est.components[f"lanes{prefix}_total"].counts,
@@ -154,7 +186,7 @@ class TestEngine:
         transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
         per_run, n_aircraft, occupancy = reference_counts(
             cfg, transits, t_star=cfg.horizon_min / 2.0)
-        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
         dev = per_run.sum(axis=(1, 2))
         conf = np.maximum(occupancy - 1, 0)
         assert dev.sum() > 0
@@ -177,7 +209,7 @@ class TestEngine:
         transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
         _, n_aircraft, occupancy = reference_counts(
             cfg, transits, t_star=cfg.horizon_min / 2.0)
-        assert est.n_aircraft == n_aircraft > 2 * _BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
         assert est.components["deviation_control"].counts.tolist() == [31]
         conf = np.maximum(occupancy - 1, 0)
         assert conf.sum() > 0
@@ -195,6 +227,40 @@ class TestEngine:
         for key in whole.components:
             assert np.array_equal(merged.components[key].counts,
                                   whole.components[key].counts)
+
+
+def unequal_multilane_cfg():
+    flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross)
+             for t_cross in (20.0, 7.5, 30.0)]
+    return replace(default_config(), kind="multilane", flows=flows,
+                   n_runs=37, seed=61)
+
+
+def crossing_cfg():
+    return replace(default_config(), kind="crossing",
+                   flows=[FlowSpec(intensity_per_hour=60.0)] * 2,
+                   geometry=solve_safe_zone(CrossingGeometry(alpha_deg=30.0)),
+                   n_runs=43, seed=63)
+
+
+@pytest.mark.parametrize("runner, cfg", [
+    (run_single_lane, lane_cfg(n_runs=53, seed=65)),
+    (run_multilane, unequal_multilane_cfg()),
+    (run_crossing, crossing_cfg()),
+], ids=["single_lane", "multilane", "crossing"])
+def test_block_size_changes_no_output(monkeypatch, runner, cfg):
+    estimates = []
+    for rows in (1, 7, 512, 10**6):
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", rows)
+        estimates.append(runner(cfg))
+    first = estimates[0]
+    assert first.n_aircraft > 512
+    assert first.components["total"].counts.size > 1  # some run counts
+    for est in estimates[1:]:
+        assert est.n_aircraft == first.n_aircraft
+        assert est.components.keys() == first.components.keys()
+        for key, comp in first.components.items():
+            assert np.array_equal(est.components[key].counts, comp.counts)
 
 
 class TestSingleLane:

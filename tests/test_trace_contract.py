@@ -55,3 +55,6 @@ def test_traced_commands_record_the_run_count(tmp_path):
     assert all(s[tracing.ATTRS]["runs"] == 7 for s in harness)
     metrics = tracing.layer_metrics(tracer.spans, roots, 3)
     assert metrics["harness.runs"] == 7
+    # every normal draw goes through RandomSource.standard_normal, which
+    # the tracer wraps: one per aircraft-axis observation
+    assert metrics["rng.normal_draws"] == metrics["harness.aircraft_obs"] > 0

@@ -38,11 +38,10 @@ from .config import (SCHEMA_VERSION, TOOL_NAME, TOOL_VERSION, ConfigError,
 from .distributions import johnson_sample
 from .flow import solve_safe_zone
 from .harness import (EmpiricalPmf, McEstimate, compare as compare_pmfs,
-                      run_crossing, run_multilane, run_single_lane,
-                      same_horizon)
+                      run_crossing, run_multilane, run_single_lane)
 from .pipeline import (analytic_crossing, analytic_multilane,
                        analytic_single_lane)
-from .pmf import TaskloadPmf
+from .pmf import TaskloadPmf, same_horizon
 from .rng import RandomSource
 
 EXIT_OK = 0
@@ -114,15 +113,23 @@ def _json_payload(prov: dict, body: dict) -> str:
                       sort_keys=True) + "\n"
 
 
-def _write_table(path: str, fmt: str, prov: dict, header: list[str],
+def _write(path: str | None, payload: str) -> None:
+    """Write payload to path, or to stdout when no path is given."""
+    if path:
+        _atomic_write(path, payload)
+    else:
+        sys.stdout.write(payload)
+
+
+def _write_table(path: str | None, fmt: str, prov: dict, header: list[str],
                  rows: list[list]) -> None:
     if fmt == "json":
         body = {"columns": header,
                 "rows": [[float(v) if isinstance(v, (int, float)) else v
                           for v in row] for row in rows]}
-        _atomic_write(path, _json_payload(prov, body))
+        _write(path, _json_payload(prov, body))
     else:
-        _atomic_write(path, _csv_payload(prov, header, rows))
+        _write(path, _csv_payload(prov, header, rows))
 
 
 def _pmf_rows(pmf: TaskloadPmf) -> list[list]:
@@ -142,8 +149,6 @@ def cmd_generate(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seed
     axis = args.axis
-    if axis not in cfg.distributions:
-        raise ConfigError(f"unknown axis {axis!r}")
     col = AXIS_COLUMNS[axis]
     prov = _provenance(cfg, {"command": "generate", "axis": axis,
                              "n": args.n}, seed)
@@ -285,10 +290,9 @@ def _estimate_tables(est: McEstimate) -> dict[str, tuple[list[str], list[list]]]
     out = {}
     for name, emp in est.components.items():
         lo, hi = emp.ci
-        floor = emp.resolution_floor
-        rows = [[int(n), float(p), float(l), float(h),
-                 int(p < floor)]
-                for n, (p, l, h) in enumerate(zip(emp.probs, lo, hi))]
+        rows = [[int(n), float(p), float(l), float(h), int(b)]
+                for n, (p, l, h, b) in enumerate(zip(emp.probs, lo, hi,
+                                                     emp.below_floor))]
         out[name] = (["n", "prob", "ci_lo", "ci_hi", "below_floor"], rows)
     return out
 
@@ -379,11 +383,7 @@ def cmd_compare(args) -> int:
     prov = _provenance(None, {"command": "compare",
                               "analytic": os.path.basename(args.analytic),
                               "mc": os.path.basename(args.mc)})
-    payload = _json_payload(prov, body)
-    if args.out:
-        _atomic_write(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args.out, _json_payload(prov, body))
     return EXIT_OK if report.passed else EXIT_COMPARE
 
 
@@ -399,10 +399,7 @@ def cmd_safe_zone(args) -> int:
     rows = [[float(solved.alpha_deg), float(solved.e1_nm), float(solved.e2_nm),
              float(solved.d_min_nm), float(solved.x1_nm), float(solved.x2_nm),
              float(solved.t_safe_min)]]
-    if args.out:
-        _write_table(args.out, _format(args, cfg), prov, header, rows)
-    else:
-        sys.stdout.write(_csv_payload(prov, header, rows))
+    _write_table(args.out, _format(args, cfg), prov, header, rows)
     return EXIT_OK
 
 
@@ -486,7 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compare", help="TV comparison of two PMF tables")
     p.add_argument("--analytic", required=True)
     p.add_argument("--mc", required=True)
-    p.add_argument("--tv", type=float, default=0.02)
+    p.add_argument("--tv", default=0.02,
+                   help="TV distance threshold (default 0.02)",
+                   type=_checked(float, lambda t: 0.0 < t <= 1.0,
+                                 "a threshold in (0, 1]"))
     p.add_argument("--runs", type=_RUNS, default=None,
                    help="MC run count behind the estimate (default: the "
                         "n_runs in its provenance)")

@@ -1,12 +1,12 @@
-"""Johnson S_U model of flight technical error, plus counting primitives.
+"""Johnson S_U model of flight technical error.
 
 The lateral FTE of an RNP-equipped aircraft is well described by a
 Johnson "unbounded system" (S_U) transform of a standard normal: heavy
 tailed and skewed. This module carries the fitted per-axis parameter
 sets used as the package-wide data generator, the transform/density/
-inverse/moment machinery, the standard normal CDF ``normal_cdf`` that
-``johnson_cdf`` and the hitting kernel share, and the Poisson/exponential
-sampling used by the flow layer.
+inverse/moment machinery, and the standard normal CDF ``normal_cdf`` that
+``johnson_cdf`` and the hitting kernel share. The Monte Carlo harness
+draws its arrival counts and times from ``RandomSource`` directly.
 
 Units are fixed throughout the package: nautical miles for the lateral
 and longitudinal axes, feet for the vertical axis, minutes for time.
@@ -171,18 +171,3 @@ def johnson_moments(p: JohnsonSuParams) -> MomentSet:
     return MomentSet(mu1=mean, mu2=var,
                      beta1=mu3 ** 2 / var ** 3, beta2=mu4 / var ** 2)
 
-
-def poisson_sample(intensity_time: float, src: RandomSource, size=None):
-    """Poisson count with mean lambda*tau (a dimensionless product)."""
-    if intensity_time < 0.0:
-        raise ValueError(f"intensity*time must be >= 0, got {intensity_time}")
-    out = src.poisson(intensity_time, size)
-    return out if size is not None else int(out)
-
-
-def exponential_sample(rate: float, src: RandomSource, size=None):
-    """Exponential interarrival gap(s) with the given rate (1/time)."""
-    if rate <= 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    out = src.exponential(1.0 / rate, size)
-    return out if size is not None else float(out)

@@ -47,7 +47,6 @@ unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +55,7 @@ from .config import ConfigFile
 from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
 from .ou import _observe_and_reset, transition_coeffs
-from .pmf import TaskloadPmf, wilson_interval
+from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
 
 _BLOCK_ROWS = 2048  # aircraft per engine call; bounds the draws held
@@ -93,6 +92,10 @@ class EmpiricalPmf:
     def below_floor(self) -> np.ndarray:
         return self.probs < self.resolution_floor
 
+    @property
+    def pmf(self) -> TaskloadPmf:
+        return TaskloadPmf(self.probs, 0.0, self.horizon)
+
     def prob_geq(self, n: int) -> tuple[float, bool]:
         """(P[N >= n], below-floor flag). Never report sub-floor tail
         probabilities as point values."""
@@ -100,13 +103,16 @@ class EmpiricalPmf:
         return p, p < self.resolution_floor
 
     def merge(self, other: "EmpiricalPmf") -> "EmpiricalPmf":
+        """Pooled estimate of two run ranges; raises ValueError if they
+        count over different horizons."""
+        horizon = common_horizon(self.horizon, other.horizon)
         size = max(self.counts.size, other.counts.size)
         counts = np.zeros(size, dtype=np.int64)
         counts[:self.counts.size] += self.counts
         counts[:other.counts.size] += other.counts
         return EmpiricalPmf(counts, self.n_runs + other.n_runs,
                             self.n_observations + other.n_observations,
-                            self.horizon)
+                            horizon)
 
 
 @dataclass
@@ -121,8 +127,14 @@ class McEstimate:
     kind: str
 
     def merge(self, other: "McEstimate") -> "McEstimate":
+        """The estimate of two disjoint run ranges of one (seed, stream);
+        raises ValueError for estimates that do not belong together."""
         if set(self.components) != set(other.components) or self.kind != other.kind:
             raise ValueError("component mismatch")
+        if (self.seed, self.stream_id) != (other.seed, other.stream_id):
+            raise ValueError(f"stream mismatch: (seed, stream_id) "
+                             f"{(self.seed, self.stream_id)} vs "
+                             f"{(other.seed, other.stream_id)}")
         merged = {k: v.merge(other.components[k])
                   for k, v in self.components.items()}
         return McEstimate(merged, self.n_runs + other.n_runs,
@@ -338,40 +350,28 @@ class CompareReport:
     passed: bool
 
 
-def same_horizon(a: float | None, b: float | None) -> bool:
-    """False only when both horizons are recorded and differ: such count
-    laws score different windows and cannot be compared."""
-    return (a is None or b is None
-            or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9))
-
-
 def compare(analytic: TaskloadPmf, mc: EmpiricalPmf,
             tv_threshold: float = 0.02) -> CompareReport:
     """TV distance and per-bin z-scores of an MC estimate against an
     analytic PMF; fails when TV exceeds the threshold."""
-    if not same_horizon(analytic.horizon, mc.horizon):
-        raise ValueError(f"incompatible supports: horizons "
-                         f"{analytic.horizon} vs {mc.horizon}")
-    size = max(analytic.probs.size, mc.counts.size)
-    pa = analytic.padded(size)
-    pm = np.zeros(size)
-    pm[:mc.counts.size] = mc.probs
-    tv = 0.5 * (np.abs(pa - pm).sum() + analytic.truncation_mass)
+    common_horizon(analytic.horizon, mc.horizon)  # raises on a mismatch
+    law = mc.pmf
+    size = max(analytic.probs.size, law.probs.size)
+    pa, pm = analytic.padded(size), law.padded(size)
+    tv = tv_distance(analytic, law)
     se = np.sqrt(np.maximum(pa * (1.0 - pa), 1e-30) / mc.n_runs)
     z = (pm - pa) / se
-    return CompareReport(float(tv), z, tv_threshold, bool(tv < tv_threshold))
+    return CompareReport(tv, z, tv_threshold, bool(tv < tv_threshold))
 
 
 def compare_empirical(a: EmpiricalPmf, b: EmpiricalPmf,
                       z_max: float = 3.5) -> CompareReport:
     """Joint per-bin z comparison of two independent MC estimates."""
-    size = max(a.counts.size, b.counts.size)
-    pa = np.zeros(size)
-    pa[:a.counts.size] = a.probs
-    pb = np.zeros(size)
-    pb[:b.counts.size] = b.probs
+    law_a, law_b = a.pmf, b.pmf
+    size = max(law_a.probs.size, law_b.probs.size)
+    pa, pb = law_a.padded(size), law_b.padded(size)
     se = np.sqrt(pa * (1 - pa) / a.n_runs + pb * (1 - pb) / b.n_runs)
     se = np.maximum(se, 1e-30)
     z = (pa - pb) / se
-    tv = 0.5 * float(np.abs(pa - pb).sum())
+    tv = tv_distance(law_a, law_b)
     return CompareReport(tv, z, z_max, bool(np.max(np.abs(z)) <= z_max))

@@ -1,17 +1,14 @@
 """First-hit laws and the per-aircraft intervention-count PMF.
 
-Three routes to the hitting law exist side by side:
-
-* ``first_hit_law`` computes, without sampling, the law of the first
-  observation that finds an axis at or beyond its bound. It is the
-  route all taskload computations use; its exit masses are Gaussian
-  tails from ``distributions.normal_cdf``.
-* ``fpt_density_oracle`` estimates it from grid-monitored first-passage
-  simulation; the tests keep it as a cross-check.
-* ``fpt_density_closed_form`` evaluates the published one-sided
-  closed-form expression exactly as printed. The printed formula groups
-  X0 with sigma^2 in ways that do not survive dimensional analysis and
-  is kept only for traceability; nothing downstream consumes it.
+``first_hit_law`` computes, without sampling, the law of the first
+observation that finds an axis at or beyond its bound; its exit masses
+are Gaussian tails from ``distributions.normal_cdf``. Every taskload
+computation uses it. ``fpt_density_oracle`` estimates the same law from
+grid-monitored first-passage simulation; it stays here, uncalled by any
+command, because the benchmark tracer patches it by this name, and the
+tests keep it as a cross-check. The paper's printed one-sided density
+lives with the tests (``tests/oracles.py``), which nothing computes
+from.
 
 Hits are renewals on the observation lattice, so counts follow from an
 exact discrete convolution of the first-hit law, carried until at most
@@ -33,8 +30,6 @@ from .ou import Barrier, OuParams, first_passage_mc, transition_coeffs
 from .pmf import TaskloadPmf
 from .rng import RandomSource
 
-FLAG_OVERFLOW = "overflow"
-FLAG_DEGENERATE = "degenerate_input"
 FLAG_NO_HITS = "no_hits"
 
 
@@ -80,54 +75,6 @@ class DensityGrid:
         if self.values.size < 2:
             return 0.0
         return float(np.trapezoid(self.values, dx=self.dt_grid))
-
-
-@dataclass
-class ClosedFormEval:
-    """Ordinates of the as-printed expression plus evaluation flags."""
-
-    values: np.ndarray
-    flags: list[str] = field(default_factory=list)
-
-
-def fpt_density_closed_form(p: OuParams, b: Barrier, t) -> ClosedFormEval:
-    """The published one-sided hitting density, verbatim.
-
-    f(t) = (k - X0/sigma^2)/sqrt(2 pi) * (kappa/(sigma^2 sinh(kappa t)))^{3/2}
-           * exp[ kappa/(2 sigma^2) * ( (X0/sigma^2 - mu)^2 - (k - mu)^2
-                                        + sigma^2 t
-                                        - (X0/sigma^2)^2 coth(kappa t) ) ]
-
-    Kept exactly as printed (including the X0/sigma^2 groupings) for
-    traceability; use first_hit_law for anything quantitative.
-    Overflow or invalid regions evaluate to 0 and are flagged.
-    """
-    if b.kind != "one_sided":
-        raise ValueError("closed form is defined for one-sided barriers only")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
-        raise ValueError("t must be > 0")
-    flags: list[str] = []
-    if p.sigma == 0.0 or p.kappa == 0.0:
-        flags.append(FLAG_DEGENERATE)
-        return ClosedFormEval(np.zeros_like(t), flags)
-    k, x0 = b.level, b.origin
-    sig2 = p.sigma ** 2
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pref = (k - x0 / sig2) / math.sqrt(2.0 * math.pi)
-        core = (p.kappa / (sig2 * np.sinh(p.kappa * t))) ** 1.5
-        expo = (p.kappa / (2.0 * sig2)) * (
-            (x0 / sig2 - p.mu) ** 2 - (k - p.mu) ** 2 + sig2 * t
-            - (x0 / sig2) ** 2 / np.tanh(p.kappa * t))
-        vals = pref * core * np.exp(expo)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        flags.append(FLAG_OVERFLOW)
-        vals = np.where(bad, 0.0, vals)
-    if np.any(vals < 0.0):
-        flags.append(FLAG_DEGENERATE)
-        vals = np.clip(vals, 0.0, None)
-    return ClosedFormEval(vals, flags)
 
 
 def fpt_density_oracle(p: OuParams, b: Barrier, horizon: float,
@@ -248,24 +195,3 @@ def intervention_pmf(f: np.ndarray, n_obs: int,
         trunc = float(law.sum())
     return TaskloadPmf(np.array(probs), trunc, horizon)
 
-
-def closed_form_divergence_report(p: OuParams, b: Barrier, horizon: float,
-                                  dt: float, n_paths: int,
-                                  src: RandomSource) -> dict:
-    """Side-by-side of the as-printed closed form and the MC oracle.
-
-    Reports the two hitting probabilities and their ratio without
-    asserting agreement; the printed expression is known not to match.
-    """
-    t = np.arange(dt, horizon + dt / 2, dt)
-    cf = fpt_density_closed_form(p, b, t)
-    cf_integral = float(np.trapezoid(cf.values, dx=dt))
-    fp = first_passage_mc(p, b, horizon, dt, n_paths, src)
-    ratio = cf_integral / fp.probability if fp.probability > 0 else math.inf
-    return {
-        "closed_form_integral": cf_integral,
-        "mc_probability": fp.probability,
-        "mc_ci": (fp.ci_low, fp.ci_high),
-        "ratio": ratio,
-        "flags": list(cf.flags),
-    }

@@ -71,18 +71,6 @@ OU_FTE_FIT = {
 OU_FTE_CENTERED = {axis: replace(p, mu=0.0) for axis, p in OU_FTE_FIT.items()}
 
 
-@dataclass
-class AxisState:
-    """Deviation x (spatial unit) at elapsed time t (min) on one axis."""
-
-    x: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.t)):
-            raise ValueError("non-finite axis state")
-
-
 @dataclass(frozen=True)
 class Barrier:
     """Intervention boundary for one axis.
@@ -130,36 +118,6 @@ def transition_coeffs(p: OuParams, dt: float) -> tuple[float, float, float]:
     # (1 - e^{-2 kappa dt}) / (2 kappa), stable for small kappa*dt
     var = p.sigma ** 2 * (-math.expm1(-2.0 * p.kappa * dt)) / (2.0 * p.kappa)
     return a, b, math.sqrt(var)
-
-
-def ou_step(state: AxisState, p: OuParams, dt: float,
-            src: RandomSource) -> AxisState:
-    """One exact conditional transition of length dt."""
-    a, b, s = transition_coeffs(p, dt)
-    x = a * state.x + b + s * src.standard_normal()
-    return AxisState(x=float(x), t=state.t + dt)
-
-
-def ou_path(p: OuParams, x0: float, horizon: float, dt: float,
-            src: RandomSource) -> tuple[np.ndarray, np.ndarray]:
-    """Iterated exact transitions from x0.
-
-    Returns (times, values) with ceil(horizon/dt) + 1 entries each,
-    deterministic given src.
-    """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    n_steps = math.ceil(horizon / dt - 1e-12)
-    a, b, s = transition_coeffs(p, dt)
-    z = src.standard_normal(n_steps)
-    values = np.empty(n_steps + 1)
-    values[0] = x0
-    x = float(x0)
-    for i in range(n_steps):
-        x = a * x + b + s * z[i]
-        values[i + 1] = x
-    times = np.arange(n_steps + 1) * dt
-    return times, values
 
 
 @dataclass

@@ -77,13 +77,18 @@ def delta_pmf(n: int = 0, horizon: float | None = None) -> TaskloadPmf:
     return TaskloadPmf(probs, 0.0, horizon)
 
 
+def same_horizon(a: float | None, b: float | None) -> bool:
+    """False only when both horizons are recorded and differ: count laws
+    over different windows can be neither combined nor compared."""
+    return (a is None or b is None
+            or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9))
+
+
 def common_horizon(a: float | None, b: float | None) -> float | None:
     """The shared time window of two count laws (None means window-free)."""
-    if a is None or b is None:
-        return a if a is not None else b
-    if not math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-9):
+    if not same_horizon(a, b):
         raise ValueError(f"horizon mismatch: {a} vs {b}")
-    return a
+    return a if a is not None else b
 
 
 def convolve_pmf(p: TaskloadPmf, q: TaskloadPmf) -> TaskloadPmf:

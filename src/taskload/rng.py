@@ -104,10 +104,6 @@ class RandomSource:
                 yield child
             index = end
 
-    def clone(self) -> "RandomSource":
-        """A fresh source rewound to the start of this stream."""
-        return RandomSource(self.seed, self.stream_id, self._lineage)
-
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
@@ -120,9 +116,6 @@ class RandomSource:
 
     def poisson(self, mean, size=None):
         return self._gen.poisson(mean, size)
-
-    def exponential(self, scale, size=None):
-        return self._gen.exponential(scale, size)
 
     def __repr__(self) -> str:
         key = self._lineage + (self.stream_id,)

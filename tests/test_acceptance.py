@@ -43,6 +43,8 @@ from taskload.flow import TOLERANCE_STANDARDS, conflict_interventions_pmf, confl
 from taskload.hitting import first_hit_law, intervention_pmf
 from taskload.pipeline import analytic_single_lane, per_aircraft_pmf
 
+from oracles import ou_path
+
 LAT_FIT = tl.OU_FTE_FIT["lateral"]
 CENTERED = tl.OU_FTE_CENTERED
 JOHNSON_LAT = tl.JOHNSON_FTE["lateral"]
@@ -159,8 +161,8 @@ def test_c03_calibration_round_trip():
             kappa=float(np.exp(rng.uniform(math.log(0.8), math.log(4.0)))),
             mu=float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)),
             sigma=float(rng.uniform(0.2, 0.8)))
-        _, x = tl.ou_path(truth, truth.mu, horizon=10 ** 4, dt=0.1,
-                          src=RandomSource(33100 + trial))
+        _, x = ou_path(truth, truth.mu, horizon=10 ** 4, dt=0.1,
+                       src=RandomSource(33100 + trial))
         ts = tl.TimeSeries(x, dt=0.1)
         ls, ml = tl.fit_least_squares(ts), tl.fit_mle(ts)
         within = all(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from taskload import (JOHNSON_FTE, OuParams, RandomSource, TimeSeries,
-                      fit_least_squares, fit_mle, johnson_sample, ou_path)
+                      fit_least_squares, fit_mle, johnson_sample)
 from taskload.calibration import (FLAG_NO_MEAN_MEMORY, DegenerateDataError,
                                   sample_moments)
+
+from oracles import ou_path
 
 
 def affine_series(a=0.5, b=0.1, n=200, x0=1.0):

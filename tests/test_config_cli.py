@@ -299,6 +299,18 @@ class TestCli:
         assert abs(t_safe - 1.0) < 0.3
         assert "# seed=" not in read_payload(out)
 
+    def test_safe_zone_json_on_stdout(self, tmp_path, capsys):
+        # without --out the table goes to stdout in the chosen format
+        out = tmp_path / "zone.json"
+        assert main(["safe-zone", "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["safe-zone", "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads(read_payload(out))
+        assert printed["columns"] == written["columns"]
+        assert printed["rows"] == written["rows"]
+        assert "t_safe_min" in printed["columns"]
+
     def test_compare_command_pass_and_fail(self, tmp_path):
         analytic = tmp_path / "a.csv"
         mc = tmp_path / "m.csv"
@@ -472,6 +484,10 @@ class TestCommandLineValues:
          "unrecognized"),
         (["calibrate", "--config", "c.json", "--in", "x.csv",
           "--out", "r.json"], "unrecognized"),
+        (["compare", "--analytic", "a.csv", "--mc", "m.csv", "--tv", "nan",
+          "--out", "rep.json"], "nan is not"),
+        (["compare", "--analytic", "a.csv", "--mc", "m.csv", "--tv", "-1",
+          "--out", "rep.json"], "-1 is not"),
     ])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):

@@ -3,9 +3,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from taskload import (JOHNSON_FTE, JohnsonSuParams, MomentSet, RandomSource,
-                      exponential_sample, johnson_cdf, johnson_density,
-                      johnson_inverse, johnson_moments, johnson_sample,
-                      johnson_transform, poisson_sample)
+                      johnson_cdf, johnson_density, johnson_inverse,
+                      johnson_moments, johnson_sample, johnson_transform)
 from taskload.distributions import normal_cdf
 
 LAT = JOHNSON_FTE["lateral"]
@@ -226,20 +225,17 @@ class TestValidation:
 
 
 class TestCounting:
-    def test_zero_intensity(self):
-        src = RandomSource(0)
-        assert all(poisson_sample(0.0, src) == 0 for _ in range(100))
-
     def test_poisson_zero_probability(self):
         n = 10 ** 6
-        counts = poisson_sample(1.0, RandomSource(17), size=n)
+        counts = RandomSource(17).poisson(1.0, n)
         p0 = np.mean(counts == 0)
         assert abs(p0 - np.exp(-1)) < 0.0015
 
     def test_exponential_mean(self):
         # 3 per hour -> mean gap 20 minutes
         rate_per_min = 3.0 / 60.0
-        gaps = exponential_sample(rate_per_min, RandomSource(19), size=10 ** 6)
+        gaps = RandomSource(19).generator.exponential(1.0 / rate_per_min,
+                                                      10 ** 6)
         assert abs(gaps.mean() - 20.0) / 20.0 < 0.01
 
     def test_superposition_is_poisson(self):
@@ -248,8 +244,8 @@ class TestCounting:
         src = RandomSource(23)
         events = []
         for lam, stream in ((lam1, 0), (lam2, 1)):
-            gaps = exponential_sample(lam, src.substream(stream),
-                                      size=int(lam * windows * 2))
+            gaps = src.substream(stream).generator.exponential(
+                1.0 / lam, int(lam * windows * 2))
             times = np.cumsum(gaps)
             events.append(times[times < windows])
         merged = np.sort(np.concatenate(events))
@@ -261,9 +257,3 @@ class TestCounting:
         expected[-1] += stats.poisson.sf(kmax, lam)
         chi2, pval = stats.chisquare(observed, expected * windows)
         assert pval > 0.01
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_sample(-1.0, RandomSource(0))
-        with pytest.raises(ValueError):
-            exponential_sample(0.0, RandomSource(0))

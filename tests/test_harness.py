@@ -49,6 +49,25 @@ class TestDeterminism:
             assert np.array_equal(merged.components[key].counts,
                                   whole.components[key].counts)
 
+    @pytest.mark.parametrize("other", [{"seed": 2}, {"stream_id": 1}])
+    def test_merge_rejects_another_stream(self, other):
+        # runs 0-4 of one stream and 5-9 of another are not runs 0-9 of
+        # either
+        first = run_single_lane(lane_cfg(n_runs=5, seed=1))
+        second = run_single_lane(lane_cfg(n_runs=5, **{"seed": 1, **other}),
+                                 run_offset=5)
+        with pytest.raises(ValueError, match="stream mismatch"):
+            first.merge(second)
+
+    def test_merge_rejects_another_horizon(self):
+        first = run_single_lane(lane_cfg(n_runs=5, horizon_min=120.0))
+        second = run_single_lane(lane_cfg(n_runs=5, horizon_min=60.0),
+                                 run_offset=5)
+        with pytest.raises(ValueError, match="horizon mismatch"):
+            first.merge(second)
+        with pytest.raises(ValueError, match="horizon mismatch"):
+            first.components["total"].merge(second.components["total"])
+
 
 def reference_counts(cfg, flows, t_star=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star

@@ -5,13 +5,15 @@ import pytest
 from scipy import stats
 
 from taskload import (OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
-                      RandomSource, closed_form_divergence_report,
-                      first_hit_law, first_passage_mc,
-                      fpt_density_closed_form, fpt_density_oracle,
-                      intervention_count_mc, intervention_pmf, tv_distance)
+                      RandomSource, first_hit_law, first_passage_mc,
+                      fpt_density_oracle, intervention_count_mc,
+                      intervention_pmf, tv_distance)
 from taskload import hitting
-from taskload.hitting import FLAG_DEGENERATE, FLAG_NO_HITS
+from taskload.hitting import FLAG_NO_HITS
 from taskload.pmf import TaskloadPmf
+
+from oracles import (FLAG_DEGENERATE, closed_form_divergence_report,
+                     fpt_density_closed_form, union_tail_is)
 
 LAT = OU_FTE_FIT["lateral"]
 
@@ -142,6 +144,31 @@ class TestKernel:
                                minlength=n_obs + 1) / n
         se_m = np.sqrt(np.maximum(f * (1.0 - f), 1.0 / n) / n)
         assert np.all(np.abs(per_step - f) <= 5 * se_m)
+
+    @pytest.mark.parametrize("params,level,dt,n_obs,seed", [
+        pytest.param(OU_FTE_CENTERED["lateral"], 0.1, 1.0, 20, 1,
+                     id="stringent-lateral"),
+        pytest.param(OU_FTE_CENTERED["lateral"], 0.2, 1.0, 20, 2,
+                     id="lax-lateral"),
+        pytest.param(OU_FTE_CENTERED["longitudinal"], 1.0, 1.0, 20, 3,
+                     id="lax-longitudinal"),
+        pytest.param(LAT, 0.3, 0.1, 1200, 4, id="c04a"),
+        # 0.1-min observations of an intermediate lateral bound: about 4%
+        # of the samples see two or more exceedances
+        pytest.param(OU_FTE_CENTERED["lateral"], 0.15, 0.1, 200, 5,
+                     id="intermediate-lateral-fine")])
+    def test_matches_importance_sampling(self, params, level, dt, n_obs,
+                                         seed):
+        # an independent estimate of the deep tail, where first-passage
+        # simulation sees no hit: 7e-12 (lax lateral) down to 2.7e-20
+        # (c04a), within 4 standard errors
+        kernel = first_hit_law(params, level, dt, n_obs).sum()
+        est, se, multiple = union_tail_is(params, level, dt, n_obs, 2000,
+                                          np.random.default_rng(seed))
+        assert abs(est - kernel) <= 4 * se
+        assert se <= 0.01 * est
+        if 1e-6 <= kernel <= 1e-4:
+            assert multiple > 0.01
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-5])
     def test_no_noise_never_hits(self, sigma):

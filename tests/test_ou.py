@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (OU_FTE_CENTERED, OU_FTE_FIT, AxisState, Barrier,
-                      OuParams, RandomSource, first_passage_mc,
-                      intervention_count_mc, ou_path, ou_step,
+from taskload import (OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
+                      RandomSource, first_passage_mc, intervention_count_mc,
                       pmf_from_counts, transition_coeffs)
+
+from oracles import ou_path
 
 LAT = OU_FTE_FIT["lateral"]
 
@@ -15,17 +16,17 @@ LAT = OU_FTE_FIT["lateral"]
 class TestStep:
     def test_fixed_point_of_drift(self):
         p = OuParams(kappa=2.0, mu=1.5, sigma=0.0)
-        state = AxisState(x=1.5)
         for dt in (0.01, 1.0, 50.0):
-            out = ou_step(state, p, dt, RandomSource(0))
-            assert out.x == pytest.approx(1.5)
-            assert out.t == pytest.approx(dt)
+            a, b, s = transition_coeffs(p, dt)
+            assert s == 0.0
+            assert a * 1.5 + b == pytest.approx(1.5)
 
     def test_deterministic_half_life(self):
         # kappa*dt = ln 2 halves the distance to the mean
         p = OuParams(kappa=math.log(2.0), mu=2.0, sigma=0.0)
-        out = ou_step(AxisState(x=3.0), p, 1.0, RandomSource(0))
-        assert out.x == pytest.approx(2.5)
+        a, b, s = transition_coeffs(p, 1.0)
+        assert s == 0.0
+        assert a * 3.0 + b == pytest.approx(2.5)
 
     def test_long_step_reaches_stationary_sd(self):
         # published lateral parameters: sigma/sqrt(2 kappa) ~ 0.0275 NM
@@ -227,7 +228,7 @@ class TestInterventionCounts:
         # within a horizon produce Poisson counts
         rate, horizon, n = 0.05, 120.0, 200000
         src = RandomSource(47)
-        gaps = src.exponential(1.0 / rate, size=(n, 32))
+        gaps = src.generator.exponential(1.0 / rate, size=(n, 32))
         times = np.cumsum(gaps, axis=1)
         counts = (times <= horizon).sum(axis=1)
         pmf = pmf_from_counts(counts, n_max=30, horizon=horizon)

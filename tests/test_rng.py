@@ -30,14 +30,6 @@ def test_substream_is_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_clone_rewinds():
-    src = RandomSource(11)
-    first = src.standard_normal(10)
-    src.standard_normal(1000)
-    again = src.clone().standard_normal(10)
-    assert np.array_equal(first, again)
-
-
 def draws(src):
     """The first draws of each kind the harness makes, over several
     shapes, in one fixed order."""

@@ -1,15 +1,15 @@
 """Estimate OU parameters from uniformly sampled deviation series.
 
-Both estimators work through the affine one-step recursion
+Both estimators fit the affine one-step recursion
 
     X_{i+1} = a X_i + b + eps,   eps ~ Normal(0, sigma_eps^2) i.i.d.,
 
 with a = e^{-kappa dt}, b = mu (1 - a) and sigma_eps the conditional
-step noise. Least squares regresses X_{i+1} on X_i; maximum likelihood
-does coordinate ascent on the exact conditional Gaussian log-likelihood.
-Because the ML optimum in (a, b) *is* the OLS solution and both use the
-1/n noise normalization, the two agree to numerical precision on any
-non-degenerate series.
+step noise, and both are one computation: the least-squares line of
+X_{i+1} on X_i and the 1/n residual variance. For this Gaussian
+recursion that is also the conditional maximum-likelihood estimate
+(Hamilton 1994, Time Series Analysis, ch. 5), so fit_least_squares and
+fit_mle return the same numbers under their own method labels.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .ou import OuParams
 
 FLAG_NO_MEAN_MEMORY = "no_mean_memory"          # a_hat <= 0, kappa undefined
 FLAG_NON_MEAN_REVERTING = "non_mean_reverting"  # a_hat >= 1
-FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_ZERO_NOISE = "zero_noise"
 
 
@@ -53,9 +52,9 @@ class TimeSeries:
 class CalibrationReport:
     """Fitted parameters plus the regression intermediates and diagnostics.
 
-    kappa/sigma are NaN inside params when flagged undefined (a_hat <= 0
-    leaves no real mean-reversion rate; we report that instead of
-    clamping, since a clamped rate fabricates dynamics).
+    params is None, with a flag saying why, when a_hat lies outside
+    (0, 1): no real mean-reversion rate exists there, and a clamped one
+    would fabricate dynamics.
     """
 
     params: OuParams | None
@@ -97,8 +96,8 @@ def _params_from_recursion(a: float, b: float, sig_eps: float, dt: float,
     return OuParams(kappa=kappa, mu=mu, sigma=sigma), stationary_sd
 
 
-def fit_least_squares(ts: TimeSeries) -> CalibrationReport:
-    """Ordinary least squares on the one-step recursion."""
+def _fit(ts: TimeSeries, method: str) -> CalibrationReport:
+    """Least-squares (a, b) and 1/n residual sd of the recursion."""
     x = ts.values
     x0, x1 = x[:-1], x[1:]
     n = x0.size
@@ -111,70 +110,28 @@ def fit_least_squares(ts: TimeSeries) -> CalibrationReport:
     b = mx1 - a * mx0
     resid = x1 - a * x0 - b
     sig_eps = math.sqrt(float(resid @ resid) / n)  # 1/n normalization
-    flags: list[str] = []
-    if sig_eps == 0.0:
-        flags.append(FLAG_ZERO_NOISE)
+    flags = [FLAG_ZERO_NOISE] if sig_eps == 0.0 else []
     params, stat_sd = _params_from_recursion(a, b, sig_eps, ts.dt, flags)
-    if params is not None and sig_eps == 0.0:
-        params = OuParams(kappa=params.kappa, mu=params.mu, sigma=0.0)
     return CalibrationReport(params=params, a_hat=a, b_hat=b,
                              sigma_eps_hat=sig_eps,
                              loglik=_loglik(x, a, b, sig_eps),
                              stationary_sd=stat_sd, n_transitions=n,
-                             dt=ts.dt, method="least_squares", flags=flags)
+                             dt=ts.dt, method=method, flags=flags)
 
 
-def fit_mle(ts: TimeSeries, max_iter: int = 100,
-            rel_tol: float = 1e-10) -> CalibrationReport:
-    """Conditional maximum likelihood via alternating stationarity updates.
+def fit_least_squares(ts: TimeSeries) -> CalibrationReport:
+    """Ordinary least squares on the one-step recursion."""
+    return _fit(ts, "least_squares")
 
-    Given mu, the optimal slope is the regression through mu:
-    a = sum (X_{i+1}-mu)(X_i-mu) / sum (X_i-mu)^2; given a, the optimal
-    mu is sum(X_{i+1} - a X_i) / (n (1-a)). Each step solves one
-    coordinate exactly, so the iteration climbs the likelihood to the
-    shared LS/ML optimum. Starts from the LS estimate.
-    """
-    ls = fit_least_squares(ts)
-    x = ts.values
-    x0, x1 = x[:-1], x[1:]
-    n = x0.size
-    a, b = ls.a_hat, ls.b_hat
-    mu = b / (1.0 - a) if a != 1.0 else x.mean()
-    flags: list[str] = []
-    converged = False
-    for _ in range(max_iter):
-        d0 = x0 - mu
-        denom = float(d0 @ d0)
-        if denom == 0.0:
-            raise DegenerateDataError("predictor values have zero variance")
-        a_new = float((x1 - mu) @ d0) / denom
-        if abs(a_new) >= 1.0 or a_new == 0.0:
-            # outside the invertible range; keep the raw update and let
-            # the parameter mapping flag it
-            mu_new = (float(np.sum(x1 - a_new * x0)) / (n * (1.0 - a_new))
-                      if a_new != 1.0 else mu)
-        else:
-            mu_new = float(np.sum(x1 - a_new * x0)) / (n * (1.0 - a_new))
-        step = max(abs(a_new - a), abs(mu_new - mu) / max(1.0, abs(mu_new)))
-        a, mu = a_new, mu_new
-        if step <= rel_tol:
-            converged = True
-            break
-    if not converged:
-        flags.append(FLAG_NO_CONVERGENCE)
-    b = mu * (1.0 - a)
-    resid = x1 - a * x0 - b
-    sig_eps = math.sqrt(float(resid @ resid) / n)  # same 1/n as LS
-    if sig_eps == 0.0:
-        flags.append(FLAG_ZERO_NOISE)
-    params, stat_sd = _params_from_recursion(a, b, sig_eps, ts.dt, flags)
-    if params is not None and sig_eps == 0.0:
-        params = OuParams(kappa=params.kappa, mu=params.mu, sigma=0.0)
-    return CalibrationReport(params=params, a_hat=a, b_hat=b,
-                             sigma_eps_hat=sig_eps,
-                             loglik=_loglik(x, a, b, sig_eps),
-                             stationary_sd=stat_sd, n_transitions=n,
-                             dt=ts.dt, method="mle", flags=flags)
+
+def fit_mle(ts: TimeSeries) -> CalibrationReport:
+    """Conditional maximum likelihood of the one-step recursion, in
+    closed form. Up to a constant the log-likelihood is -n log sigma_eps
+    - RSS(a, b) / (2 sigma_eps^2), largest for every sigma_eps at the
+    least-squares (a, b); its sigma_eps derivative then vanishes at
+    sigma_eps^2 = RSS / n. By the invariance of maximum likelihood the
+    mapped (kappa, mu, sigma) are the MLE wherever 0 < a_hat < 1."""
+    return _fit(ts, "mle")
 
 
 def sample_moments(ts: TimeSeries) -> MomentSet:

@@ -11,7 +11,8 @@ two tables whose recorded horizons differ (exit 3). analytic
 and simulate both read the loaded config.ConfigFile; simulate runs a
 copy carrying its --runs and --seed overrides, while provenance and
 config_resolved.json describe the config as loaded. calibrate and
-compare read no config and record no config hash.
+compare read no config and record no config hash; they read CSV or
+JSON tables through one reader, _read_table.
 
 Exit codes: 0 success, 2 config or usage error, 3 data error, 4
 numerical failure, 5 comparison failure.
@@ -162,40 +163,58 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _read_series_csv(path: str) -> dict[str, np.ndarray]:
-    """Read axis columns from a headered CSV; diagnostics carry row/col."""
+def _read_table(path: str) -> tuple[dict, list[str], list]:
+    """(provenance, columns, rows) of a table written as CSV (read as
+    strings, after a '# key=value' block) or as JSON (.json)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+    if path.endswith(".json"):
+        try:
+            payload = json.loads("\n".join(lines))
+            prov, rows = payload.get("provenance", {}), payload["rows"]
+            columns = [str(name) for name in payload.get("columns", [])]
+            if not isinstance(prov, dict) or not all(
+                    isinstance(v, list) for v in (rows, *rows)):
+                raise TypeError("provenance must be an object, and rows "
+                                "and each row lists")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: not a JSON table: {exc!r}") from None
+        return prov, columns, rows
+    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not body:
+        raise DataError(f"{path}: empty file")
+    header, *rows = csv.reader(body)
+    prov = dict(ln[2:].partition("=")[::2] for ln in lines
+                if ln.startswith("# "))
+    return prov, [name.strip() for name in header], rows
+
+
+def _read_series(path: str) -> dict[str, np.ndarray]:
+    """Axis columns of a table; diagnostics carry row (the header is row
+    1) and column."""
+    _, header, rows = _read_table(path)
     known = set(AXIS_COLUMNS.values())
-    columns = {name.strip(): [] for name in header}
-    if not known & set(columns):
+    if not known & set(header):
         raise DataError(f"{path}: no axis column among {sorted(known)} "
                         f"in header {header}")
-    for i, row in enumerate(reader, start=2):
+    columns = {name: [] for name in header}
+    for i, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i} has {len(row)} fields, "
                             f"expected {len(header)}")
         for name, val in zip(columns, row):
             try:
                 columns[name].append(float(val))
-            except ValueError:
+            except (TypeError, ValueError):
                 raise DataError(f"{path}: row {i}, column {name!r}: "
                                 f"not a number: {val!r}") from None
-    by_axis = {}
-    for axis, col in AXIS_COLUMNS.items():
-        if col in columns and columns[col]:
-            by_axis[axis] = np.asarray(columns[col])
-    if not by_axis:
+    if not rows:
         raise DataError(f"{path}: axis columns present but empty")
-    return by_axis
+    return {axis: np.asarray(columns[col])
+            for axis, col in AXIS_COLUMNS.items() if col in columns}
 
 
 def _report_dict(rep: calibration.CalibrationReport) -> dict:
@@ -218,12 +237,15 @@ def _report_dict(rep: calibration.CalibrationReport) -> dict:
 
 
 def cmd_calibrate(args) -> int:
-    series = _read_series_csv(args.input)
+    series = _read_series(args.input)
     methods = {"ls": ["least_squares"], "mle": ["mle"],
                "both": ["least_squares", "mle"]}[args.method]
     body: dict = {"series": args.input, "reports": {}}
     for axis, values in series.items():
-        ts = calibration.TimeSeries(values, dt=args.dt)
+        try:
+            ts = calibration.TimeSeries(values, dt=args.dt)
+        except ValueError as exc:
+            raise DataError(f"{args.input}: {axis} series: {exc}") from None
         body["reports"][axis] = {}
         for method in methods:
             fit = (calibration.fit_least_squares if method == "least_squares"
@@ -234,17 +256,6 @@ def cmd_calibrate(args) -> int:
                 body["reports"][axis][method] = {"error": str(exc)}
                 continue
             body["reports"][axis][method] = _report_dict(rep)
-        ls_rep = body["reports"][axis].get("least_squares")
-        ml_rep = body["reports"][axis].get("mle")
-        if (ls_rep and ml_rep and ls_rep.get("kappa_per_min")
-                and ml_rep.get("kappa_per_min")):
-            body["reports"][axis]["methods_coincide"] = {
-                "kappa_rel_gap": abs(ml_rep["kappa_per_min"]
-                                     - ls_rep["kappa_per_min"])
-                / abs(ls_rep["kappa_per_min"]),
-                "mu_rel_gap": (abs(ml_rep["mu"] - ls_rep["mu"])
-                               / abs(ls_rep["mu"]) if ls_rep["mu"] else None),
-            }
         try:
             mom = calibration.sample_moments(ts)
             body["reports"][axis]["sample_moments"] = {
@@ -321,24 +332,9 @@ def _read_pmf_table(path: str
                     ) -> tuple[np.ndarray, float, int | None, float | None]:
     """(probs, truncation, n_runs, horizon_min) from a written table; a
     value its provenance does not record is None."""
+    prov, _, rows = _read_table(path)
     probs = []
     trunc = 0.0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if path.endswith(".json"):
-        try:
-            payload = json.loads("\n".join(lines))
-            rows, prov = payload["rows"], payload.get("provenance", {})
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise DataError(f"{path}: not a JSON table: {exc!r}") from None
-    else:
-        body = [ln for ln in lines if ln and not ln.startswith("#")]
-        rows = list(csv.reader(body))[1:]
-        prov = dict(ln[2:].partition("=")[::2] for ln in lines
-                    if ln.startswith("# "))
     for row in rows:
         try:
             if row[0] == "truncation":

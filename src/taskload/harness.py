@@ -14,8 +14,10 @@ counted. Transitions are exact, so the simulation steps once per
 observation, one normal draw per aircraft-axis.
 
 Run r draws from the substream keyed by (seed, stream) and run_offset +
-r, so estimates from disjoint run ranges merge by count addition into
-exactly the estimate of the combined run range. The runs' substreams
+r, so the estimates of two adjacent run ranges merge by count addition
+into exactly the estimate of their union. Each estimate records its
+run_offset, and a merge of ranges that overlap or leave a gap, like one
+of two streams or horizons, raises ValueError. The runs' substreams
 come from RandomSource.substreams, which seeds them all in one
 vectorised pass and draws bit for bit what substream(run_offset + r)
 draws; NEP 19 keeps numpy's SeedSequence and PCG64 seeding, which it
@@ -23,17 +25,16 @@ reimplements, stream-compatible.
 
 The run loop only draws. Its draws are scored in blocks of runs, each
 block by one engine call and a fixed number of array calls, however
-many runs and lanes it holds. A block is laid out lane-major: the rows
-of one lane, its aircraft of every run in run order, are one column
-range of the (observations, rows, axes) noise block, filled by one copy
-per lane. Lanes that are never observed (residency below one
-surveillance step) come last and stay out of the engine; their aircraft
-still count toward aircraft and occupancy. Each run draws from its own
-substream in a fixed order, so neither the layout nor the block
-boundaries change an output. _BLOCK_ROWS, about 2 048 aircraft, is the
-knee of the benchmark's Monte Carlo throughput: smaller blocks pay the
-per-block array calls more often, and larger ones gain nothing more
-while holding more draws.
+many runs and lanes it holds. A block is laid out lane-major, lanes in
+config order: the rows of one lane, its aircraft of every run in run
+order, are one column range of the (observations, rows, axes) noise
+block, filled by one copy per lane. A lane that is never observed
+(residency below one surveillance step) draws no noise, and its rows
+are never counted. Each run draws from its own substream in a fixed
+order, so neither the layout nor the block boundaries change an output.
+_BLOCK_ROWS, about 2 048 aircraft, is the knee of the benchmark's Monte
+Carlo throughput: smaller blocks pay the per-block array calls more
+often, and larger ones gain nothing more while holding more draws.
 
 The step loop runs on full (rows, axes) operands: the per-axis
 transition coefficients are repeated to the block's shape, as its
@@ -125,21 +126,27 @@ class McEstimate:
     seed: int
     stream_id: int
     kind: str
+    run_offset: int               # first run's substream index
 
     def merge(self, other: "McEstimate") -> "McEstimate":
-        """The estimate of two disjoint run ranges of one (seed, stream);
-        raises ValueError for estimates that do not belong together."""
+        """The estimate of two adjacent run ranges of one (seed, stream),
+        in either order; raises ValueError for any other pair."""
         if set(self.components) != set(other.components) or self.kind != other.kind:
             raise ValueError("component mismatch")
         if (self.seed, self.stream_id) != (other.seed, other.stream_id):
             raise ValueError(f"stream mismatch: (seed, stream_id) "
                              f"{(self.seed, self.stream_id)} vs "
                              f"{(other.seed, other.stream_id)}")
+        lo, hi = sorted((self, other), key=lambda e: e.run_offset)
+        if lo.run_offset + lo.n_runs != hi.run_offset:
+            raise ValueError(f"run ranges not adjacent: {lo.n_runs} runs "
+                             f"from {lo.run_offset}, {hi.n_runs} from "
+                             f"{hi.run_offset}")
         merged = {k: v.merge(other.components[k])
                   for k, v in self.components.items()}
         return McEstimate(merged, self.n_runs + other.n_runs,
                           self.n_aircraft + other.n_aircraft,
-                          self.seed, self.stream_id, self.kind)
+                          self.seed, self.stream_id, self.kind, lo.run_offset)
 
 
 def _bincount(per_run: np.ndarray) -> np.ndarray:
@@ -194,8 +201,8 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
 class _Block:
     """Scores the draws of a block of runs with a fixed number of array
     calls, whatever the number of runs and lanes in it. Rows are laid out
-    lane-major, observed lanes first in config order, each lane's
-    aircraft in run order (see the module docstring)."""
+    lane-major, lanes in config order, each lane's aircraft in run order
+    (see the module docstring)."""
 
     def __init__(self, cfg: ConfigFile, flows: list[FlowSpec],
                  snapshot: float | None):
@@ -204,8 +211,6 @@ class _Block:
         self.t_cross = np.array([f.t_cross_min for f in flows])
         self.window = cfg.horizon_min + self.t_cross
         self.n_obs = np.floor(self.t_cross / cfg.obs_dt_min + 1e-9).astype(int)
-        self.order = sorted(range(len(flows)),
-                            key=lambda li: self.n_obs[li] == 0)
         self.bounds = np.array([[f.tolerance.for_axis(a) for a in AXES]
                                 for f in flows])
         self.coeffs = np.array([transition_coeffs(cfg.ou[a], cfg.obs_dt_min)
@@ -221,11 +226,11 @@ class _Block:
         lane) inside the horizon. Resets after a lane's n_obs touch only
         states that are never scored."""
         n_lanes, n_axes = len(us), len(AXES)
-        k = np.array(ks).reshape(-1, n_lanes)[:, self.order].T
+        k = np.array(ks).reshape(-1, n_lanes).T
         n_runs, lane_rows = k.shape[1], k.sum(axis=1)
         run = np.repeat(np.tile(np.arange(n_runs), n_lanes), k.ravel())
-        lane = np.repeat(self.order, lane_rows)
-        u = np.concatenate([part for li in self.order for part in us[li]])
+        lane = np.repeat(np.arange(n_lanes), lane_rows)
+        u = np.concatenate([part for parts in us for part in parts])
         for parts in us:
             parts.clear()
         entries = -self.t_cross[lane] + u * self.window[lane]
@@ -234,30 +239,28 @@ class _Block:
             t = self.snapshot
             inside = (entries <= t) & (t < entries + self.t_cross[lane])
             occupancy = np.bincount(run[inside], minlength=n_runs)
-        counts = np.zeros((n_runs, n_lanes, n_axes), dtype=np.int64)
+        # one copy per lane into a column range of the zero-padded block;
+        # a lane observed n_obs = 0 times draws no noise and counts nothing
         m_last = self.n_obs[lane]
-        n_rows = int(np.count_nonzero(m_last))
-        if n_rows == 0:
-            return counts, occupancy
-        # one copy per lane into a column range of the zero-padded block
-        z = np.zeros((int(m_last.max()), n_rows, n_axes))
+        z = np.zeros((int(m_last.max()), lane.size, n_axes))
         stops = np.cumsum(lane_rows).tolist()
-        for li, start, stop in zip(self.order, [0] + stops, stops):
-            if zs[li]:
-                np.concatenate(zs[li], axis=1,
-                               out=z[:self.n_obs[li], start:stop])
-                zs[li].clear()
+        for parts, n_obs, start, stop in zip(zs, self.n_obs.tolist(),
+                                             [0] + stops, stops):
+            if parts:
+                np.concatenate(parts, axis=1, out=z[:n_obs, start:stop])
+                parts.clear()
         m = np.arange(1, z.shape[0] + 1)[:, None]
-        t_obs = entries[:n_rows] + m * self.obs_dt
-        counted = ((m <= m_last[:n_rows]) & (t_obs >= -1e-9)
+        t_obs = entries + m * self.obs_dt
+        counted = ((m <= m_last) & (t_obs >= -1e-9)
                    & (t_obs <= self.horizon + 1e-9))
         # full-shape operands: every ufunc of the step loop runs contiguously
-        coeffs = np.repeat(self.coeffs[:, None], n_rows, axis=1)
+        coeffs = np.repeat(self.coeffs[:, None], lane.size, axis=1)
         counted = np.repeat(counted[:, :, None], n_axes, axis=2)
-        bounds = self.bounds[lane[:n_rows]]
+        bounds = self.bounds[lane]
         x, hits = np.zeros(bounds.shape), np.zeros(bounds.shape, np.int64)
         _observe_and_reset(x, z, coeffs, bounds, hits, counted)
-        cell = (run[:n_rows] * n_lanes + lane[:n_rows]) * n_axes
+        counts = np.zeros((n_runs, n_lanes, n_axes), dtype=np.int64)
+        cell = (run * n_lanes + lane) * n_axes
         counts.flat = np.bincount((cell[:, None] + np.arange(n_axes)).ravel(),
                                   hits.ravel(), counts.size)
         return counts, occupancy
@@ -279,7 +282,7 @@ def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     comps["total"] = EmpiricalPmf(_bincount(per_run.sum(axis=1)), n_runs,
                                   n_aircraft * len(AXES), cfg.horizon_min)
     return McEstimate(comps, n_runs, n_aircraft, cfg.seed,
-                      cfg.stream_id, cfg.kind)
+                      cfg.stream_id, cfg.kind, run_offset)
 
 
 def run_multilane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
@@ -304,7 +307,7 @@ def run_multilane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     comps["total"] = comps[f"lanes{n_lanes}_total"]
     comps["lateral"] = comps[f"lanes{n_lanes}_lateral"]
     return McEstimate(comps, n_runs, n_aircraft, cfg.seed,
-                      cfg.stream_id, cfg.kind)
+                      cfg.stream_id, cfg.kind, run_offset)
 
 
 def run_crossing(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
@@ -339,7 +342,7 @@ def run_crossing(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
                               cfg.horizon_min),
     }
     return McEstimate(comps, n_runs, n_aircraft, cfg.seed,
-                      cfg.stream_id, cfg.kind)
+                      cfg.stream_id, cfg.kind, run_offset)
 
 
 @dataclass

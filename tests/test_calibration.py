@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from taskload import (JOHNSON_FTE, OuParams, RandomSource, TimeSeries,
                       fit_least_squares, fit_mle, johnson_sample)
 from taskload.calibration import (FLAG_NO_MEAN_MEMORY, DegenerateDataError,
-                                  sample_moments)
+                                  _loglik, sample_moments)
 
 from oracles import ou_path
 
@@ -85,6 +86,26 @@ class TestMle:
                 perturbed = _loglik(x, rep.a_hat * factor_a,
                                     rep.b_hat * factor_b, rep.sigma_eps_hat)
                 assert perturbed <= base + 1e-9
+
+    @pytest.mark.parametrize("truth, dt, seed", [
+        (OuParams(kappa=0.8, mu=0.5, sigma=0.6), 0.2, 67),
+        (OuParams(kappa=3.0, mu=-1.0, sigma=0.3), 0.1, 68),
+        (OuParams(kappa=0.3, mu=2.0, sigma=1.5), 1.0, 69)])
+    def test_maximum_found_by_a_general_optimiser(self, truth, dt, seed):
+        # the closed form against Nelder-Mead on the likelihood itself,
+        # over (a, b, log sigma_eps) from a start far from the answer
+        ts = synthetic_path(truth, n=5000, dt=dt, seed=seed)
+        x = ts.values
+        res = minimize(lambda p: -_loglik(x, p[0], p[1], math.exp(p[2])),
+                       [0.5, 0.0, math.log(np.diff(x).std())],
+                       method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-12,
+                                "maxiter": 20000, "maxfev": 20000})
+        assert res.success
+        rep = fit_mle(ts)
+        assert rep.loglik == pytest.approx(-res.fun, abs=1e-9)
+        assert [rep.a_hat, rep.b_hat, rep.sigma_eps_hat] == pytest.approx(
+            [res.x[0], res.x[1], math.exp(res.x[2])], rel=1e-5)
 
 
 class TestAgreement:

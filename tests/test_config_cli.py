@@ -11,7 +11,7 @@ import pytest
 
 import taskload
 from taskload import ConfigError, default_config
-from taskload.cli import main
+from taskload.cli import build_parser, main
 from taskload.config import parse_config
 
 
@@ -231,6 +231,31 @@ class TestCli:
         rc = main(["calibrate", "--in", str(bad), "--out",
                    str(tmp_path / "r.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize("values", ["0.1\n0.2\n", "0.1\nnan\n0.3\n"],
+                             ids=["two_values", "nan"])
+    def test_calibrate_unusable_series_is_a_data_error(self, tmp_path,
+                                                        capsys, values):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("lat_nm\n" + values)
+        out = tmp_path / "r.json"
+        rc = main(["calibrate", "--in", str(bad), "--out", str(out)])
+        assert rc == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_reads_what_generate_writes_as_json(self, tmp_path):
+        reports = []
+        for fmt in ("csv", "json"):
+            fte, out = tmp_path / f"fte.{fmt}", tmp_path / f"cal_{fmt}.json"
+            assert main(["generate", "--axis", "vertical", "-n", "2000",
+                         "--seed", "9", "--format", fmt,
+                         "--out", str(fte)]) == 0
+            assert main(["calibrate", "--in", str(fte),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(read_payload(out))["reports"])
+        assert set(reports[0]) == {"vertical"}
+        assert reports[0] == reports[1]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -590,6 +615,21 @@ class TestMalformedValues:
                 ({"mc": {"n_runs": 5}, "schema_version": True},
                  "unsupported schema_version True")):
             self.assert_exits_2(tmp_path, capsys, data, message)
+
+
+def test_readme_commands_parse():
+    # every `taskload ...` line of README's code blocks, backslash
+    # continuations joined, parses; nothing runs
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    text = "\n".join(blocks).replace("\\\n", " ")
+    commands = [line.split()[1:] for line in text.splitlines()
+                if line.startswith("taskload ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_runtime_never_imports_scipy(tmp_path):

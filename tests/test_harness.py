@@ -68,6 +68,27 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="horizon mismatch"):
             first.components["total"].merge(second.components["total"])
 
+    @pytest.mark.parametrize("offset", [0, 10], ids=["self", "gapped"])
+    def test_merge_rejects_ranges_not_adjacent(self, offset):
+        # runs 0-4 twice would double every count; runs 0-4 and 10-14
+        # are not the estimate of any one run range
+        first = run_single_lane(lane_cfg(n_runs=5, seed=1))
+        other = run_single_lane(lane_cfg(n_runs=5, seed=1), run_offset=offset)
+        for a, b in ((first, other), (other, first)):
+            with pytest.raises(ValueError, match="not adjacent"):
+                a.merge(b)
+
+    def test_merge_in_either_order_starts_at_the_lower_offset(self):
+        whole = run_single_lane(lane_cfg(n_runs=50), run_offset=7)
+        first = run_single_lane(lane_cfg(n_runs=20), run_offset=7)
+        second = run_single_lane(lane_cfg(n_runs=30), run_offset=27)
+        for merged in (first.merge(second), second.merge(first)):
+            assert merged.run_offset == 7
+            assert merged.n_aircraft == whole.n_aircraft
+            for key in whole.components:
+                assert np.array_equal(merged.components[key].counts,
+                                      whole.components[key].counts)
+
 
 def reference_counts(cfg, flows, t_star=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star

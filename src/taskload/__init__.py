@@ -11,12 +11,13 @@ layer.
 
 from .calibration import (CalibrationReport, DegenerateDataError, TimeSeries,
                           fit_least_squares, fit_mle, sample_moments)
-from .config import ConfigError, ConfigFile, default_config, load_config
+from .config import (TOOL_VERSION as __version__, ConfigError, ConfigFile,
+                     default_config, load_config)
 from .distributions import (AXES, JOHNSON_FTE, JohnsonSuParams, MomentSet,
                             johnson_cdf, johnson_density, johnson_inverse,
                             johnson_moments, johnson_sample, johnson_transform)
 from .flow import (TOLERANCE_STANDARDS, CrossingGeometry, FlowSpec,
-                   ToleranceBounds, ToleranceStandard, compound_poisson_pmf,
+                   ToleranceBounds, compound_poisson_pmf,
                    conflict_interventions_pmf, conflict_pmf, crossing_pmf,
                    min_corner_separation, multilane_pmf, poisson_occupancy,
                    single_lane_pmf, solve_safe_zone)
@@ -32,5 +33,3 @@ from .pipeline import (analytic_crossing, analytic_multilane,
 from .pmf import (TaskloadPmf, convolve_pmf, delta_pmf, tv_distance,
                   wilson_interval)
 from .rng import RandomSource
-
-__version__ = "0.1.0"

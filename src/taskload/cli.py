@@ -36,7 +36,7 @@ import numpy as np
 from . import calibration
 from .config import (SCHEMA_VERSION, TOOL_NAME, TOOL_VERSION, ConfigError,
                      ConfigFile, default_config, load_config)
-from .distributions import johnson_sample
+from .distributions import AXES, johnson_sample
 from .flow import solve_safe_zone
 from .harness import (EmpiricalPmf, McEstimate, compare as compare_pmfs,
                       run_crossing, run_multilane, run_single_lane)
@@ -331,7 +331,8 @@ def cmd_simulate(args) -> int:
 def _read_pmf_table(path: str
                     ) -> tuple[np.ndarray, float, int | None, float | None]:
     """(probs, truncation, n_runs, horizon_min) from a written table; a
-    value its provenance does not record is None."""
+    value its provenance does not record is None. Count rows must be
+    numbered 0, 1, 2, ... in file order."""
     prov, _, rows = _read_table(path)
     probs = []
     trunc = 0.0
@@ -339,6 +340,9 @@ def _read_pmf_table(path: str
         try:
             if row[0] == "truncation":
                 trunc = float(row[1])
+            elif float(row[0]) != len(probs):
+                raise DataError(f"{path}: PMF row {row!r} is not numbered "
+                                f"n = {len(probs)}")
             else:
                 probs.append(float(row[1]))
         except (IndexError, KeyError, TypeError, ValueError):
@@ -444,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's mc.seed")
-    p.add_argument("--axis", choices=("lateral", "vertical", "longitudinal"),
-                   required=True)
+    p.add_argument("--axis", choices=AXES, required=True)
     p.add_argument("-n", required=True, help="sample count",
                    type=_checked(int, lambda n: n >= 0, "a count >= 0"))
     p.add_argument("--out", required=True)

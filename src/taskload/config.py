@@ -59,6 +59,9 @@ RETIRED_KEYS = {"mc": {"dt_min", "count_full_horizon"},
                 "analytic": {"oracle_paths", "n_max"},
                 "flows[]": {"speed_kt", "lateral_extent_nm"}}
 
+#: The mc section's keys: ConfigFile's own fields of the same names.
+MC_KEYS = ("kind", "horizon_min", "obs_dt_min", "n_runs", "seed", "stream_id")
+
 #: The lane and the crossing a config describes when it gives none; a
 #: flow or geometry section starts from these.
 DEFAULT_FLOW = FlowSpec(intensity_per_hour=2.5)
@@ -176,10 +179,7 @@ class ConfigFile:
             "flows": [{**_section(f), "tolerance": _section(f.tolerance)}
                       for f in self.flows],
             "geometry": _section(self.geometry),
-            "mc": {"kind": self.kind, "horizon_min": self.horizon_min,
-                   "obs_dt_min": self.obs_dt_min,
-                   "n_runs": self.n_runs, "seed": self.seed,
-                   "stream_id": self.stream_id},
+            "mc": {key: getattr(self, key) for key in MC_KEYS},
             "output": {"format": self.output_format},
         }
 
@@ -219,7 +219,7 @@ def _parse_tolerance(obj, path: str) -> ToleranceBounds:
         if obj not in TOLERANCE_STANDARDS:
             raise ConfigError(f"{path}: unknown standard {obj!r}; choose from "
                               f"{sorted(TOLERANCE_STANDARDS)}")
-        return TOLERANCE_STANDARDS[obj].bounds
+        return TOLERANCE_STANDARDS[obj]
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a standard name or bounds object")
     return _read_section(obj, DEFAULT_FLOW.tolerance, path)
@@ -272,12 +272,11 @@ def parse_config(data: dict) -> ConfigFile:
         raise ConfigError("mc.count_full_horizon was removed: each aircraft "
                           "is scored only while it is in the sector; drop "
                           "the key")
-    _require_keys(mc, {"kind", "horizon_min", "obs_dt_min", "n_runs",
-                       "seed", "stream_id"}, "mc")
+    _require_keys(mc, set(MC_KEYS), "mc")
+    # a float default marks a number; ConfigFile checks the other keys
     kw.update({key: _get_num(mc, key, "mc")
-               for key in ("horizon_min", "obs_dt_min") if key in mc})
-    kw.update({key: mc[key] for key in ("kind", "n_runs", "seed", "stream_id")
-               if key in mc})
+               if isinstance(getattr(ConfigFile, key), float) else mc[key]
+               for key in MC_KEYS if key in mc})
     _require_keys(data.get("analytic", {}), set(), "analytic")
     output = data.get("output", {})
     _require_keys(output, {"format"}, "output")

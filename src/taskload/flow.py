@@ -50,18 +50,12 @@ class ToleranceBounds:
                 "longitudinal": self.longitudinal_nm}[axis]
 
 
-@dataclass(frozen=True)
-class ToleranceStandard:
-    name: str
-    bounds: ToleranceBounds
-
-
 #: The four named control tolerance standards.
 TOLERANCE_STANDARDS = {
-    "stringent": ToleranceStandard("stringent", ToleranceBounds(0.1, 20.0, 0.5)),
-    "severe": ToleranceStandard("severe", ToleranceBounds(0.12, 22.0, 0.6)),
-    "intermediate": ToleranceStandard("intermediate", ToleranceBounds(0.15, 25.0, 0.8)),
-    "lax": ToleranceStandard("lax", ToleranceBounds(0.2, 30.0, 1.0)),
+    "stringent": ToleranceBounds(0.1, 20.0, 0.5),
+    "severe": ToleranceBounds(0.12, 22.0, 0.6),
+    "intermediate": ToleranceBounds(0.15, 25.0, 0.8),
+    "lax": ToleranceBounds(0.2, 30.0, 1.0),
 }
 
 
@@ -71,7 +65,7 @@ class FlowSpec:
 
     intensity_per_hour: float
     t_cross_min: float = 20.0
-    tolerance: ToleranceBounds = TOLERANCE_STANDARDS["stringent"].bounds
+    tolerance: ToleranceBounds = TOLERANCE_STANDARDS["stringent"]
 
     def __post_init__(self):
         if self.intensity_per_hour < 0.0:
@@ -205,22 +199,24 @@ def multilane_pmf(flows: list[FlowSpec],
 
 # --- safe-zone geometry -------------------------------------------------
 
-def _zone_corners(x: float, half_width: float, direction: np.ndarray,
-                  normal: np.ndarray) -> list[np.ndarray]:
-    """The four corner points of a zone boundary pair on one flow."""
-    return [end * x * direction + side * half_width * normal
-            for end in (-1.0, 1.0) for side in (-1.0, 1.0)]
-
-
-def min_corner_separation(g: CrossingGeometry, x1: float, x2: float) -> float:
-    """Smallest distance between zone-boundary corners of the two flows."""
+def _corner_pairs(g: CrossingGeometry) -> list[tuple[np.ndarray, ...]]:
+    """(p1, k1, p2, k2) for each pairing of zone-boundary corners across
+    the two flows: at half-lengths x1 and x2 the corners sit at
+    x1 p1 + k1 and x2 p2 + k2."""
     a = math.radians(g.alpha_deg)
     u1, n1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     u2 = np.array([math.cos(a), math.sin(a)])
     n2 = np.array([-math.sin(a), math.cos(a)])
-    c1 = _zone_corners(x1, g.e1_nm / 2.0, u1, n1)
-    c2 = _zone_corners(x2, g.e2_nm / 2.0, u2, n2)
-    return min(float(np.linalg.norm(p - q)) for p in c1 for q in c2)
+    return [(end1 * u1, side1 * g.e1_nm / 2.0 * n1,
+             end2 * u2, side2 * g.e2_nm / 2.0 * n2)
+            for end1 in (-1.0, 1.0) for side1 in (-1.0, 1.0)
+            for end2 in (-1.0, 1.0) for side2 in (-1.0, 1.0)]
+
+
+def min_corner_separation(g: CrossingGeometry, x1: float, x2: float) -> float:
+    """Smallest distance between zone-boundary corners of the two flows."""
+    return min(float(np.linalg.norm(x1 * p1 + k1 - (x2 * p2 + k2)))
+               for p1, k1, p2, k2 in _corner_pairs(g))
 
 
 def solve_safe_zone(g: CrossingGeometry) -> CrossingGeometry:
@@ -234,36 +230,26 @@ def solve_safe_zone(g: CrossingGeometry) -> CrossingGeometry:
 
     Raises when no positive half-length satisfies every pairing.
     """
-    a = math.radians(g.alpha_deg)
-    u1, n1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    u2 = np.array([math.cos(a), math.sin(a)])
-    n2 = np.array([-math.sin(a), math.cos(a)])
     d2 = g.d_min_nm ** 2
     x_req = 0.0
-    for end1 in (-1.0, 1.0):
-        for side1 in (-1.0, 1.0):
-            for end2 in (-1.0, 1.0):
-                for side2 in (-1.0, 1.0):
-                    # corner difference = x*(end1 u1 - end2 u2) + const
-                    dvec = end1 * u1 - end2 * u2
-                    kvec = (side1 * g.e1_nm / 2.0 * n1
-                            - side2 * g.e2_nm / 2.0 * n2)
-                    qa = float(dvec @ dvec)
-                    qb = 2.0 * float(dvec @ kvec)
-                    qc = float(kvec @ kvec) - d2
-                    if qa < 1e-14:
-                        # parallel boundary motion: distance fixed in x
-                        if qc < 0.0 and qb <= 0.0:
-                            raise ValueError(
-                                "no positive safe-zone half-length exists")
-                        if qb > 0.0 and qc < 0.0:
-                            x_req = max(x_req, -qc / qb)
-                        continue
-                    disc = qb * qb - 4.0 * qa * qc
-                    if disc <= 0.0:
-                        continue  # pairing never violates the minimum
-                    root = (-qb + math.sqrt(disc)) / (2.0 * qa)
-                    x_req = max(x_req, root)
+    for p1, k1, p2, k2 in _corner_pairs(g):
+        # corner difference = x*(p1 - p2) + (k1 - k2)
+        dvec, kvec = p1 - p2, k1 - k2
+        qa = float(dvec @ dvec)
+        qb = 2.0 * float(dvec @ kvec)
+        qc = float(kvec @ kvec) - d2
+        if qa < 1e-14:
+            # parallel boundary motion: distance fixed in x
+            if qc < 0.0 and qb <= 0.0:
+                raise ValueError("no positive safe-zone half-length exists")
+            if qb > 0.0 and qc < 0.0:
+                x_req = max(x_req, -qc / qb)
+            continue
+        disc = qb * qb - 4.0 * qa * qc
+        if disc <= 0.0:
+            continue  # pairing never violates the minimum
+        root = (-qb + math.sqrt(disc)) / (2.0 * qa)
+        x_req = max(x_req, root)
     if x_req <= 0.0:
         raise ValueError("no positive safe-zone half-length exists")
     sep = min_corner_separation(g, x_req, x_req)

@@ -19,9 +19,8 @@ into exactly the estimate of their union. Each estimate records its
 run_offset, and a merge of ranges that overlap or leave a gap, like one
 of two streams or horizons, raises ValueError. The runs' substreams
 come from RandomSource.substreams, which seeds them all in one
-vectorised pass and draws bit for bit what substream(run_offset + r)
-draws; NEP 19 keeps numpy's SeedSequence and PCG64 seeding, which it
-reimplements, stream-compatible.
+vectorised pass from numpy's SeedSequence pool of the run stream and
+draws bit for bit what substream(run_offset + r) draws.
 
 The run loop only draws. Its draws are scored in blocks of runs, each
 block by one engine call and a fixed number of array calls, however
@@ -55,7 +54,7 @@ import numpy as np
 from .config import ConfigFile
 from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
-from .ou import _observe_and_reset, transition_coeffs
+from .ou import _observe_and_reset, lattice_steps, transition_coeffs
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
 
@@ -68,7 +67,9 @@ class EmpiricalPmf:
 
     counts: np.ndarray            # counts[k] = number of runs with total k
     n_runs: int
-    n_observations: int           # aircraft-axis observations backing it
+    #: scored aircraft of all runs times the axes counted (n_aircraft or
+    #: 3 n_aircraft), not times each aircraft's observations
+    n_observations: int
     horizon: float | None = None
 
     def __post_init__(self):
@@ -210,7 +211,7 @@ class _Block:
         self.snapshot = snapshot
         self.t_cross = np.array([f.t_cross_min for f in flows])
         self.window = cfg.horizon_min + self.t_cross
-        self.n_obs = np.floor(self.t_cross / cfg.obs_dt_min + 1e-9).astype(int)
+        self.n_obs = lattice_steps(self.t_cross, cfg.obs_dt_min)
         self.bounds = np.array([[f.tolerance.for_axis(a) for a in AXES]
                                 for f in flows])
         self.coeffs = np.array([transition_coeffs(cfg.ou[a], cfg.obs_dt_min)

@@ -26,7 +26,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .distributions import normal_cdf
-from .ou import Barrier, OuParams, first_passage_mc, transition_coeffs
+from .ou import (Barrier, OuParams, first_passage_mc, lattice_steps,
+                 transition_coeffs)
 from .pmf import TaskloadPmf
 from .rng import RandomSource
 
@@ -90,7 +91,7 @@ def fpt_density_oracle(p: OuParams, b: Barrier, horizon: float,
     fp = first_passage_mc(p, b, horizon, resolution, n_paths, src)
     # hits land on monitoring steps 1..floor(horizon/res); pad one point
     # past the last so every massive ordinate is interior to the trapezoid
-    n_bins = math.floor(horizon / resolution + 1e-9) + 2
+    n_bins = lattice_steps(horizon, resolution) + 2
     if fp.n_hits == 0:
         return DensityGrid(0.0, resolution, np.zeros(n_bins),
                            flags=[FLAG_NO_HITS])

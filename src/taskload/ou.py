@@ -120,6 +120,11 @@ def transition_coeffs(p: OuParams, dt: float) -> tuple[float, float, float]:
     return a, b, math.sqrt(var)
 
 
+def lattice_steps(window, dt):
+    """How many of dt, 2 dt, ... lie in window (1e-9 slack); elementwise."""
+    return np.floor(np.divide(window, dt) + 1e-9).astype(int)
+
+
 @dataclass
 class FirstPassageResult:
     """Grid-monitored first-passage summary over a batch of paths."""
@@ -161,8 +166,7 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
                                   horizon, dt, 1.0, float(lo), float(hi),
                                   degenerate=True)
 
-    # monitoring grid stays inside the horizon
-    n_steps = math.floor(horizon / dt + 1e-9)
+    n_steps = lattice_steps(horizon, dt)
     coeffs = transition_coeffs(p, dt)
     n_blocks = -(-n_paths // FIRST_PASSAGE_BLOCK)
 
@@ -226,7 +230,7 @@ def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
     if not b.origin_inside:
         raise ValueError(f"origin {b.origin} is not inside the barrier")
 
-    n_steps = math.floor(horizon / dt + 1e-9)
+    n_steps = lattice_steps(horizon, dt)
     coeffs = tuple(np.array([c]) for c in transition_coeffs(p, dt))
     x = np.full((n_paths, 1), float(b.origin))
     counts = np.zeros((n_paths, 1), dtype=np.int64)

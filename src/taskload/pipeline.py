@@ -10,7 +10,6 @@ Nothing here samples: no table depends on a seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .flow import (CrossingGeometry, FlowSpec, conflict_interventions_pmf,
 # the uncalled simulation cross-checks stay bound for perfbench/tracing.py
 from .hitting import (DensityGrid, first_hit_law,  # noqa: F401
                       fpt_density_oracle, intervention_pmf)
-from .ou import OuParams, intervention_count_mc  # noqa: F401
+from .ou import OuParams, intervention_count_mc, lattice_steps  # noqa: F401
 from .pmf import TaskloadPmf, convolve_pmf, delta_pmf
 
 
@@ -37,7 +36,7 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
     of the per-axis PMFs. Pass a dict as densities_out to also collect
     the per-axis first-hit densities.
     """
-    n_obs = math.floor(horizon / obs_dt + 1e-9)
+    n_obs = lattice_steps(horizon, obs_dt)
     out: dict[str, TaskloadPmf] = {}
     combined = delta_pmf(0, horizon)
     for axis in AXES:

@@ -7,13 +7,13 @@ the (seed, stream_id) pair recorded in its provenance.
 A stream is numpy's PCG64 seeded through a SeedSequence whose spawn key
 is the stream's lineage. RandomSource.substreams derives a run of
 consecutive child streams without building a SeedSequence and a PCG64
-for each: it runs the SeedSequence hash for all child indices at once as
-uint32 array arithmetic, applies PCG64's seeding step to the hashed
-words, and loads each result into one PCG64 through its state setter.
-The streams are bit-for-bit those of substream(i). NEP 19 fixes the
-SeedSequence hash and PCG64's seeding for stream compatibility, which is
-what makes the reimplementation stable across numpy releases;
-tests/test_rng.py checks it against substream.
+for each: numpy supplies the pool the children share (the SeedSequence
+pool of the parent key), and the library derives only each child. It
+mixes the child indices into that pool as uint32 array arithmetic,
+applies PCG64's seeding step, and loads each state into one PCG64
+through its state setter. The streams are bit-for-bit those of
+substream(i); NEP 19 fixes the SeedSequence hash and PCG64's seeding, so
+tests/test_rng.py's check against substream holds across numpy releases.
 """
 
 from __future__ import annotations
@@ -78,10 +78,13 @@ class RandomSource:
             raise ValueError(f"start and count must be >= 0, got "
                              f"{start} and {count}")
         lineage = self._lineage + (self.stream_id,)
-        seed_words = _words(self.seed)
-        seed_words += [0] * (_POOL_SIZE - len(seed_words))
-        pool, hash_const = _mix_pool(
-            seed_words + [w for key in lineage for w in _words(key)])
+        # numpy's pool for the parent key; its hash constant has stepped once
+        # per pool word per entropy word (the seed's, padded, then lineage's)
+        pool = np.random.SeedSequence(self.seed, spawn_key=lineage).pool
+        n_words = (max(len(_words(self.seed)), _POOL_SIZE)
+                   + sum(len(_words(key)) for key in lineage))
+        hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words,
+                                   _MASK32 + 1) & _MASK32
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
         index, stop = int(start), int(start) + int(count)
@@ -92,7 +95,7 @@ class RandomSource:
             end = min(stop, index + _CHUNK, (high + 1) << 32)
             low = (index & _MASK32) + np.arange(end - index, dtype=np.uint32)
             words = [low] + (_words(high) if high else [])
-            chunk_pool, _ = _absorb(pool, hash_const, words)
+            chunk_pool = _absorb(pool, hash_const, words)
             for i, (state, inc) in enumerate(_pcg64_states(chunk_pool),
                                              index):
                 bitgen.state = {"bit_generator": "PCG64",
@@ -151,29 +154,14 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _mix_pool(entropy: list[int]) -> tuple[list, int]:
-    """SeedSequence.mix_entropy on assembled entropy of at least
-    _POOL_SIZE words: the pool and the running hash constant."""
-    pool, hash_const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    return _absorb(pool, hash_const, entropy[_POOL_SIZE:])
-
-
-def _absorb(pool: list, hash_const: int, words: list) -> tuple[list, int]:
+def _absorb(pool: np.ndarray, hash_const: int, words: list) -> list:
     """Mix entropy words beyond the pool size into every pool word."""
-    pool = list(pool)
+    pool = pool.tolist()
     for word in words:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
+    return pool
 
 
 def _pcg64_states(pool: list) -> Iterator[tuple[int, int]]:

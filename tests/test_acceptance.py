@@ -293,7 +293,7 @@ def test_c07b_support_bounded_by_resolution_floor(c7_bundle):
 def test_c08_multilane_marginality():
     names = ("stringent", "severe", "intermediate", "lax")
     flows = [FlowSpec(intensity_per_hour=60.0,
-                      tolerance=TOLERANCE_STANDARDS[n].bounds) for n in names]
+                      tolerance=TOLERANCE_STANDARDS[n]) for n in names]
     est = run_multilane(replace(
         default_config(), kind="multilane", flows=flows, n_runs=4000,
         seed=8001))
@@ -425,7 +425,7 @@ def test_c09c_transit_times_vs_reference():
 def test_c10a_lax_standards_drive_no_deviation_control():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     flows = [FlowSpec(intensity_per_hour=2.5,
-                      tolerance=TOLERANCE_STANDARDS["lax"].bounds)] * 2
+                      tolerance=TOLERANCE_STANDARDS["lax"])] * 2
     est = run_crossing(replace(default_config(), kind="crossing", flows=flows,
                                geometry=geom, n_runs=3000, seed=10001))
     p0 = est.components["deviation_control"].probs[0]

@@ -819,7 +819,9 @@ class TestCompareChecksHorizons:
         ("list.json", "[1, 2]"),
         ("short_row.csv", "n,prob\n0\n"),
         ("text_prob.csv", "n,prob\n0,half\n"),
-        ("bad_horizon.csv", "# horizon_min=soon\nn,prob\n0,1\n")])
+        ("bad_horizon.csv", "# horizon_min=soon\nn,prob\n0,1\n"),
+        ("gap.csv", "n,prob\n0,0.5\n3,0.5\n"),
+        ("unnumbered.csv", "n,prob\nfoo,1\n")])
     def test_malformed_table_is_a_data_error(self, tmp_path, name, text):
         bad = tmp_path / name
         bad.write_text(text)

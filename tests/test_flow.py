@@ -85,7 +85,7 @@ class TestCompoundPoisson:
                               ("intermediate", 30.0), ("lax", 7.5)):
             flows.append(FlowSpec(intensity_per_hour=float(rng.uniform(5, 60)),
                                   t_cross_min=t_cross,
-                                  tolerance=TOLERANCE_STANDARDS[name].bounds))
+                                  tolerance=TOLERANCE_STANDARDS[name]))
             pmfs.append(TaskloadPmf(rng.dirichlet(np.ones(2 + len(pmfs))),
                                     horizon=120.0))
         lanes = [single_lane_pmf(f, p) for f, p in zip(flows, pmfs)]
@@ -114,9 +114,9 @@ class TestCompoundPoisson:
     def test_crossing_of_unlike_flows_mixes_control_laws(self):
         g = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
         flows = [FlowSpec(intensity_per_hour=2.5, t_cross_min=g.t_safe_min,
-                          tolerance=TOLERANCE_STANDARDS["stringent"].bounds),
+                          tolerance=TOLERANCE_STANDARDS["stringent"]),
                  FlowSpec(intensity_per_hour=7.5, t_cross_min=g.t_safe_min,
-                          tolerance=TOLERANCE_STANDARDS["lax"].bounds)]
+                          tolerance=TOLERANCE_STANDARDS["lax"])]
         pmfs = [TaskloadPmf(np.array([0.9, 0.08, 0.02]), horizon=g.t_safe_min),
                 TaskloadPmf(np.array([0.99, 0.01]), horizon=g.t_safe_min)]
         total = crossing_pmf(conflict_pmf(g, 2.5, 7.5),
@@ -220,7 +220,7 @@ class TestMultilane:
         flows, pmfs = [], []
         for name in ("stringent", "severe", "intermediate", "lax"):
             flows.append(FlowSpec(intensity_per_hour=float(rng.uniform(5, 60)),
-                                  tolerance=TOLERANCE_STANDARDS[name].bounds))
+                                  tolerance=TOLERANCE_STANDARDS[name]))
             raw = rng.dirichlet(np.ones(4))
             pmfs.append(TaskloadPmf(raw, horizon=120.0))
         base = multilane_pmf(flows, pmfs)

@@ -172,7 +172,7 @@ class TestEngine:
     def test_multilane_matches_reference_loop(self):
         # lanes of unequal residency pad the shorter ones' noise in a block
         flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
-                          tolerance=TOLERANCE_STANDARDS[name].bounds)
+                          tolerance=TOLERANCE_STANDARDS[name])
                  for name, t_cross in (("stringent", 20.0), ("severe", 7.5),
                                        ("intermediate", 30.0))]
         # slow reversion keeps an unreset excursion beyond the bound
@@ -195,7 +195,7 @@ class TestEngine:
         # the half-minute lane is never observed at a 1-minute cadence:
         # its aircraft count, but it adds no intervention
         flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
-                          tolerance=TOLERANCE_STANDARDS[name].bounds)
+                          tolerance=TOLERANCE_STANDARDS[name])
                  for name, t_cross in (("stringent", 0.5), ("severe", 7.5),
                                        ("stringent", 20.0))]
         slow = {a: replace(p, kappa=p.kappa / 20)
@@ -219,7 +219,7 @@ class TestEngine:
         geom = solve_safe_zone(CrossingGeometry(alpha_deg=30.0))
         flows = [FlowSpec(intensity_per_hour=60.0),
                  FlowSpec(intensity_per_hour=30.0,
-                          tolerance=TOLERANCE_STANDARDS["severe"].bounds)]
+                          tolerance=TOLERANCE_STANDARDS["severe"])]
         cfg = replace(default_config(), kind="crossing", flows=flows,
                       geometry=geom, n_runs=23, seed=55)
         est = run_crossing(cfg)
@@ -333,7 +333,7 @@ class TestMultilane:
 
     def test_prefixes_are_nested(self):
         flows = [FlowSpec(intensity_per_hour=30.0,
-                          tolerance=TOLERANCE_STANDARDS[name].bounds)
+                          tolerance=TOLERANCE_STANDARDS[name])
                  for name in ("stringent", "severe")]
         est = run_multilane(replace(
             default_config(), kind="multilane", flows=flows, n_runs=100,
@@ -376,7 +376,7 @@ class TestCrossing:
 
     def test_lax_standards_rarely_intervene(self):
         flows = [FlowSpec(intensity_per_hour=2.5,
-                          tolerance=TOLERANCE_STANDARDS["lax"].bounds)] * 2
+                          tolerance=TOLERANCE_STANDARDS["lax"])] * 2
         cfg, _ = self.cfg(flows=flows, n_runs=500)
         est = run_crossing(cfg)
         assert est.components["deviation_control"].probs[0] > 0.99

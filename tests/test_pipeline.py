@@ -32,7 +32,7 @@ def test_analytic_single_lane_mean_scales_with_intensity():
 
 def test_analytic_multilane_prefixes():
     flows = [FlowSpec(intensity_per_hour=60.0,
-                      tolerance=TOLERANCE_STANDARDS[n].bounds)
+                      tolerance=TOLERANCE_STANDARDS[n])
              for n in ("stringent", "severe", "intermediate", "lax")]
     out = analytic_multilane(flows, OU_FTE_CENTERED, 120.0, 1.0)
     m = [out[f"lanes{k}_total"].mean() for k in (1, 2, 3, 4)]
@@ -76,7 +76,7 @@ def test_crossing_scores_each_flow_with_its_own_law():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=90.0))
     stringent = FlowSpec(intensity_per_hour=30.0)
     lax = FlowSpec(intensity_per_hour=10.0,
-                   tolerance=TOLERANCE_STANDARDS["lax"].bounds)
+                   tolerance=TOLERANCE_STANDARDS["lax"])
     ab = analytic_crossing(geom, [stringent, lax], OU_FTE_CENTERED, 1.0)
     ba = analytic_crossing(geom, [lax, stringent], OU_FTE_CENTERED, 1.0)
     for name, pmf in ab.items():

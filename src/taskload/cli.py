@@ -7,12 +7,13 @@ the config's output.format), prefixed by a provenance comment block
 sufficient to reproduce the numeric payload byte for byte. A count
 table also records its own horizon_min, unless its law has no time
 window (the crossing's occupancy and conflict tables); compare refuses
-two tables whose recorded horizons differ (exit 3). analytic
-and simulate both read the loaded config.ConfigFile; simulate runs a
-copy carrying its --runs and --seed overrides, while provenance and
-config_resolved.json describe the config as loaded. calibrate and
-compare read no config and record no config hash; they read CSV or
-JSON tables through one reader, _read_table.
+two tables whose recorded horizons differ (exit 3). No flag overrides
+a number: seeds, run counts and the crossing angle come only from the
+config, so a table, its config hash and config_resolved.json always
+describe the same run. calibrate and compare read no config and record
+no config hash; they read CSV or JSON tables through one reader,
+_read_table, and compare takes the run count behind a Monte Carlo
+table from that table's provenance.
 
 Exit codes: 0 success, 2 config or usage error, 3 data error, 4
 numerical failure, 5 comparison failure.
@@ -75,15 +76,16 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def _provenance(cfg: ConfigFile | None, extra: dict,
-                seed: int | None = None) -> dict:
+                draws: bool = False) -> dict:
     """Provenance block; the config hash only for commands that read a
-    config, seed and stream_id only for commands that draw."""
+    config, the config's seed and stream_id only for commands that
+    draw."""
     prov = {"schema_version": SCHEMA_VERSION,
             "tool": f"{TOOL_NAME} {TOOL_VERSION}"}
     if cfg is not None:
         prov["config_sha256"] = cfg.sha256()
-    if seed is not None:
-        prov.update(seed=seed, stream_id=cfg.stream_id)
+    if draws:
+        prov.update(seed=cfg.seed, stream_id=cfg.stream_id)
     prov.update(extra)
     return prov
 
@@ -148,15 +150,14 @@ def _write_resolved_config(cfg: ConfigFile, out_dir: str) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load(args)
-    seed = args.seed if args.seed is not None else cfg.seed
     axis = args.axis
     col = AXIS_COLUMNS[axis]
     prov = _provenance(cfg, {"command": "generate", "axis": axis,
-                             "n": args.n}, seed)
+                             "n": args.n}, draws=True)
     if args.n == 0:
         rows: list[list] = []
     else:
-        src = RandomSource(seed, cfg.stream_id)
+        src = RandomSource(cfg.seed, cfg.stream_id)
         samples = johnson_sample(cfg.distributions[axis], src, args.n)
         rows = [[float(v)] for v in samples]
     _write_table(args.out, _format(args, cfg), prov, [col], rows)
@@ -238,8 +239,6 @@ def _report_dict(rep: calibration.CalibrationReport) -> dict:
 
 def cmd_calibrate(args) -> int:
     series = _read_series(args.input)
-    methods = {"ls": ["least_squares"], "mle": ["mle"],
-               "both": ["least_squares", "mle"]}[args.method]
     body: dict = {"series": args.input, "reports": {}}
     for axis, values in series.items():
         try:
@@ -247,9 +246,8 @@ def cmd_calibrate(args) -> int:
         except ValueError as exc:
             raise DataError(f"{args.input}: {axis} series: {exc}") from None
         body["reports"][axis] = {}
-        for method in methods:
-            fit = (calibration.fit_least_squares if method == "least_squares"
-                   else calibration.fit_mle)
+        for method, fit in (("least_squares", calibration.fit_least_squares),
+                            ("mle", calibration.fit_mle)):
             try:
                 rep = fit(ts)
             except calibration.DegenerateDataError as exc:
@@ -310,14 +308,13 @@ def _estimate_tables(est: McEstimate) -> dict[str, tuple[list[str], list[list]]]
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    run = replace(cfg, n_runs=args.runs or cfg.resolved_runs(),
-                  seed=cfg.seed if args.seed is None else args.seed)
+    run = replace(cfg, n_runs=cfg.resolved_runs())
     runner = {"single_lane": run_single_lane, "multilane": run_multilane,
-              "crossing": run_crossing}[run.kind]
+              "crossing": run_crossing}[cfg.kind]
     est = runner(run)
     prov = _provenance(cfg, {
-        "command": "simulate", "kind": run.kind,
-        "n_runs": run.n_runs, "n_aircraft": est.n_aircraft}, run.seed)
+        "command": "simulate", "kind": cfg.kind,
+        "n_runs": run.n_runs, "n_aircraft": est.n_aircraft}, draws=True)
     os.makedirs(args.out, exist_ok=True)
     _write_resolved_config(cfg, args.out)
     fmt = _format(args, cfg)
@@ -361,18 +358,20 @@ def _read_pmf_table(path: str
 
 def cmd_compare(args) -> int:
     a_probs, a_trunc, _, a_horizon = _read_pmf_table(args.analytic)
-    m_probs, _, recorded_runs, m_horizon = _read_pmf_table(args.mc)
+    m_probs, _, n_runs, m_horizon = _read_pmf_table(args.mc)
     if not same_horizon(a_horizon, m_horizon):
         raise DataError(f"{args.analytic} counts over horizon_min="
                         f"{a_horizon} but {args.mc} over horizon_min="
                         f"{m_horizon}; the tables are not comparable")
     analytic = TaskloadPmf(a_probs, a_trunc, a_horizon)
-    n_runs = args.runs or recorded_runs
-    if not n_runs:
-        raise DataError(f"{args.mc}: no n_runs in its provenance; "
-                        f"give --runs")
-    counts = np.rint(m_probs * n_runs).astype(np.int64)
-    mc = EmpiricalPmf(counts, int(counts.sum()), 0, m_horizon)
+    if n_runs is None or n_runs < 1:
+        raise DataError(f"{args.mc}: no n_runs >= 1 in its provenance")
+    counts = np.rint(m_probs * n_runs)
+    if counts.sum() != n_runs or not np.allclose(counts, m_probs * n_runs,
+                                                 rtol=0.0, atol=1e-6):
+        raise DataError(f"{args.mc}: probabilities times n_runs={n_runs} "
+                        f"are not whole run counts summing to {n_runs}")
+    mc = EmpiricalPmf(counts.astype(np.int64), n_runs, 0, m_horizon)
     report = compare_pmfs(analytic, mc, tv_threshold=args.tv)
     body = {
         "tv_distance": report.tv,
@@ -389,10 +388,7 @@ def cmd_compare(args) -> int:
 
 def cmd_safe_zone(args) -> int:
     cfg = _load(args)
-    geom = cfg.geometry
-    if args.alpha is not None:
-        geom = replace(geom, alpha_deg=args.alpha)
-    solved = solve_safe_zone(geom)
+    solved = solve_safe_zone(cfg.geometry)
     prov = _provenance(cfg, {"command": "safe-zone"})
     header = ["alpha_deg", "e1_nm", "e2_nm", "d_min_nm", "x1_nm", "x2_nm",
               "t_safe_min"]
@@ -426,9 +422,6 @@ def _checked(cast, ok, what: str):
     return parse
 
 
-_RUNS = _checked(int, lambda n: n >= 1, "a run count >= 1")
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
@@ -446,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generate", help="write synthetic FTE samples")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config's mc.seed")
     p.add_argument("--axis", choices=AXES, required=True)
     p.add_argument("-n", required=True, help="sample count",
                    type=_checked(int, lambda n: n >= 0, "a count >= 0"))
@@ -457,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("calibrate", help="fit dynamics to a deviation "
                         "series; writes a JSON report")
     p.add_argument("--in", dest="input", required=True, help="input CSV")
-    p.add_argument("--method", choices=("ls", "mle", "both"), default="both")
     p.add_argument("--dt", default=1.0,
                    help="sampling step in minutes (default 1)",
                    type=_checked(float, lambda x: 0.0 < x < math.inf,
@@ -472,11 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="Monte Carlo taskload estimate")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config's mc.seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--runs", type=_RUNS, default=None,
-                   help="override the config's run count")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("compare", help="TV comparison of two PMF tables")
@@ -486,18 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TV distance threshold (default 0.02)",
                    type=_checked(float, lambda t: 0.0 < t <= 1.0,
                                  "a threshold in (0, 1]"))
-    p.add_argument("--runs", type=_RUNS, default=None,
-                   help="MC run count behind the estimate (default: the "
-                        "n_runs in its provenance)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("safe-zone", help="solve crossing safe-zone bounds")
     _add_common(p)
-    p.add_argument("--alpha", default=None,
-                   help="crossing angle override (degrees)",
-                   type=_checked(float, lambda a: 0.0 < a < 180.0,
-                                 "an angle in (0, 180) degrees"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_safe_zone)
     return parser

@@ -74,8 +74,8 @@ class EmpiricalPmf:
 
     def __post_init__(self):
         self.counts = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
-        if self.counts.sum() != self.n_runs:
-            raise ValueError("counts must sum to n_runs")
+        if self.n_runs < 1 or self.counts.sum() != self.n_runs:
+            raise ValueError(f"counts must sum to n_runs={self.n_runs} >= 1")
 
     @property
     def probs(self) -> np.ndarray:

@@ -28,6 +28,10 @@ class TaskloadPmf:
         self.probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
+        if not (np.isfinite(self.probs).all()
+                and math.isfinite(self.truncation_mass)):
+            raise ValueError(f"non-finite mass: probs {self.probs}, "
+                             f"truncation {self.truncation_mass}")
         if np.any(self.probs < -_MASS_TOL):
             raise ValueError(f"negative probability {self.probs.min()}")
         self.probs = np.clip(self.probs, 0.0, None)

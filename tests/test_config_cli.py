@@ -156,6 +156,13 @@ def read_payload(path):
         return fh.read()
 
 
+def seed_config(tmp_path, seed):
+    """A default config drawing at mc.seed = seed."""
+    cfg = tmp_path / f"seed{seed}.json"
+    cfg.write_text(json.dumps({"mc": {"seed": seed}}))
+    return cfg
+
+
 class TestCli:
     def test_generate_header_only(self, tmp_path):
         out = tmp_path / "fte.csv"
@@ -168,16 +175,17 @@ class TestCli:
 
     def test_generate_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = seed_config(tmp_path, 5)
         for path in (a, b):
             rc = main(["generate", "--axis", "lateral", "-n", "1000",
-                       "--seed", "5", "--out", str(path)])
+                       "--config", str(cfg), "--out", str(path)])
             assert rc == 0
         assert read_payload(a) == read_payload(b)
 
     def test_generate_moments(self, tmp_path):
         out = tmp_path / "fte.csv"
         main(["generate", "--axis", "lateral", "-n", "200000",
-              "--seed", "5", "--out", str(out)])
+              "--config", str(seed_config(tmp_path, 5)), "--out", str(out)])
         vals = np.array([float(l) for l in read_payload(out).splitlines()
                          if not (l.startswith("#") or l == "lat_nm")])
         assert abs(vals.mean() - (-0.028)) < 3 * vals.std() / np.sqrt(vals.size) + 1e-4
@@ -190,8 +198,7 @@ class TestCli:
             x.append(0.5 * x[-1] + 0.1)
         data.write_text("lat_nm\n" + "\n".join(f"{v!r}" for v in x) + "\n")
         out = tmp_path / "report.json"
-        rc = main(["calibrate", "--in", str(data), "--method", "both",
-                   "--out", str(out)])
+        rc = main(["calibrate", "--in", str(data), "--out", str(out)])
         assert rc == 0
         report = json.loads(read_payload(out))
         ls = report["reports"]["lateral"]["least_squares"]
@@ -207,7 +214,7 @@ class TestCli:
     def test_calibrate_round_trip_from_generate(self, tmp_path):
         fte = tmp_path / "fte.csv"
         main(["generate", "--axis", "lateral", "-n", "100000",
-              "--seed", "9", "--out", str(fte)])
+              "--config", str(seed_config(tmp_path, 9)), "--out", str(fte)])
         out = tmp_path / "cal.json"
         rc = main(["calibrate", "--in", str(fte), "--out", str(out)])
         assert rc == 0
@@ -246,10 +253,11 @@ class TestCli:
 
     def test_calibrate_reads_what_generate_writes_as_json(self, tmp_path):
         reports = []
+        cfg = seed_config(tmp_path, 9)
         for fmt in ("csv", "json"):
             fte, out = tmp_path / f"fte.{fmt}", tmp_path / f"cal_{fmt}.json"
             assert main(["generate", "--axis", "vertical", "-n", "2000",
-                         "--seed", "9", "--format", fmt,
+                         "--config", str(cfg), "--format", fmt,
                          "--out", str(fte)]) == 0
             assert main(["calibrate", "--in", str(fte),
                          "--out", str(out)]) == 0
@@ -290,19 +298,31 @@ class TestCli:
                   if not l.startswith("#")][0]
         assert header == "n,prob,ci_lo,ci_hi,below_floor"
 
-    def test_simulate_reproduces_from_resolved_config(self, tmp_path):
+    @pytest.mark.parametrize("kind, intensities", [
+        ("single_lane", [5.0]), ("multilane", [5.0, 10.0]),
+        ("crossing", [5.0, 5.0])], ids=["single_lane", "multilane",
+                                        "crossing"])
+    def test_simulate_reproduces_from_resolved_config(self, tmp_path, kind,
+                                                      intensities):
+        # the crossing's replay solves its safe zone again: the solved
+        # fields are not part of the resolved config
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "flows": [{"intensity_per_hour": 5.0}],
-            "mc": {"kind": "single_lane", "n_runs": 30, "seed": 8},
+            "flows": [{"intensity_per_hour": lam} for lam in intensities],
+            "mc": {"kind": kind, "n_runs": 30, "seed": 8},
         }))
         out1 = tmp_path / "o1"
-        main(["simulate", "--config", str(cfg), "--out", str(out1)])
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out1)]) == 0
         out2 = tmp_path / "o2"
-        main(["simulate", "--config", str(out1 / "config_resolved.json"),
-              "--out", str(out2)])
-        assert read_payload(out1 / "mc_total.csv") == \
-            read_payload(out2 / "mc_total.csv")
+        assert main(["simulate", "--config",
+                     str(out1 / "config_resolved.json"),
+                     "--out", str(out2)]) == 0
+        written = sorted(p.name for p in out1.iterdir())
+        assert written == sorted(p.name for p in out2.iterdir())
+        assert len(written) > 2
+        for name in written:
+            assert read_payload(out1 / name) == read_payload(out2 / name)
 
     def test_provenance_block_present(self, tmp_path):
         out = tmp_path / "fte.csv"
@@ -315,7 +335,7 @@ class TestCli:
 
     def test_safe_zone_command(self, tmp_path):
         out = tmp_path / "zone.csv"
-        rc = main(["safe-zone", "--alpha", "90", "--out", str(out)])
+        rc = main(["safe-zone", "--out", str(out)])
         assert rc == 0
         rows = [l for l in read_payload(out).splitlines()
                 if not l.startswith("#")]
@@ -347,6 +367,18 @@ class TestCli:
         assert main(["compare", "--analytic", str(analytic), "--mc", str(mc),
                      "--tv", "0.02",
                      "--out", str(tmp_path / "rep.json")]) == 5
+
+    def test_compare_non_finite_law_is_a_numerical_failure(self, tmp_path,
+                                                           capsys):
+        analytic = tmp_path / "a.csv"
+        mc = tmp_path / "m.csv"
+        analytic.write_text("n,prob\n0,nan\n1,1\n")
+        mc.write_text("# n_runs=10\nn,prob\n0,0\n1,1\n")
+        rep = tmp_path / "rep.json"
+        assert main(["compare", "--analytic", str(analytic), "--mc", str(mc),
+                     "--out", str(rep)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_analytic_command_zero_intensity(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -382,15 +414,12 @@ class TestConfigReachesOutput:
             mc = tmp_path / fmt
             assert main(["simulate", "--config", str(cfg), "--format", fmt,
                          "--out", str(mc)]) == 0
-            for extra in ([], ["--runs", "400"]):
-                rep = tmp_path / "rep.json"
-                main(["compare", "--analytic",
-                      str(tmp_path / "an" / "analytic_total.csv"),
-                      "--mc", str(mc / f"mc_total.{fmt}"),
-                      "--out", str(rep)] + extra)
-                z[fmt, bool(extra)] = json.loads(
-                    read_payload(rep))["max_abs_z"]
-        assert z["csv", False] == z["csv", True] == z["json", False]
+            rep = tmp_path / "rep.json"
+            main(["compare", "--analytic",
+                  str(tmp_path / "an" / "analytic_total.csv"),
+                  "--mc", str(mc / f"mc_total.{fmt}"), "--out", str(rep)])
+            z[fmt] = json.loads(read_payload(rep))["max_abs_z"]
+        assert z["csv"] == z["json"]
         bare = tmp_path / "bare.csv"
         bare.write_text("n,prob\n0,0.5\n1,0.5\n")
         assert main(["compare", "--analytic", str(bare),
@@ -497,14 +526,14 @@ class TestCommandLineValues:
          "unrecognized"),
         (["safe-zone", "--seed", "1"], "unrecognized"),
         (["simulate", "--dt", "0.1", "--out", "o"], "unrecognized"),
-        (["safe-zone", "--alpha", "200"], "200 is not"),
-        (["simulate", "--runs", "0", "--out", "o"], "0 is not"),
+        (["safe-zone", "--alpha", "200"], "unrecognized"),
+        (["simulate", "--runs", "0", "--out", "o"], "unrecognized"),
         (["generate", "--axis", "lateral", "-n", "-3", "--out", "x.csv"],
          "-3 is not"),
         (["calibrate", "--dt", "0", "--in", "x.csv", "--out", "r.json"],
          "0 is not"),
         (["compare", "--analytic", "a.csv", "--mc", "m.csv", "--runs", "0"],
-         "0 is not"),
+         "unrecognized"),
         (["calibrate", "--format", "csv", "--in", "x.csv", "--out", "r.csv"],
          "unrecognized"),
         (["calibrate", "--config", "c.json", "--in", "x.csv",
@@ -513,6 +542,11 @@ class TestCommandLineValues:
           "--out", "rep.json"], "nan is not"),
         (["compare", "--analytic", "a.csv", "--mc", "m.csv", "--tv", "-1",
           "--out", "rep.json"], "-1 is not"),
+        (["generate", "--seed", "1", "--axis", "lateral", "-n", "3",
+          "--out", "x.csv"], "unrecognized"),
+        (["simulate", "--seed", "1", "--out", "o"], "unrecognized"),
+        (["calibrate", "--method", "both", "--in", "x.csv",
+          "--out", "r.json"], "unrecognized"),
     ])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
@@ -664,7 +698,7 @@ def test_one_process_writes_what_fresh_processes_write(tmp_path):
     # reach the next
     cfg = lane_config(tmp_path, mc={"n_runs": 5})
     assert taskload.cli.build_parser() is taskload.cli.build_parser()
-    for i, argv in enumerate([["simulate", "--runs", "7", "--format", "json"],
+    for i, argv in enumerate([["simulate", "--format", "json"],
                               ["simulate"]]):
         argv += ["--config", str(cfg)]
         here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
@@ -829,6 +863,18 @@ class TestCompareChecksHorizons:
         good.write_text("# n_runs=10\nn,prob\n0,1\n")
         assert main(["compare", "--analytic", str(bad),
                      "--mc", str(good)]) == 3
+
+    def test_mc_table_not_whole_run_counts_is_a_data_error(self, tmp_path,
+                                                            capsys):
+        # 0.5 of 3 runs is no whole number of runs
+        analytic, mc = tmp_path / "a.csv", tmp_path / "m.csv"
+        analytic.write_text("n,prob\n0,0.5\n1,0.5\ntruncation,0\n")
+        mc.write_text("# n_runs=3\nn,prob\n0,0.5\n1,0.5\n")
+        rep = tmp_path / "rep.json"
+        assert main(["compare", "--analytic", str(analytic), "--mc", str(mc),
+                     "--out", str(rep)]) == 3
+        assert str(mc) in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_lane_pair_compares_as_without_horizons(self, tmp_path):
         cfg = lane_config(tmp_path)

@@ -413,6 +413,11 @@ class TestEmpiricalPmf:
         with pytest.raises(ValueError):
             EmpiricalPmf(np.array([3, 2]), n_runs=10, n_observations=0)
 
+    def test_needs_a_run(self):
+        # 0 runs would give 0/0 probabilities
+        with pytest.raises(ValueError, match="n_runs=0"):
+            EmpiricalPmf(np.array([0]), n_runs=0, n_observations=0)
+
     def test_resolution_floor_reporting(self):
         emp = EmpiricalPmf(np.array([990, 10]), n_runs=1000,
                            n_observations=50000)

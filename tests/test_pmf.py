@@ -18,6 +18,17 @@ def test_mass_validation():
         TaskloadPmf(np.array([0.5, -0.6, 1.1]))
 
 
+@pytest.mark.parametrize("probs, trunc", [
+    ([np.nan, 0.5], 0.0), ([np.inf, 0.5], 0.0), ([1.0], np.nan),
+    ([0.5, 0.5], np.inf)], ids=["nan_prob", "inf_prob", "nan_truncation",
+                                "inf_truncation"])
+def test_non_finite_mass_rejected(probs, trunc):
+    # a NaN compares False with every bound, so each check must ask for
+    # finite values outright
+    with pytest.raises(ValueError, match="non-finite"):
+        TaskloadPmf(np.array(probs), trunc)
+
+
 def test_identity_element():
     q = TaskloadPmf(np.array([0.2, 0.3, 0.5]))
     out = convolve_pmf(delta_pmf(0), q)

@@ -44,8 +44,9 @@ def test_every_traced_binding_fires(tmp_path):
             cfg = tmp_path / f"{kind}.json"
             cfg.write_text(json.dumps({
                 "flows": [{"intensity_per_hour": lam} for lam in intensities],
-                "mc": {"kind": kind, "horizon_min": 30.0, "seed": 3}}))
-            for argv in (["analytic"], ["simulate", "--runs", "5"]):
+                "mc": {"kind": kind, "horizon_min": 30.0, "n_runs": 5,
+                       "seed": 3}}))
+            for argv in (["analytic"], ["simulate"]):
                 out = tmp_path / f"{kind}_{argv[0]}"
                 assert cli.main(argv + ["--config", str(cfg),
                                         "--out", str(out)]) == 0

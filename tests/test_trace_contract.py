@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from taskload import cli
+from taskload.config import MONOLANE_RUNS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,7 +28,7 @@ def load_tracing():
 def test_traced_commands_record_the_run_count(tmp_path):
     tracing = load_tracing()
     cfg = tmp_path / "lane.json"
-    # no mc.n_runs: the run count comes from --runs alone
+    # no mc.n_runs: the run count is the reference one of a 10/h lane
     cfg.write_text(json.dumps({"flows": [{"intensity_per_hour": 10.0}],
                                "mc": {"kind": "single_lane", "seed": 4}}))
     targets = tracing.boundary_targets()
@@ -41,8 +42,7 @@ def test_traced_commands_record_the_run_count(tmp_path):
     tracer.install(targets)
     try:
         for argv in (["analytic", "--out", str(tmp_path / "analytic")],
-                     ["simulate", "--runs", "7",
-                      "--out", str(tmp_path / "simulate")]):
+                     ["simulate", "--out", str(tmp_path / "simulate")]):
             # each aircraft of a 20-minute lane is scored 20 times
             roots[len(tracer.spans)] = (argv[0], 20)
             assert traced_main(argv + ["--config", str(cfg)]) == 0
@@ -52,9 +52,10 @@ def test_traced_commands_record_the_run_count(tmp_path):
     harness = [s for s in tracer.spans
                if s[tracing.NAME].startswith("harness.")]
     assert [s[tracing.NAME] for s in harness] == ["harness.run_single_lane"]
-    assert all(s[tracing.ATTRS]["runs"] == 7 for s in harness)
+    runs = MONOLANE_RUNS[10.0]
+    assert all(s[tracing.ATTRS]["runs"] == runs for s in harness)
     metrics = tracing.layer_metrics(tracer.spans, roots, 3)
-    assert metrics["harness.runs"] == 7
+    assert metrics["harness.runs"] == runs
     # every normal draw goes through RandomSource.standard_normal, which
     # the tracer wraps: one per aircraft-axis observation
     assert metrics["rng.normal_draws"] == metrics["harness.aircraft_obs"] > 0

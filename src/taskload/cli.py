@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Commands: generate, calibrate, analytic, simulate, compare, safe-zone.
-All tabular output is CSV with fixed headers (or JSON via --format or
-the config's output.format), prefixed by a provenance comment block
+All tabular output is CSV with fixed headers (or JSON when the config's
+output.format says so), prefixed by a provenance comment block
 (tool version, config hash, and the seed for the commands that draw)
-sufficient to reproduce the numeric payload byte for byte. A count
-table also records its own horizon_min, unless its law has no time
-window (the crossing's occupancy and conflict tables); compare refuses
-two tables whose recorded horizons differ (exit 3). No flag overrides
-a number: seeds, run counts and the crossing angle come only from the
-config, so a table, its config hash and config_resolved.json always
-describe the same run. calibrate and compare read no config and record
-no config hash; they read CSV or JSON tables through one reader,
-_read_table, and compare takes the run count behind a Monte Carlo
-table from that table's provenance.
+sufficient to reproduce the numeric payload byte for byte. analytic and
+simulate write through one writer, _write_result_set: each count table
+records its own horizon_min, unless its law has no time window (the
+crossing's occupancy and conflict tables); compare refuses two tables
+whose recorded horizons differ (exit 3). No flag overrides a number or
+the format: they come only from the config, so a table, its config hash
+and config_resolved.json always describe the same run. calibrate and
+compare read no config and record no config hash; they read tables
+through one reader, _read_table, which tells JSON from CSV by content,
+and compare takes the run count behind a Monte Carlo table from that
+table's provenance.
 
 Exit codes: 0 success, 2 config or usage error, 3 data error, 4
 numerical failure, 5 comparison failure.
@@ -39,8 +40,8 @@ from .config import (SCHEMA_VERSION, TOOL_NAME, TOOL_VERSION, ConfigError,
                      ConfigFile, default_config, load_config)
 from .distributions import AXES, johnson_sample
 from .flow import solve_safe_zone
-from .harness import (EmpiricalPmf, McEstimate, compare as compare_pmfs,
-                      run_crossing, run_multilane, run_single_lane)
+from .harness import (EmpiricalPmf, compare as compare_pmfs, run_crossing,
+                      run_multilane, run_single_lane)
 from .pipeline import (analytic_crossing, analytic_multilane,
                        analytic_single_lane)
 from .pmf import TaskloadPmf, same_horizon
@@ -90,12 +91,6 @@ def _provenance(cfg: ConfigFile | None, extra: dict,
     return prov
 
 
-def _with_horizon(prov: dict, horizon: float | None) -> dict:
-    """A table's provenance: prov plus the horizon its counts refer to,
-    omitted for window-free laws."""
-    return prov if horizon is None else {**prov, "horizon_min": horizon}
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -140,10 +135,20 @@ def _pmf_rows(pmf: TaskloadPmf) -> list[list]:
         [["truncation", float(pmf.truncation_mass)]]
 
 
-def _write_resolved_config(cfg: ConfigFile, out_dir: str) -> None:
+def _write_result_set(cfg: ConfigFile, out_dir: str, prov: dict,
+                      tables: dict[str, tuple[float | None, list[str],
+                                              list[list]]]) -> None:
+    """Write config_resolved.json, then each table name -> (horizon,
+    header, rows) as <name>.<format>; a None horizon is not recorded."""
+    os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "config_resolved.json"),
                   json.dumps(cfg.to_canonical_dict(), indent=2,
                              sort_keys=True) + "\n")
+    fmt = cfg.output_format
+    for name, (horizon, header, rows) in tables.items():
+        extra = {} if horizon is None else {"horizon_min": horizon}
+        _write_table(os.path.join(out_dir, f"{name}.{fmt}"), fmt,
+                     {**prov, **extra}, header, rows)
 
 
 # --- commands -------------------------------------------------------------
@@ -160,21 +165,22 @@ def cmd_generate(args) -> int:
         src = RandomSource(cfg.seed, cfg.stream_id)
         samples = johnson_sample(cfg.distributions[axis], src, args.n)
         rows = [[float(v)] for v in samples]
-    _write_table(args.out, _format(args, cfg), prov, [col], rows)
+    _write_table(args.out, cfg.output_format, prov, [col], rows)
     return EXIT_OK
 
 
 def _read_table(path: str) -> tuple[dict, list[str], list]:
-    """(provenance, columns, rows) of a table written as CSV (read as
-    strings, after a '# key=value' block) or as JSON (.json)."""
+    """(provenance, columns, rows) of a table written as JSON (its text
+    starts with '{') or as CSV (read as strings, after a '# key=value'
+    block), whatever the file's name."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if path.endswith(".json"):
+    if text.lstrip().startswith("{"):
         try:
-            payload = json.loads("\n".join(lines))
+            payload = json.loads(text)
             prov, rows = payload.get("provenance", {}), payload["rows"]
             columns = [str(name) for name in payload.get("columns", [])]
             if not isinstance(prov, dict) or not all(
@@ -184,6 +190,7 @@ def _read_table(path: str) -> tuple[dict, list[str], list]:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DataError(f"{path}: not a JSON table: {exc!r}") from None
         return prov, columns, rows
+    lines = text.splitlines()
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     if not body:
         raise DataError(f"{path}: empty file")
@@ -268,42 +275,25 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analytic(args) -> int:
     cfg = _load(args)
-    fmt = _format(args, cfg)
-    out_dir = args.out
     prov = _provenance(cfg, {"command": "analytic", "kind": cfg.kind})
     densities = {}
     if cfg.kind == "single_lane":
-        tables = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
-                                      cfg.obs_dt_min, densities_out=densities)
+        laws = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
+                                    cfg.obs_dt_min, densities_out=densities)
     elif cfg.kind == "multilane":
-        tables = analytic_multilane(cfg.flows, cfg.ou, cfg.horizon_min,
-                                    cfg.obs_dt_min)
+        laws = analytic_multilane(cfg.flows, cfg.ou, cfg.horizon_min,
+                                  cfg.obs_dt_min)
     else:
-        tables = analytic_crossing(cfg.geometry, cfg.flows, cfg.ou,
-                                   cfg.obs_dt_min)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_resolved_config(cfg, out_dir)
-    for name, pmf in tables.items():
-        path = os.path.join(out_dir, f"analytic_{name}.{fmt}")
-        _write_table(path, fmt, _with_horizon(prov, pmf.horizon),
-                     ["n", "prob"], _pmf_rows(pmf))
+        laws = analytic_crossing(cfg.geometry, cfg.flows, cfg.ou,
+                                 cfg.obs_dt_min)
+    tables = {f"analytic_{name}": (pmf.horizon, ["n", "prob"],
+                                   _pmf_rows(pmf))
+              for name, pmf in laws.items()}
     for axis, grid in densities.items():
-        path = os.path.join(out_dir, f"density_{axis}.{fmt}")
-        rows = [[float(t), float(v)]
-                for t, v in zip(grid.times, grid.values)]
-        _write_table(path, fmt, prov, ["t_min", "value"], rows)
+        tables[f"density_{axis}"] = (None, ["t_min", "value"], [
+            [float(t), float(v)] for t, v in zip(grid.times, grid.values)])
+    _write_result_set(cfg, args.out, prov, tables)
     return EXIT_OK
-
-
-def _estimate_tables(est: McEstimate) -> dict[str, tuple[list[str], list[list]]]:
-    out = {}
-    for name, emp in est.components.items():
-        lo, hi = emp.ci
-        rows = [[int(n), float(p), float(l), float(h), int(b)]
-                for n, (p, l, h, b) in enumerate(zip(emp.probs, lo, hi,
-                                                     emp.below_floor))]
-        out[name] = (["n", "prob", "ci_lo", "ci_hi", "below_floor"], rows)
-    return out
 
 
 def cmd_simulate(args) -> int:
@@ -315,13 +305,15 @@ def cmd_simulate(args) -> int:
     prov = _provenance(cfg, {
         "command": "simulate", "kind": cfg.kind,
         "n_runs": run.n_runs, "n_aircraft": est.n_aircraft}, draws=True)
-    os.makedirs(args.out, exist_ok=True)
-    _write_resolved_config(cfg, args.out)
-    fmt = _format(args, cfg)
-    for name, (header, rows) in _estimate_tables(est).items():
-        path = os.path.join(args.out, f"mc_{name}.{fmt}")
-        horizon = est.components[name].horizon
-        _write_table(path, fmt, _with_horizon(prov, horizon), header, rows)
+    tables = {}
+    for name, emp in est.components.items():
+        lo, hi = emp.ci
+        rows = [[int(n), float(p), float(l), float(h), int(b)]
+                for n, (p, l, h, b) in enumerate(zip(emp.probs, lo, hi,
+                                                     emp.below_floor))]
+        tables[f"mc_{name}"] = (emp.horizon, ["n", "prob", "ci_lo", "ci_hi",
+                                              "below_floor"], rows)
+    _write_result_set(cfg, args.out, prov, tables)
     return EXIT_OK
 
 
@@ -329,7 +321,8 @@ def _read_pmf_table(path: str
                     ) -> tuple[np.ndarray, float, int | None, float | None]:
     """(probs, truncation, n_runs, horizon_min) from a written table; a
     value its provenance does not record is None. Count rows must be
-    numbered 0, 1, 2, ... in file order."""
+    numbered 0, 1, 2, ... in file order. A recorded n_runs must be an
+    integer and horizon_min a finite number, neither a bool."""
     prov, _, rows = _read_table(path)
     probs = []
     trunc = 0.0
@@ -348,11 +341,16 @@ def _read_pmf_table(path: str
         raise DataError(f"{path}: no PMF rows")
     recorded = []
     for key, cast in (("n_runs", int), ("horizon_min", float)):
-        val = prov.get(key)
+        val = num = prov.get(key)
         try:
-            recorded.append(None if val is None else cast(val))
-        except (TypeError, ValueError):
+            if isinstance(val, str):
+                num = cast(val)
+            if num is not None and (isinstance(num, bool) or not isinstance(
+                    num, (cast, int)) or not math.isfinite(num)):
+                raise ValueError
+        except (ValueError, OverflowError):
             raise DataError(f"{path}: bad {key} {val!r}") from None
+        recorded.append(None if num is None else cast(num))
     return np.asarray(probs), trunc, *recorded
 
 
@@ -395,15 +393,11 @@ def cmd_safe_zone(args) -> int:
     rows = [[float(solved.alpha_deg), float(solved.e1_nm), float(solved.e2_nm),
              float(solved.d_min_nm), float(solved.x1_nm), float(solved.x2_nm),
              float(solved.t_safe_min)]]
-    _write_table(args.out, _format(args, cfg), prov, header, rows)
+    _write_table(args.out, cfg.output_format, prov, header, rows)
     return EXIT_OK
 
 
 # --- wiring ----------------------------------------------------------------
-
-def _format(args, cfg: ConfigFile) -> str:
-    return args.format or cfg.output_format
-
 
 def _load(args) -> ConfigFile:
     if args.config:
@@ -424,9 +418,6 @@ def _checked(cast, ok, what: str):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON configuration file")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="table format (default: the config's "
-                          "output.format, csv)")
 
 
 @functools.cache  # built once per process; parse_args keeps no state

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import os
@@ -253,17 +254,38 @@ class TestCli:
 
     def test_calibrate_reads_what_generate_writes_as_json(self, tmp_path):
         reports = []
-        cfg = seed_config(tmp_path, 9)
         for fmt in ("csv", "json"):
+            cfg = tmp_path / f"seed9_{fmt}.json"
+            cfg.write_text(json.dumps({"mc": {"seed": 9},
+                                       "output": {"format": fmt}}))
             fte, out = tmp_path / f"fte.{fmt}", tmp_path / f"cal_{fmt}.json"
             assert main(["generate", "--axis", "vertical", "-n", "2000",
-                         "--config", str(cfg), "--format", fmt,
-                         "--out", str(fte)]) == 0
+                         "--config", str(cfg), "--out", str(fte)]) == 0
             assert main(["calibrate", "--in", str(fte),
                          "--out", str(out)]) == 0
             reports.append(json.loads(read_payload(out))["reports"])
         assert set(reports[0]) == {"vertical"}
         assert reports[0] == reports[1]
+
+    def test_table_read_by_content_not_name(self, tmp_path):
+        # a JSON table named .csv and a CSV table named .json calibrate
+        # to the reports of the same tables under their own suffix
+        reports = {}
+        for fmt, other in (("csv", "json"), ("json", "csv")):
+            cfg = tmp_path / f"seed9_{fmt}.json"
+            cfg.write_text(json.dumps({"mc": {"seed": 9},
+                                       "output": {"format": fmt}}))
+            for suffix in (fmt, other):
+                fte = tmp_path / f"{fmt}_table.{suffix}"
+                out = tmp_path / f"cal_{fmt}_{suffix}.json"
+                assert main(["generate", "--axis", "lateral", "-n", "500",
+                             "--config", str(cfg), "--out", str(fte)]) == 0
+                assert main(["calibrate", "--in", str(fte),
+                             "--out", str(out)]) == 0
+                reports[fmt, suffix] = json.loads(read_payload(out))[
+                    "reports"]
+        assert reports["csv", "json"] == reports["csv", "csv"]
+        assert reports["json", "csv"] == reports["json", "json"]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -298,18 +320,19 @@ class TestCli:
                   if not l.startswith("#")][0]
         assert header == "n,prob,ci_lo,ci_hi,below_floor"
 
-    @pytest.mark.parametrize("kind, intensities", [
-        ("single_lane", [5.0]), ("multilane", [5.0, 10.0]),
-        ("crossing", [5.0, 5.0])], ids=["single_lane", "multilane",
-                                        "crossing"])
+    @pytest.mark.parametrize("kind, intensities, fmt", [
+        ("single_lane", [5.0], "csv"), ("multilane", [5.0, 10.0], "csv"),
+        ("crossing", [5.0, 5.0], "csv"), ("single_lane", [5.0], "json")],
+        ids=["single_lane", "multilane", "crossing", "single_lane_json"])
     def test_simulate_reproduces_from_resolved_config(self, tmp_path, kind,
-                                                      intensities):
+                                                      intensities, fmt):
         # the crossing's replay solves its safe zone again: the solved
         # fields are not part of the resolved config
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "flows": [{"intensity_per_hour": lam} for lam in intensities],
             "mc": {"kind": kind, "n_runs": 30, "seed": 8},
+            "output": {"format": fmt},
         }))
         out1 = tmp_path / "o1"
         assert main(["simulate", "--config", str(cfg),
@@ -321,6 +344,8 @@ class TestCli:
         written = sorted(p.name for p in out1.iterdir())
         assert written == sorted(p.name for p in out2.iterdir())
         assert len(written) > 2
+        assert all(name.endswith(f".{fmt}") for name in written
+                   if name != "config_resolved.json")
         for name in written:
             assert read_payload(out1 / name) == read_payload(out2 / name)
 
@@ -346,10 +371,13 @@ class TestCli:
 
     def test_safe_zone_json_on_stdout(self, tmp_path, capsys):
         # without --out the table goes to stdout in the chosen format
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"format": "json"}}))
         out = tmp_path / "zone.json"
-        assert main(["safe-zone", "--format", "json", "--out", str(out)]) == 0
+        assert main(["safe-zone", "--config", str(cfg),
+                     "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["safe-zone", "--format", "json"]) == 0
+        assert main(["safe-zone", "--config", str(cfg)]) == 0
         printed = json.loads(capsys.readouterr().out)
         written = json.loads(read_payload(out))
         assert printed["columns"] == written["columns"]
@@ -412,7 +440,8 @@ class TestConfigReachesOutput:
         z = {}
         for fmt in ("csv", "json"):
             mc = tmp_path / fmt
-            assert main(["simulate", "--config", str(cfg), "--format", fmt,
+            cfg = lane_config(tmp_path, output={"format": fmt})
+            assert main(["simulate", "--config", str(cfg),
                          "--out", str(mc)]) == 0
             rep = tmp_path / "rep.json"
             main(["compare", "--analytic",
@@ -435,11 +464,6 @@ class TestConfigReachesOutput:
                       if p.name != "config_resolved.json"]
             assert tables and all(n.endswith(".json") for n in tables)
             json.loads(read_payload(out / tables[0]))
-        out = tmp_path / "flag"
-        assert main(["simulate", "--config", str(cfg), "--format", "csv",
-                     "--out", str(out)]) == 0
-        assert (out / "mc_total.csv").exists()
-        assert not (out / "mc_total.json").exists()
 
 
 RETIRED = ("mc.dt_min", "analytic.oracle_paths", "flows[].speed_kt",
@@ -481,8 +505,10 @@ class TestAnalyticIsDeterministic:
                 sections["analytic"] = {"oracle_paths": paths}
             cfg = lane_config(tmp_path, **sections)
             out = tmp_path / f"an{paths}-{seed}"
-            assert main(["analytic", "--config", str(cfg),
-                         "--out", str(out)]) == 0
+            with (pytest.warns(UserWarning, match="analytic.oracle_paths")
+                  if paths is not None else contextlib.nullcontext()):
+                assert main(["analytic", "--config", str(cfg),
+                             "--out", str(out)]) == 0
             files[paths, seed] = {p.name: p.read_text()
                                   for p in out.iterdir()}
         # 3 axes and the total, 3 densities, the resolved config
@@ -547,6 +573,12 @@ class TestCommandLineValues:
         (["simulate", "--seed", "1", "--out", "o"], "unrecognized"),
         (["calibrate", "--method", "both", "--in", "x.csv",
           "--out", "r.json"], "unrecognized"),
+        (["generate", "--format", "json", "--axis", "lateral", "-n", "3",
+          "--out", "x.csv"], "unrecognized"),
+        (["analytic", "--format", "json", "--out", "o"], "unrecognized"),
+        (["simulate", "--format", "json", "--out", "o"], "unrecognized"),
+        (["safe-zone", "--format", "json", "--out", "zone.json"],
+         "unrecognized"),
     ])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
@@ -696,11 +728,13 @@ def fresh_env():
 def test_one_process_writes_what_fresh_processes_write(tmp_path):
     # the parser is built once per process: no option of one call may
     # reach the next
+    json_cfg = lane_config(tmp_path, mc={"n_runs": 5},
+                           output={"format": "json"}).rename(
+        tmp_path / "json_cfg.json")
     cfg = lane_config(tmp_path, mc={"n_runs": 5})
     assert taskload.cli.build_parser() is taskload.cli.build_parser()
-    for i, argv in enumerate([["simulate", "--format", "json"],
-                              ["simulate"]]):
-        argv += ["--config", str(cfg)]
+    for i, argv in enumerate([["simulate", "--config", str(json_cfg)],
+                              ["simulate", "--config", str(cfg)]]):
         here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
         assert main(argv + ["--out", str(here)]) == 0
         proc = subprocess.run(
@@ -821,10 +855,12 @@ class TestCompareChecksHorizons:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_crossing_deviation_control_refused(self, tmp_path, capsys, fmt):
         cfg = bench_shaped_config(tmp_path, "crossing", [5.0, 5.0], False)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                   "output": {"format": fmt}}))
         out = {}
         for command in ("analytic", "simulate"):
             out[command] = tmp_path / command
-            assert main([command, "--config", str(cfg), "--format", fmt,
+            assert main([command, "--config", str(cfg),
                          "--out", str(out[command])]) == 0
         analytic = out["analytic"] / f"analytic_deviation_control.{fmt}"
         mc = out["simulate"] / f"mc_deviation_control.{fmt}"
@@ -863,6 +899,28 @@ class TestCompareChecksHorizons:
         good.write_text("# n_runs=10\nn,prob\n0,1\n")
         assert main(["compare", "--analytic", str(bad),
                      "--mc", str(good)]) == 3
+
+    @pytest.mark.parametrize("analytic_text, name, mc_text", [
+        ("n,prob\n0,0.5\n1,0.5\n", "fractional_runs.json",
+         '{"provenance": {"n_runs": 2.5}, "rows": [[0, 0.5], [1, 0.5]]}'),
+        ("n,prob\n0,1\n", "bool_runs.json",
+         '{"provenance": {"n_runs": true}, "rows": [[0, 1]]}'),
+        ("# horizon_min=1.0\nn,prob\n0,0.5\n1,0.5\n", "bool_horizon.json",
+         '{"provenance": {"n_runs": 2, "horizon_min": true},'
+         ' "rows": [[0, 0.5], [1, 0.5]]}'),
+        ("n,prob\n0,1\n", "inf_horizon.csv",
+         "# n_runs=1\n# horizon_min=inf\nn,prob\n0,1\n")],
+        ids=["fractional_runs", "bool_runs", "bool_horizon", "inf_horizon"])
+    def test_recorded_value_read_strictly(self, tmp_path, capsys,
+                                          analytic_text, name, mc_text):
+        # read loosely, each pair compares with exit 0: 2.5 runs as 2,
+        # true as 1 run or a 1.0 horizon, inf as a horizon
+        analytic, mc = tmp_path / "a.csv", tmp_path / name
+        analytic.write_text(analytic_text)
+        mc.write_text(mc_text)
+        assert main(["compare", "--analytic", str(analytic),
+                     "--mc", str(mc)]) == 3
+        assert str(mc) in capsys.readouterr().err
 
     def test_mc_table_not_whole_run_counts_is_a_data_error(self, tmp_path,
                                                             capsys):

@@ -16,8 +16,9 @@ through one reader, _read_table, which tells JSON from CSV by content,
 and compare takes the run count behind a Monte Carlo table from that
 table's provenance.
 
-Exit codes: 0 success, 2 config or usage error, 3 data error, 4
-numerical failure, 5 comparison failure.
+Exit codes: 0 success, 2 config or usage error (an output path that
+cannot be written included), 3 data error, 4 numerical failure, 5
+comparison failure.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _read_table(path: str) -> tuple[dict, list[str], list]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
@@ -484,6 +485,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # a read's own is a ConfigError or DataError
+        print(f"usage error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -324,9 +324,7 @@ def run_crossing(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     """
     if cfg.kind != "crossing":
         raise ValueError("config kind must be crossing")
-    geom = cfg.geometry
-    if not geom.solved:
-        geom = solve_safe_zone(geom)
+    geom = solve_safe_zone(cfg.geometry)
     n_runs = cfg.resolved_runs()
     # a zone transit is a lane whose residency is the safe-zone time
     transits = [replace(f, t_cross_min=geom.t_safe_min) for f in cfg.flows]

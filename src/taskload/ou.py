@@ -14,6 +14,8 @@ so path statistics carry no Euler discretization bias at any step size.
 First-passage estimates remain grid-monitored: a barrier contact is the
 first *grid time* at which the state lies beyond the barrier, and
 excursions between grid points are invisible by construction.
+One engine, _observe_and_reset, steps every simulation: the harness's
+lane scorer calls it, and both oracles walk their paths through _walk.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
 
     def run(k: int) -> np.ndarray:
         size = min(FIRST_PASSAGE_BLOCK, n_paths - k * FIRST_PASSAGE_BLOCK)
-        return _first_passage_block(coeffs, b, n_steps, size,
-                                    src.substream(k).generator)
+        return _walk(coeffs, b, n_steps, size, src.substream(k).generator,
+                     math.nan)[0]
 
     with ThreadPoolExecutor(min(n_blocks, os.cpu_count() or 1)) as pool:
         hit_step = np.concatenate(list(pool.map(run, range(n_blocks))))
@@ -183,34 +185,6 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
     lo, hi = wilson_interval(n_hits, n_paths)
     return FirstPassageResult(hit_times, n_paths, n_hits, n_paths - n_hits,
                               horizon, dt, prob, float(lo), float(hi))
-
-
-def _first_passage_block(coeffs, b: Barrier, n_steps: int, size: int,
-                         gen: np.random.Generator) -> np.ndarray:
-    """Hit step (0 = none) of each of `size` paths from b.origin, stepped
-    in place with one fill of `size` normals per grid step. A path that
-    hits turns NaN, which no later comparison counts."""
-    a, bb, s = coeffs
-    x = np.full(size, float(b.origin))
-    z, tmp = np.empty(size), np.empty(size)
-    hits = np.empty(size, dtype=bool)
-    hit_step = np.zeros(size, dtype=np.int32)
-    n_alive = size
-    for step in range(1, n_steps + 1):
-        gen.standard_normal(out=z)
-        z *= s
-        x *= a
-        x += bb
-        x += z
-        np.greater_equal(np.abs(x, out=tmp) if b.kind == "two_sided" else x,
-                         b.level, out=hits)
-        if hits.any():
-            hit_step[hits] = step
-            x[hits] = np.nan
-            n_alive -= int(np.count_nonzero(hits))
-            if not n_alive:
-                break
-    return hit_step
 
 
 def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
@@ -229,16 +203,31 @@ def intervention_count_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
         raise ValueError(f"reset point {reset} is not inside the barrier")
     if not b.origin_inside:
         raise ValueError(f"origin {b.origin} is not inside the barrier")
+    counts = _walk(transition_coeffs(p, dt), b, lattice_steps(horizon, dt),
+                   n_paths, src.generator, reset)[1]
+    return pmf_from_counts(counts, n_max=n_max, horizon=horizon)
 
-    n_steps = lattice_steps(horizon, dt)
-    coeffs = tuple(np.array([c]) for c in transition_coeffs(p, dt))
-    x = np.full((n_paths, 1), float(b.origin))
-    counts = np.zeros((n_paths, 1), dtype=np.int64)
-    for _ in range(n_steps):
-        _observe_and_reset(x, src.standard_normal((1, n_paths, 1)), coeffs,
-                           b.level, counts, reset=reset,
+
+def _walk(coeffs, b: Barrier, n_steps: int, size: int,
+          gen: np.random.Generator, reset: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(first hit step, 0 = none; hit count) of `size` paths from b.origin.
+    Each grid step fills `size` normals from gen and makes one
+    _observe_and_reset call into a one-byte hit flag, read only when it
+    shows a hit (an int64 count there runs about 8% slower). A NaN reset
+    retires a path at its first hit: NaN never compares beyond a bound."""
+    x, z = np.full(size, float(b.origin)), np.empty((1, size))
+    flag = np.zeros(size, dtype=bool)
+    first, count = np.zeros(size, dtype=np.int32), np.zeros(size, np.int64)
+    for step in range(1, n_steps + 1):
+        gen.standard_normal(out=z)
+        _observe_and_reset(x, z, coeffs, b.level, flag, reset=reset,
                            two_sided=b.kind == "two_sided")
-    return pmf_from_counts(counts[:, 0], n_max=n_max, horizon=horizon)
+        if flag.any():
+            first[flag & (count == 0)] = step
+            count += flag
+            flag[:] = False
+    return first, count
 
 
 def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
@@ -252,7 +241,9 @@ def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
     (observations, rows, axes) mask, all by default) add one to counts.
     Each element computes ((a x) + b) + s z. Coefficients and bounds
     broadcast to x; give them x's full shape so that each ufunc runs one
-    contiguous inner loop, not one of length axes per row."""
+    contiguous inner loop, not one of length axes per row. Callers: the
+    harness's lane scorer, and first_passage_mc and intervention_count_mc
+    through _walk; a one-byte flag array works as counts (bool + is or)."""
     a, b, s = coeffs
     z *= s
     hits, tmp = np.empty(x.shape, dtype=bool), np.empty_like(x)

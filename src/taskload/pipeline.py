@@ -97,9 +97,10 @@ def analytic_crossing(geometry: CrossingGeometry, flows: list[FlowSpec],
     safe-zone transit, floor(t_safe / obs_dt) of them (none gives zero
     counts), under its own flow's bounds; flows with equal bounds share
     one per-aircraft law. The conflict PMF is the zone-occupancy law
-    shifted by one. No table depends on the scenario horizon.
+    shifted by one. No table depends on the scenario horizon. The safe
+    zone is always solved from the geometry; a filled-in t_safe is unread.
     """
-    geom = geometry if geometry.solved else solve_safe_zone(geometry)
+    geom = solve_safe_zone(geometry)
     lam1, lam2 = (f.intensity_per_hour for f in flows)
     occupancy = conflict_pmf(geom, lam1, lam2)
     # a zone transit is a lane whose residency is the safe-zone time

@@ -294,6 +294,14 @@ class TestCli:
                    str(tmp_path / "out")])
         assert rc == 2
 
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.json"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(tmp_path / "an")]) == 2
+        assert f"config {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # a lane too dense for P[0] to be a normal float
         cfg = tmp_path / "cfg.json"
@@ -588,6 +596,24 @@ class TestCommandLineValues:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--out", "afile"],
+        ["generate", "--axis", "lateral", "-n", "3", "--out", "afile/x.csv"],
+        ["compare", "--analytic", "a.csv", "--mc", "m.csv",
+         "--out", "afile/r.json"]], ids=["analytic", "generate", "compare"])
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys,
+                                    argv):
+        # a file stands where the output directory would go
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").touch()
+        (tmp_path / "a.csv").write_text("n,prob\n0,1\n")
+        (tmp_path / "m.csv").write_text("# n_runs=1\nn,prob\n0,1\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert "afile" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "afile").read_bytes() == b""
 
 
 class TestFlowCountPerKind:
@@ -891,14 +917,17 @@ class TestCompareChecksHorizons:
         ("text_prob.csv", "n,prob\n0,half\n"),
         ("bad_horizon.csv", "# horizon_min=soon\nn,prob\n0,1\n"),
         ("gap.csv", "n,prob\n0,0.5\n3,0.5\n"),
-        ("unnumbered.csv", "n,prob\nfoo,1\n")])
-    def test_malformed_table_is_a_data_error(self, tmp_path, name, text):
+        ("unnumbered.csv", "n,prob\nfoo,1\n"),
+        ("not_utf8.json", b"\xff\xfe\x00bad")])
+    def test_malformed_table_is_a_data_error(self, tmp_path, capsys, name,
+                                             text):
         bad = tmp_path / name
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         good = tmp_path / "good.csv"
         good.write_text("# n_runs=10\nn,prob\n0,1\n")
         assert main(["compare", "--analytic", str(bad),
                      "--mc", str(good)]) == 3
+        assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize("analytic_text, name, mc_text", [
         ("n,prob\n0,0.5\n1,0.5\n", "fractional_runs.json",

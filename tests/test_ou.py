@@ -182,6 +182,25 @@ class TestFirstPassage:
         assert 0 < runs[0].n_hits < 4500
         assert np.array_equal(runs[0].hit_times, np.concatenate(want))
 
+    def test_every_path_retired(self, monkeypatch):
+        # a bound of 1e-6 about origin 0 retires every path of every block
+        # before the horizon; each block stays a plain per-step draw loop
+        from taskload import ou
+        monkeypatch.setattr(ou, "FIRST_PASSAGE_BLOCK", 1000)
+        p, b = OU_FTE_CENTERED["lateral"], Barrier("two_sided", 1e-6)
+        out = first_passage_mc(p, b, 30.0, 1.0, 4500, RandomSource(59))
+        assert out.n_hits == out.n_paths == 4500
+        a, bb, s = transition_coeffs(p, 1.0)
+        want = []
+        for k, size in enumerate((1000,) * 4 + (500,)):
+            gen = RandomSource(59).substream(k).generator
+            x, hit = np.zeros(size), np.zeros(size)
+            for step in range(1, 31):
+                x = a * x + bb + s * gen.standard_normal(size)
+                hit[(hit == 0) & b.crossed(x)] = step
+            want.append(hit)
+        assert np.array_equal(out.hit_times, np.concatenate(want))
+
 
 class TestInterventionCounts:
     def test_unreachable_gives_zero_counts(self):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from taskload import (CrossingGeometry, FlowSpec, solve_safe_zone,
-                      tv_distance)
+from taskload import (CrossingGeometry, FlowSpec, default_config,
+                      run_crossing, solve_safe_zone, tv_distance)
 from taskload.flow import TOLERANCE_STANDARDS, _superposed
 from taskload.ou import OU_FTE_CENTERED
 from taskload.pipeline import (analytic_crossing, analytic_multilane,
@@ -41,6 +43,23 @@ def test_analytic_multilane_prefixes():
     # the stringent lane dominates; wider lanes are marginal
     assert m[3] - m[1] < 0.01 * m[1] + 1e-3
     assert tv_distance(out["lanes4_total"], out["lanes2_total"]) < 0.01
+
+
+def test_crossing_solves_its_own_safe_zone():
+    # both routes size the zone from the geometry's angle and extents; a
+    # t_safe filled in by hand that does not follow from them is not read
+    geom = CrossingGeometry(alpha_deg=90.0)
+    forged = replace(geom, x1_nm=8.0, x2_nm=8.0, t_safe_min=2.0)
+    flows = [FlowSpec(intensity_per_hour=30.0)] * 2
+    laws = [analytic_crossing(g, flows, OU_FTE_CENTERED, 1.0)
+            for g in (geom, forged)]
+    for name, law in laws[0].items():
+        assert np.array_equal(laws[1][name].probs, law.probs)
+    cfg = replace(default_config(), kind="crossing", flows=flows, n_runs=40,
+                  seed=3)
+    runs = [run_crossing(replace(cfg, geometry=g)) for g in (geom, forged)]
+    for name, comp in runs[0].components.items():
+        assert np.array_equal(runs[1].components[name].counts, comp.counts)
 
 
 def test_analytic_crossing_components():

@@ -14,8 +14,9 @@ so path statistics carry no Euler discretization bias at any step size.
 First-passage estimates remain grid-monitored: a barrier contact is the
 first *grid time* at which the state lies beyond the barrier, and
 excursions between grid points are invisible by construction.
-One engine, _observe_and_reset, steps every simulation: the harness's
-lane scorer calls it, and both oracles walk their paths through _walk.
+One engine, _observe_and_reset, steps every simulation that moves one
+observation at a time: both oracles walk their paths through _walk, and
+the harness steps the lane axes it cannot thin.
 """
 
 from __future__ import annotations
@@ -231,19 +232,17 @@ def _walk(coeffs, b: Barrier, n_steps: int, size: int,
 
 
 def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
-                       counts: np.ndarray, counted: np.ndarray | None = None,
-                       reset: float = 0.0, two_sided: bool = True) -> None:
-    """Step x (rows, axes) through one exact transition (coeffs = (a, b,
-    s) at the observation step) per slice of the noise block z
-    (observations, rows, axes) and observe it; x, counts and z (scaled
-    by s) are updated in place. A row-axis at or beyond its bound is a
-    hit and resets to `reset`; hits on row-axes counted at that step (an
-    (observations, rows, axes) mask, all by default) add one to counts.
-    Each element computes ((a x) + b) + s z. Coefficients and bounds
-    broadcast to x; give them x's full shape so that each ufunc runs one
-    contiguous inner loop, not one of length axes per row. Callers: the
-    harness's lane scorer, and first_passage_mc and intervention_count_mc
-    through _walk; a one-byte flag array works as counts (bool + is or)."""
+                       counts: np.ndarray, reset: float = 0.0,
+                       two_sided: bool = True) -> None:
+    """Step x through one exact transition (coeffs = (a, b, s) at the
+    observation step) per slice of the noise block z (observations,
+    *x.shape) and observe it; x, counts and z (scaled by s) are updated
+    in place. A state at or beyond its bound is a hit, resets to `reset`
+    and adds one to counts. Each element computes ((a x) + b) + s z;
+    coefficients and bounds broadcast to x. Callers: _walk, one call per
+    step into a one-byte flag array (bool + is or), and the harness's
+    stepped lane axes, one call per observation into that observation's
+    flags."""
     a, b, s = coeffs
     z *= s
     hits, tmp = np.empty(x.shape, dtype=bool), np.empty_like(x)
@@ -254,8 +253,6 @@ def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
         np.greater_equal(np.abs(x, out=tmp) if two_sided else x, bounds,
                          out=hits)
         np.copyto(x, reset, where=hits)
-        if counted is not None:
-            hits &= counted[m]
         counts += hits
 
 

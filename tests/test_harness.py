@@ -1,9 +1,10 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, CrossingGeometry,
                       EmpiricalPmf, FlowSpec, RandomSource, TaskloadPmf,
@@ -11,7 +12,8 @@ from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, CrossingGeometry,
                       conflict_pmf, default_config, delta_pmf, run_crossing,
                       run_multilane, run_single_lane, solve_safe_zone,
                       transition_coeffs, wilson_interval)
-from taskload.flow import TOLERANCE_STANDARDS
+from taskload.distributions import normal_cdf
+from taskload.flow import TOLERANCE_STANDARDS, ToleranceBounds
 from taskload import harness
 
 
@@ -90,10 +92,78 @@ class TestDeterminism:
                                       whole.components[key].counts)
 
 
+class ReferenceAxis:
+    """One axis of a lane observed n times from 0, sampled as the harness
+    documents it, in plain scalar code: exact tails from scipy, the gate
+    Phi^-1(U_n), and the candidate branch with its restarts."""
+
+    def __init__(self, coeffs, bound, n):
+        self.a, self.b, self.s = coeffs
+        self.bound, self.n = bound, n
+        self.mean, self.var, self.tails = [], [], []
+        m = v = 0.0
+        for _ in range(n):
+            m, v = self.a * m + self.b, self.a * self.a * v + self.s ** 2
+            self.mean.append(m)
+            self.var.append(v)
+            if self.s > 0.0:
+                sd = math.sqrt(v)
+                self.tails += [special.ndtr((m - bound) / sd),
+                               special.ndtr((-bound - m) / sd)]
+        self.union = list(itertools.accumulate(self.tails))[1::2]
+        self.thin = self.s > 0.0 and self.union[-1] < 1.0
+        self.gate = (special.ndtri(self.union[-1])
+                     if self.thin and self.union[-1] > 0.0 else -math.inf)
+
+    def hits(self, rs):
+        found, j = [], self.candidate(self.n, rs)
+        while j:
+            found.append(found[-1] + j if found else j)
+            left = self.n - found[-1]
+            if not left or rs.uniform() >= self.union[left - 1]:
+                break
+            j = 1 if left == 1 else self.candidate(left, rs)
+        return found
+
+    def candidate(self, length, rs):
+        u, acc = rs.uniform() * self.union[length - 1], 0.0
+        for event in range(2 * length):
+            acc += self.tails[event]
+            if u < acc:
+                break
+        j, sign = event // 2, (1.0, -1.0)[event % 2]
+        sd = math.sqrt(self.var[j])
+        alpha = (self.bound - sign * self.mean[j]) / sd
+        if alpha <= 0.5:
+            t = rs.standard_normal()
+            while t < alpha:
+                t = rs.standard_normal()
+        else:
+            lam = (alpha + math.sqrt(alpha * alpha + 4.0)) / 2.0
+            while True:
+                t = alpha - math.log1p(-rs.uniform()) / lam
+                if rs.uniform() <= math.exp(-((t - lam) ** 2) / 2.0):
+                    break
+        x_j = sign * max(sign * self.mean[j] + sd * t, self.bound)
+        x, path = 0.0, []
+        for z in rs.standard_normal(length):
+            x = self.a * x + self.b + self.s * z
+            path.append(x)
+        beyond = []
+        for i, y in enumerate(path):
+            cov = self.a ** abs(i - j) * self.var[min(i, j)]
+            if i == j or abs(y + cov / self.var[j] * (x_j - path[j])) \
+                    >= self.bound:
+                beyond.append(i)
+        return beyond[0] + 1 if rs.uniform() * len(beyond) < 1.0 else 0
+
+
 def reference_counts(cfg, flows, t_star=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star
-    from a plain loop over runs, lanes, aircraft, axes and observations,
-    drawing in the documented order."""
+    from a plain loop over runs, lanes, aircraft and axes, drawing in the
+    order the harness documents: per lane the arrival count, the arrival
+    times, one normal per aircraft-axis, the stepped axes' other normals,
+    then each candidate's draws in aircraft and axis order."""
     src = RandomSource(cfg.seed, cfg.stream_id)
     coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
@@ -114,19 +184,37 @@ def reference_counts(cfg, flows, t_star=None):
             m_last = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
             if m_last == 0:
                 continue
-            z = rs.standard_normal((m_last, k, len(AXES)))
-            for i in range(k):
-                for j, axis in enumerate(AXES):
+            bounds = [flow.tolerance.for_axis(axis) for axis in AXES]
+            z = rs.standard_normal((k, len(AXES)))
+            hits = []   # (aircraft, axis, observation)
+            if m_last == 1:
+                for i, j in itertools.product(range(k), range(len(AXES))):
                     a, b, s = coeffs[j]
-                    bound = flow.tolerance.for_axis(axis)
-                    x = 0.0
-                    for m in range(1, m_last + 1):
-                        x = a * x + b + s * z[m - 1, i, j]
-                        if abs(x) >= bound:
-                            t_obs = entries[i] + m * cfg.obs_dt_min
-                            if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
-                                per_run[r, li, j] += 1
-                            x = 0.0
+                    if abs(b + s * z[i, j]) >= bounds[j]:
+                        hits.append((i, j, 1))
+            else:
+                laws = [ReferenceAxis(c, bound, m_last)
+                        for c, bound in zip(coeffs, bounds)]
+                stepped = [j for j, law in enumerate(laws) if not law.thin]
+                if stepped:
+                    rest = rs.standard_normal((m_last - 1, len(stepped), k))
+                for col, j in enumerate(stepped):
+                    a, b, s = coeffs[j]
+                    for i in range(k):
+                        x = 0.0
+                        for m in range(1, m_last + 1):
+                            noise = z[i, j] if m == 1 else rest[m - 2, col, i]
+                            x = a * x + b + s * noise
+                            if abs(x) >= bounds[j]:
+                                hits.append((i, j, m))
+                                x = 0.0
+                for i, j in itertools.product(range(k), range(len(AXES))):
+                    if laws[j].thin and z[i, j] < laws[j].gate:
+                        hits += [(i, j, m) for m in laws[j].hits(rs)]
+            for i, j, m in hits:
+                t_obs = entries[i] + m * cfg.obs_dt_min
+                if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
+                    per_run[r, li, j] += 1
     return per_run, n_aircraft, occupancy
 
 
@@ -159,7 +247,12 @@ class TestEngine:
                               bincount(per_run.sum(axis=(1, 2))))
 
     def test_single_lane_matches_reference_loop(self):
-        self.assert_lane_matches_reference_loop(lane_cfg(n_runs=97, seed=51))
+        # bounds tight enough that every axis has candidates (U_20 of
+        # 0.22, 0.04 and 0.17), some hitting twice and some rejected
+        flow = FlowSpec(intensity_per_hour=10.0,
+                        tolerance=ToleranceBounds(0.07, 14.0, 0.35))
+        self.assert_lane_matches_reference_loop(
+            lane_cfg(flows=[flow], n_runs=97, seed=51))
 
     def test_single_lane_with_reversion_means_matches_reference_loop(self):
         # nonzero means give every axis its own b, so a coefficient
@@ -301,6 +394,159 @@ def test_block_size_changes_no_output(monkeypatch, runner, cfg):
         assert est.components.keys() == first.components.keys()
         for key, comp in first.components.items():
             assert np.array_equal(est.components[key].counts, comp.counts)
+
+
+class TestTruncatedNormal:
+    """harness._truncated_normal, X ~ Normal(mean, sd^2) given sign X >=
+    bound, against the exact truncated law built from normal_cdf."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.6, 8.0, 37.0])
+    def test_matches_exact_law(self, alpha, sign):
+        mean, sd = 0.5 * sign, 2.0
+        bound = 0.5 + sd * alpha   # standardised limit alpha on either side
+        rs = RandomSource(81, int(10 * alpha) + (sign < 0))
+        x = np.array([harness._truncated_normal(rs, mean, sd, bound, sign)
+                      for _ in range(4000)])
+        t = sign * (x - mean) / sd
+        # P[T <= t | T >= alpha] = 1 - Phi(-t) / Phi(-alpha)
+        cdf = lambda v: 1.0 - normal_cdf(-v) / normal_cdf(-alpha)
+        assert stats.kstest(t, cdf).pvalue > 1e-3
+
+    def test_every_draw_lies_beyond_its_limit(self):
+        gen = np.random.default_rng(82)
+        rs = RandomSource(83)
+        for _ in range(3000):
+            mean, sd = gen.normal(0.0, 3.0), gen.uniform(1e-3, 5.0)
+            sign = gen.choice([1.0, -1.0])
+            bound = sign * mean + sd * gen.uniform(-3.0, 40.0)
+            x = harness._truncated_normal(rs, mean, sd, bound, sign)
+            assert sign * x >= bound
+
+    def test_normal_quantile_matches_scipy(self):
+        p = np.concatenate([np.logspace(-300, -1, 120),
+                            np.linspace(0.1, 0.999, 40)])
+        q = [harness._normal_quantile(x) for x in p.tolist()]
+        assert np.allclose(q, special.ndtri(p), rtol=1e-12, atol=1e-13)
+        assert harness._normal_quantile(0.0) == -math.inf
+
+
+def stepped_counts(cfg, seed):
+    """Per-run (lane, axis) counts from a simulation written apart from
+    the harness, in a stream of its own: every aircraft-axis steps
+    through each observation of its residency and resets at each hit,
+    counted inside the horizon. Runs are stacked in blocks."""
+    src = RandomSource(seed, 1)
+    a, b, s = (np.array(c) for c in zip(
+        *(transition_coeffs(cfg.ou[ax], cfg.obs_dt_min) for ax in AXES)))
+    per_run = np.zeros((cfg.n_runs, len(cfg.flows), len(AXES)), dtype=int)
+    for start in range(0, cfg.n_runs, 500):
+        runs = min(500, cfg.n_runs - start)
+        for li, flow in enumerate(cfg.flows):
+            bounds = np.array([flow.tolerance.for_axis(ax) for ax in AXES])
+            window = cfg.horizon_min + flow.t_cross_min
+            run = np.repeat(np.arange(runs), src.poisson(
+                flow.intensity_per_min * window, runs))
+            entries = -flow.t_cross_min + src.uniform(run.size) * window
+            x = np.zeros((run.size, len(AXES)))
+            counts = np.zeros_like(x, dtype=int)
+            for m in range(1, math.floor(flow.t_cross_min / cfg.obs_dt_min
+                                         + 1e-9) + 1):
+                x = a * x + b + s * src.standard_normal(x.shape)
+                hit = np.abs(x) >= bounds
+                t_obs = entries + m * cfg.obs_dt_min
+                counts += hit & ((t_obs >= -1e-9)
+                                 & (t_obs <= cfg.horizon_min + 1e-9))[:, None]
+                x[hit] = 0.0
+            for j in range(len(AXES)):
+                per_run[start:start + runs, li, j] = np.bincount(
+                    run, counts[:, j], runs)
+    return per_run
+
+
+def pooled_chi2_p(a, b):
+    """p-value of a chi-square test that two samples of per-run counts
+    share one law. Bins are pooled upward from 0 until every expected
+    cell count is at least 5, and a short tail joins the last bin."""
+    size = int(max(a.max(), b.max())) + 1
+    table = np.stack([np.bincount(a, minlength=size),
+                      np.bincount(b, minlength=size)])
+    need = 5.0 * table.sum() / table.sum(axis=1).min()
+    starts, acc = [0], 0
+    for i, col in enumerate(table.sum(axis=0)):
+        acc += col
+        if acc >= need:
+            starts.append(i + 1)
+            acc = 0
+    if len(starts) < 3:
+        return 1.0   # one pooled bin: nothing to compare
+    pooled = np.add.reduceat(table, starts[:-1], axis=1)
+    return stats.chi2_contingency(pooled, correction=False).pvalue
+
+
+SLOW = {a: replace(p, kappa=p.kappa / 20) for a, p in OU_FTE_CENTERED.items()}
+BROWNIAN = {a: replace(p, kappa=0.0) for a, p in OU_FTE_CENTERED.items()}
+
+#: name -> (dynamics, bounds, intensity per hour, runs); the union bounds
+#: U_20 that decide the branch per axis are in the comments
+LAW_CASES = {
+    **{f"{name}_{lam:g}": (OU_FTE_CENTERED, TOLERANCE_STANDARDS[name], lam,
+                           runs)
+       for name in TOLERANCE_STANDARDS
+       for lam, runs in ((5.0, 4000), (60.0, 1000))},
+    # U_20 7.6, 4.9, 6.7: every axis stepped
+    "slow_tight": (SLOW, TOLERANCE_STANDARDS["stringent"], 5.0, 1500),
+    # U_20 0.65, 0.91, 0.55: correlated candidates, often rejected
+    "slow_wide": (SLOW, ToleranceBounds(0.25, 36.0, 1.2), 10.0, 3000),
+    # kappa = 0, U_20 1.9, 0.88, 0.74: lateral stepped, the others thinned
+    "brownian": (BROWNIAN, ToleranceBounds(0.4, 60.0, 2.0), 10.0, 1500),
+    # nonzero reversion means: tails differ above and below
+    "fitted_means": (OU_FTE_FIT, TOLERANCE_STANDARDS["stringent"], 20.0,
+                     3000),
+}
+
+
+class TestThinnedLaw:
+    """The runners' count laws against a per-step simulation in a stream
+    of its own, by chi-square at fixed seeds and run counts."""
+
+    P_MIN = 1e-4
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_single_lane_matches_stepped_simulation(self, case):
+        ou, bounds, lam, runs = LAW_CASES[case]
+        cfg = lane_cfg(ou=dict(ou), n_runs=runs, seed=71,
+                       flows=[FlowSpec(intensity_per_hour=lam,
+                                       tolerance=bounds)])
+        est = run_single_lane(cfg)
+        ref = stepped_counts(cfg, seed=72)[:, 0]
+        laws = {axis: ref[:, j] for j, axis in enumerate(AXES)}
+        laws["total"] = ref.sum(axis=1)
+        for key, counts in laws.items():
+            runner = np.repeat(np.arange(est.components[key].counts.size),
+                               est.components[key].counts)
+            assert pooled_chi2_p(runner, counts) > self.P_MIN, key
+
+    def test_unequal_residencies_match_stepped_simulation(self):
+        # residencies of 0.5 (never observed), 2, 7.5 and 20 observations
+        flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
+                          tolerance=bounds)
+                 for t_cross, bounds in (
+                     (0.5, TOLERANCE_STANDARDS["stringent"]),
+                     (2.0, ToleranceBounds(0.06, 12.0, 0.3)),
+                     (7.5, ToleranceBounds(0.07, 14.0, 0.35)),
+                     (20.0, TOLERANCE_STANDARDS["stringent"]))]
+        cfg = replace(default_config(), kind="multilane", flows=flows,
+                      n_runs=3000, seed=73)
+        est = run_multilane(cfg)
+        ref = stepped_counts(cfg, seed=74)
+        for prefix in range(1, len(flows) + 1):
+            for key, counts in (
+                    (f"lanes{prefix}_total", ref[:, :prefix].sum(axis=(1, 2))),
+                    (f"lanes{prefix}_lateral", ref[:, :prefix, 0].sum(axis=1))):
+                comp = est.components[key].counts
+                runner = np.repeat(np.arange(comp.size), comp)
+                assert pooled_chi2_p(runner, counts) > self.P_MIN, key
 
 
 class TestSingleLane:

@@ -257,10 +257,13 @@ class _Block:
                                 for f in flows])
         coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
         _, self.b, self.s = (np.array(c) for c in zip(*coeffs))
-        # the samplers of the lanes observed twice or more
-        self.lanes = [_Lane(coeffs, bounds, n) if n >= 2 else None
-                      for n, bounds in zip(self.n_obs.tolist(),
-                                           self.bounds.tolist())]
+        # the samplers of the lanes observed twice or more: they hold
+        # only tables, so lanes with equal observations and bounds share one
+        keys = [(n, tuple(bounds)) for n, bounds in
+                zip(self.n_obs.tolist(), self.bounds.tolist())]
+        samplers = {(n, bounds): _Lane(coeffs, list(bounds), n)
+                    for n, bounds in dict.fromkeys(keys) if n >= 2}
+        self.lanes = [samplers.get(key) for key in keys]
 
     def score(self, ks: list[int], us: list[list], zs: list[list],
               steps: list[list], hits: list[list]

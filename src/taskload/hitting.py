@@ -3,10 +3,14 @@
 ``first_hit_law`` computes, without sampling, the law of the first
 observation that finds an axis at or beyond its bound; its exit masses
 are Gaussian tails from ``distributions.normal_cdf``. Every taskload
-computation uses it. ``fpt_density_oracle`` estimates the same law from
-grid-monitored first-passage simulation; it stays here, uncalled by any
-command, because the benchmark tracer patches it by this name, and the
-tests keep it as a cross-check. The paper's printed one-sided density
+computation uses it. A centred chain (c = 0 in X' = a X + c + s Z) is
+symmetric about 0, so its kernel is folded onto the mirror pairs of an
+even number of nodes, half the rows and columns for the same law
+within 1e-14 relative; a non-centred chain runs the full kernel, and one
+observation needs none. ``fpt_density_oracle`` estimates the same law
+from grid-monitored first-passage simulation; it stays here, uncalled by
+any command, because the benchmark tracer patches it by this name, and
+the tests keep it as a cross-check. The paper's printed one-sided density
 lives with the tests (``tests/oracles.py``), which nothing computes
 from.
 
@@ -126,6 +130,13 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     (-bound, bound); Nystrom quadrature on Gauss-Legendre nodes carries
     its sub-density, and each step's exit mass comes from the Gaussian
     tails of distributions.normal_cdf.
+
+    The node count is rounded up to even. For c = 0 the chain, the bound,
+    the nodes and the weights are symmetric about 0, so every sub-density
+    is too: the kernel is built from the left half of the nodes and each
+    column folded onto its mirror, and the carried vector holds the mass
+    of each node pair. One observation (n_obs = 1) needs only the
+    start's two tails, and no kernel is built.
     """
     if bound <= 0.0 or n_obs < 0:
         raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
@@ -139,12 +150,19 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     if s == 0.0:  # a noise-free path hits where its mean reaches the bound
         f[1 + np.argmax(abs(c) * np.cumsum(powers) >= bound)] = 1.0
         return f
+    if n_obs == 1:  # the start's two tails; no kernel is needed
+        f[1] = normal_cdf((c - bound) / s) + normal_cdf((-bound - c) / s)
+        return f
     n = max(KERNEL_NODES, NODES_PER_SD * math.ceil(bound / s))
+    n += n % 2  # every node needs a distinct mirror for the fold below
     if n > MAX_NODES:
         raise ValueError(f"bound / s = {bound / s:.0f} needs {n} nodes")
     t, w = _legendre(n)
     x = bound * t
-    mean = a * np.append(x, 0.0) + c  # from each node, then from the start
+    # a centred chain keeps every mass vector symmetric about 0, so rows
+    # from the left half of the nodes suffice
+    h = n // 2 if c == 0.0 else n
+    mean = a * np.append(x[:h], 0.0) + c  # from each node, then the start
     # step[i, j]: weight of node j times the density of moving i -> j,
     # built in place: fresh n^2 temporaries per call cost page faults
     step = x - mean[:, None]
@@ -153,6 +171,10 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     step *= -0.5
     np.exp(step, out=step)
     step *= bound * w / (s * math.sqrt(2.0 * math.pi))
+    if h < n:
+        # fold each column onto its mirror: the carried vector holds the
+        # mass of each node pair, and the pair shares one exit mass
+        step = step[:, :h] + step[:, :h - 1:-1]
     exit_mass = (normal_cdf((mean - bound) / s)
                  + normal_cdf((-bound - mean) / s))
     f[1], mass = exit_mass[-1], step[-1]

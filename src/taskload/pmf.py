@@ -98,10 +98,11 @@ def common_horizon(a: float | None, b: float | None) -> float | None:
 def convolve_pmf(p: TaskloadPmf, q: TaskloadPmf) -> TaskloadPmf:
     """PMF of the sum of two independent counts."""
     horizon = common_horizon(p.horizon, q.horizon)
-    probs = np.convolve(p.probs, q.probs)
-    # mass lost through the inputs' truncations stays truncated
-    trunc = max(0.0, 1.0 - probs.sum())
-    return TaskloadPmf(probs, trunc, horizon)
+    # the sum is truncated when either count is: for independent counts
+    # that is p.t + q.t - p.t q.t, free of the cancellation in 1 - sum
+    pt, qt = p.truncation_mass, q.truncation_mass
+    return TaskloadPmf(np.convolve(p.probs, q.probs), pt + qt - pt * qt,
+                       horizon)
 
 
 def tv_distance(p: TaskloadPmf, q: TaskloadPmf) -> float:

@@ -26,7 +26,8 @@ from scipy.special import log_ndtr
 from scipy.stats import truncnorm
 
 from taskload import (Barrier, CrossingGeometry, OuParams, RandomSource,
-                      first_passage_mc, transition_coeffs)
+                      first_passage_mc, hitting, transition_coeffs)
+from taskload.distributions import normal_cdf
 
 FLAG_OVERFLOW = "overflow"
 FLAG_DEGENERATE = "degenerate_input"
@@ -223,3 +224,46 @@ def union_tail_is(p: OuParams, bound: float, obs_dt: float, n_obs: int,
     se = max(float(scores.std(ddof=1)) / math.sqrt(n_paths),
              total / (2 * n_paths))
     return float(scores.mean()), se, float(np.mean(n_events > 1))
+
+
+def first_hit_law_unfolded(p: OuParams, bound: float, obs_dt: float,
+                           n_obs: int) -> np.ndarray:
+    """``hitting.first_hit_law`` as it computed every chain: one n x n
+    step matrix over all nodes, whatever the chain's symmetry, and a
+    kernel even for one observation. It reads the node rule's constants
+    from ``hitting`` at call time, so a monkeypatched KERNEL_NODES
+    reaches it too, and takes that node count as it is, odd or even."""
+    if bound <= 0.0 or n_obs < 0:
+        raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
+    a, c, s = transition_coeffs(p, obs_dt)
+    f = np.zeros(n_obs + 1)
+    # the free chain from 0 has mean within +-reach and sd below spread
+    powers = a ** np.arange(n_obs)
+    reach, spread = abs(c) * powers.sum(), s * math.sqrt(powers @ powers)
+    if n_obs == 0 or bound - reach > hitting._UNDERFLOW_SD * spread:
+        return f
+    if s == 0.0:  # a noise-free path hits where its mean reaches the bound
+        f[1 + np.argmax(abs(c) * np.cumsum(powers) >= bound)] = 1.0
+        return f
+    n = max(hitting.KERNEL_NODES, hitting.NODES_PER_SD * math.ceil(bound / s))
+    if n > hitting.MAX_NODES:
+        raise ValueError(f"bound / s = {bound / s:.0f} needs {n} nodes")
+    t, w = hitting._legendre(n)
+    x = bound * t
+    mean = a * np.append(x, 0.0) + c  # from each node, then from the start
+    # step[i, j]: weight of node j times the density of moving i -> j,
+    # built in place: fresh n^2 temporaries per call cost page faults
+    step = x - mean[:, None]
+    step /= s
+    np.square(step, out=step)
+    step *= -0.5
+    np.exp(step, out=step)
+    step *= bound * w / (s * math.sqrt(2.0 * math.pi))
+    exit_mass = (normal_cdf((mean - bound) / s)
+                 + normal_cdf((-bound - mean) / s))
+    f[1], mass = exit_mass[-1], step[-1]
+    step, exit_mass = step[:-1], exit_mass[:-1]
+    for m in range(2, n_obs + 1):
+        f[m] = mass @ exit_mass
+        mass = mass @ step
+    return f

@@ -588,6 +588,23 @@ class TestMultilane:
         assert m(est.components["lanes2_total"]) >= m(
             est.components["lanes1_total"])
 
+    def test_equal_lanes_share_one_sampler(self):
+        # a sampler holds only tables, so lanes with equal observations
+        # and bounds share one; another bound or residency gets its own
+        flows = [FlowSpec(intensity_per_hour=5.0)] * 3 + [
+            FlowSpec(intensity_per_hour=5.0,
+                     tolerance=TOLERANCE_STANDARDS["severe"]),
+            FlowSpec(intensity_per_hour=5.0, t_cross_min=7.5)]
+        cfg = replace(default_config(), kind="multilane", flows=flows)
+        block = harness._Block(cfg, flows, None)
+        first, second, third, severe, short = block.lanes
+        assert isinstance(first, harness._Lane)
+        assert second is first and third is first
+        assert len({id(lane) for lane in (first, severe, short)}) == 3
+        bounds = lambda lane: [ax.bound for ax in lane.axes]
+        assert bounds(severe) != bounds(first)
+        assert short.n == 7 and first.n == 20
+
     def test_identical_lanes_match_summed_intensity(self):
         half = [FlowSpec(intensity_per_hour=30.0)] * 2
         twin = run_multilane(replace(

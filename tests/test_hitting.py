@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from taskload import (OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
+from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
                       RandomSource, first_hit_law, first_passage_mc,
                       fpt_density_oracle, intervention_count_mc,
                       intervention_pmf, tv_distance)
@@ -13,7 +13,8 @@ from taskload.hitting import FLAG_NO_HITS
 from taskload.pmf import TaskloadPmf
 
 from oracles import (FLAG_DEGENERATE, closed_form_divergence_report,
-                     fpt_density_closed_form, union_tail_is)
+                     first_hit_law_unfolded, fpt_density_closed_form,
+                     union_tail_is)
 
 LAT = OU_FTE_FIT["lateral"]
 
@@ -199,7 +200,9 @@ class TestKernel:
         s = math.sqrt(params.sigma ** 2 * -math.expm1(-2 * params.kappa)
                       / (2 * params.kappa)) if params.kappa else params.sigma
         auto = first_hit_law(params, level, 1.0, n_obs)
-        nodes = max(200, 6 * math.ceil(level / s))
+        nodes = max(hitting.KERNEL_NODES,
+                    hitting.NODES_PER_SD * math.ceil(level / s))
+        nodes += nodes % 2
         doubled = law_at_nodes(monkeypatch, 2 * nodes, params, level, 1.0,
                                n_obs)
         assert auto.sum() > 0.0
@@ -218,6 +221,55 @@ class TestKernel:
         with pytest.raises(ValueError):
             first_hit_law(OuParams(kappa=0.0, mu=0.0, sigma=1.0), 1000.0,
                           1.0, 1000)
+
+
+def assert_close_per_entry(f, want, rel=1e-14):
+    """f within rel of want at every entry above 1e-300, and on the sum."""
+    assert f.shape == want.shape
+    big = want > 1e-300
+    assert np.all(np.abs(f[big] - want[big]) <= rel * want[big])
+    assert np.all(np.abs(f[~big]) <= 1e-300)
+    assert abs(f.sum() - want.sum()) <= rel * want.sum()
+
+
+STRINGENT = {"lateral": 0.1, "vertical": 20.0, "longitudinal": 0.5}
+
+
+class TestFold:
+    """A centred chain's kernel folded onto half its nodes, against the
+    kernel over all of them."""
+
+    @pytest.mark.parametrize("params,level,dt,n_obs", [
+        *[pytest.param(OU_FTE_CENTERED[axis], level, 1.0, n_obs,
+                       id=f"stringent-{axis}-{n_obs}")
+          for axis, level in STRINGENT.items() for n_obs in (20, 120)],
+        pytest.param(OU_FTE_CENTERED["lateral"], 0.15, 0.1, 200,
+                     id="intermediate-lateral-fine"),
+        pytest.param(OuParams(kappa=0.0, mu=0.0, sigma=1.0), 10.0, 1.0, 150,
+                     id="driftless"),
+        pytest.param(OU_FTE_CENTERED["lateral"], 1.0, 1.0, 120,
+                     id="lateral-1nm"),
+        pytest.param(OU_FTE_CENTERED["lateral"], 0.1, 1.0, 1, id="one-obs"),
+        pytest.param(OU_FTE_CENTERED["lateral"], 0.1, 1.0, 2, id="two-obs")])
+    def test_matches_unfolded_kernel(self, params, level, dt, n_obs):
+        f = first_hit_law(params, level, dt, n_obs)
+        assert f.sum() > 0.0
+        assert_close_per_entry(f, first_hit_law_unfolded(params, level, dt,
+                                                         n_obs))
+
+    def test_odd_node_count_rounds_up_to_even(self, monkeypatch):
+        p = OU_FTE_CENTERED["lateral"]
+        f = law_at_nodes(monkeypatch, 201, p, 0.1, 1.0, 120)
+        monkeypatch.setattr(hitting, "KERNEL_NODES", 202)
+        assert_close_per_entry(f, first_hit_law_unfolded(p, 0.1, 1.0, 120))
+
+    @pytest.mark.parametrize("n_obs", [1, 2, 20, 120])
+    @pytest.mark.parametrize("axis", AXES)
+    def test_non_centred_chain_is_unchanged(self, axis, n_obs):
+        # mu != 0 breaks the symmetry: no fold, the same arithmetic
+        args = (OU_FTE_FIT[axis], STRINGENT[axis], 1.0, n_obs)
+        assert np.array_equal(first_hit_law(*args),
+                              first_hit_law_unfolded(*args))
 
 
 class TestInterventionPmf:

@@ -47,6 +47,17 @@ def test_poisson_closed_under_convolution():
     assert tv_distance(out, poisson_pmf(a + b, kmax=128)) < 1e-9
 
 
+def test_truncation_carried_without_cancellation():
+    # P[X > 14 or Y > 20] for independent Poisson counts is 3.06e-13;
+    # 1 - sum(probs) would lose it to rounding of the O(1) mass
+    p, q = poisson_pmf(1.0, kmax=14), poisson_pmf(2.0, kmax=20)
+    sf_p, sf_q = stats.poisson.sf(14, 1.0), stats.poisson.sf(20, 2.0)
+    out = convolve_pmf(p, q)
+    assert out.truncation_mass == pytest.approx(sf_p + sf_q - sf_p * sf_q,
+                                                rel=1e-12)
+    assert convolve_pmf(delta_pmf(0), p).truncation_mass == sf_p
+
+
 def test_horizon_mismatch_rejected():
     p = TaskloadPmf(np.array([1.0]), horizon=120.0)
     q = TaskloadPmf(np.array([1.0]), horizon=60.0)

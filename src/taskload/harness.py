@@ -12,14 +12,15 @@ aircraft is in the sector, and every observation beyond an axis bound
 counts one intervention and returns that axis to the nominal
 trajectory. Only observations inside the horizon are counted.
 
-Run r draws from the substream keyed by (seed, stream) and run_offset +
-r, so the estimates of two adjacent run ranges merge by count addition
-into exactly the estimate of their union. Each estimate records its
-run_offset, and a merge of ranges that overlap or leave a gap, like one
-of two streams or horizons, raises ValueError. The runs' substreams
-come from RandomSource.substreams, which seeds them all in one
-vectorised pass from numpy's SeedSequence pool of the run stream and
-draws bit for bit what substream(run_offset + r) draws.
+Runs are drawn in aligned chunks of _CHUNK_RUNS = 32: runs 32 c ..
+32 c + 31 form chunk c, which draws from substream c of the stream
+keyed by (seed, stream). A run's draws therefore depend only on its
+index, not on the range that asks for it, so the estimates of two
+adjacent run ranges merge by count addition into exactly the estimate
+of their union. Each estimate records its run_offset, and a merge of
+ranges that overlap or leave a gap, like one of two streams or
+horizons, raises ValueError (L'Ecuyer, Munger, Oreshkin & Simard 2017,
+Math. Comput. Simul. 135, on partitioning runs among substreams).
 
 An axis is sampled by exact thinning, not step by step. Observed n
 times from the nominal path, the chain X_j = a X_{j-1} + b + s Z_j
@@ -43,33 +44,39 @@ axis with U_n >= 1 or s = 0 (tight bounds, slow reversion) is stepped
 instead, once per observation and reset at each hit. A lane observed
 once decides each hit directly: |b + s Z| >= bound, in that order.
 
-Per run, lane by lane in config order, the run draws: the arrival
-count; the k arrival uniforms; if the lane is observed, one standard
-normal Z per aircraft-axis, a (k, axes) array. A lane observed once
-takes Z as its observation's noise. A lane observed n >= 2 times takes
-Z as the gate of a thinned axis, a candidate if Z < Phi^-1(U_n), and as
-the first step's noise of a stepped axis, whose other noise it draws
-next, an (n - 1, stepped axes, k) array. Then each candidate, in
-aircraft then axis order, draws what its stretches need before the
-next one starts: per candidate stretch of L observations a uniform for
-the event, the truncated normal's rejection draws, L normals for the
-path and a uniform for the acceptance; after a hit with observations
-left, one uniform, a candidate if below U_L for the L left. Under the
-stringent standard about one aircraft-axis in a hundred is a
-candidate, so a lane draws about one normal per aircraft-axis instead
-of one per observation.
+A chunk draws, in this order: the arrival counts of its 32 runs, one
+Poisson (runs, lanes) array; then lane by lane in config order, the
+lane's arrival uniforms of all its runs, k of them in run order; if the
+lane is observed, one standard normal Z per aircraft-axis, a (k, axes)
+array; and if it has stepped axes, their other noise, an (n - 1,
+stepped axes, k) array. A lane observed once takes Z as its
+observation's noise. A lane observed n >= 2 times takes Z as the gate
+of a thinned axis, a candidate if Z < Phi^-1(U_n), and as the first
+step's noise of a stepped axis. Last come the candidates, in (run,
+lane, aircraft, axis) order, each drawing what its stretches need
+before the next one starts: per candidate stretch of L observations a
+uniform for the event, the truncated normal's rejection draws, L
+normals for the path and a uniform for the acceptance; after a hit
+with observations left, one uniform, a candidate if below U_L for the L
+left. Under the stringent standard about one aircraft-axis in a
+hundred is a candidate, so a lane draws about one normal per
+aircraft-axis instead of one per observation.
 
-The run loop draws, and runs each lane's candidates; the rest is scored
-in blocks of runs, each block by a fixed number of array calls however
-many runs and lanes it holds: entry times, occupancy, the one-
-observation lanes' hits, the stepped axes, which observations fall in
-the horizon, and the counts. A block is laid out lane-major, lanes in
-config order, the rows of one lane its aircraft of every run in run
-order. A lane that is never observed (residency below one surveillance
-step) draws no normals, and its rows are never counted. Each run draws
-from its own substream in a fixed order, so neither the layout nor the
-block boundaries change an output. _BLOCK_ROWS bounds the arrival
-uniforms and the one-observation and stepped noise a block holds.
+A range of runs draws every chunk it touches. Of its first chunk it
+draws the runs before run_offset in full, candidates included, and of
+its last chunk the arrivals and normals of the runs after its end but
+not their candidates; neither is scored or counted in n_aircraft.
+The rest is scored in blocks of whole chunks, each block by a fixed
+number of array calls however many runs and lanes it holds: entry
+times, occupancy, the one-observation lanes' hits, the stepped axes,
+which observations fall in the horizon, and the counts. A block is laid
+out lane-major, lanes in config order, the rows of one lane its
+aircraft of every run in run order. A lane that is never observed
+(residency below one surveillance step) draws no normals, and its rows
+are never counted. Neither the layout nor the block boundaries change
+an output. A block closes once it holds _BLOCK_ROWS aircraft, which
+bounds the arrival uniforms and the one-observation and stepped noise
+it holds to that plus one chunk.
 """
 
 from __future__ import annotations
@@ -87,10 +94,17 @@ from .ou import _observe_and_reset, lattice_steps, transition_coeffs
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
 
-#: Aircraft per scored block. It bounds the memory a block holds: lane_dense
-#: Monte Carlo throughput was flat within noise from 2 048 rows to one
-#: block per call, and a 1 024-row block was about 10% slower.
+#: Aircraft per scored block; a block closes with the chunk that brings it
+#: to this many. It bounds the memory a block holds: lane_dense Monte Carlo
+#: throughput was flat within noise from 2 048 rows to one block per call,
+#: and a 1 024-row block was about 10% slower.
 _BLOCK_ROWS = 2048
+#: Runs per chunk: chunk c holds runs 32 c .. 32 c + 31 and draws from
+#: substream c of the run stream, so the constant fixes every Monte Carlo
+#: table. Chunks of 16 ran slower on all three benchmark scenarios; chunks
+#: of 64 ran no faster within noise and draw more runs that a range does
+#: not score.
+_CHUNK_RUNS = 32
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -160,7 +174,7 @@ class McEstimate:
     seed: int
     stream_id: int
     kind: str
-    run_offset: int               # first run's substream index
+    run_offset: int               # index of the first run
 
     def merge(self, other: "McEstimate") -> "McEstimate":
         """The estimate of two adjacent run ranges of one (seed, stream),
@@ -193,58 +207,41 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     """Intervention counts per (run, lane, axis), the aircraft total and
     the occupancy per run at time snapshot.
 
-    Run r draws from substream run_offset + r in the order the module
-    docstring gives. A lane's residency is its flow's t_cross_min, and
-    each aircraft is observed floor(t_cross_min / obs_dt_min) times.
-    Runs are scored in blocks of about _BLOCK_ROWS aircraft, so block
-    boundaries change no count. An aircraft occupies its lane at the
-    snapshot if snapshot lies in [entry, entry + t_cross_min); without a
-    snapshot every occupancy is zero.
+    Runs run_offset .. run_offset + n_runs - 1 are drawn chunk by chunk
+    in the order the module docstring gives, and only they are scored
+    and counted in the aircraft total. A lane's residency is its flow's
+    t_cross_min, and each aircraft is observed floor(t_cross_min /
+    obs_dt_min) times. Chunks are scored in blocks of about _BLOCK_ROWS
+    aircraft, so block boundaries change no count. An aircraft occupies
+    its lane at the snapshot if snapshot lies in [entry, entry +
+    t_cross_min); without a snapshot every occupancy is zero.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
-    lanes = range(len(flows))
     block = _Block(cfg, flows, snapshot)
-    mean = [f.intensity_per_min * w
-            for f, w in zip(flows, block.window.tolist())]
-    n_obs = block.n_obs.tolist()
     per_run = np.zeros((n_runs, len(flows), len(AXES)), dtype=np.int64)
     occupancy = np.zeros(n_runs, dtype=np.int64)
-    n_aircraft, ks, rows, first = 0, [], 0, 0
-    us, zs, steps, hits = ([[] for _ in lanes] for _ in range(4))
-    filled = [0 for _ in lanes]   # rows of each lane in the block so far
-    for r, rs in enumerate(src.substreams(run_offset, n_runs)):
-        for li in lanes:
-            k = rs.poisson(mean[li])
-            ks.append(k)
-            if k:
-                us[li].append(rs.uniform(k))
-                if n_obs[li] == 1:
-                    zs[li].append(rs.standard_normal((k, len(AXES))))
-                elif n_obs[li]:
-                    lane = block.lanes[li]
-                    z = rs.standard_normal((k, len(AXES)))
-                    if lane.stepped:
-                        steps[li].append(lane.noise(z, rs))
-                    gate = z < lane.gates
-                    if gate.any():
-                        hits[li].append(lane.candidates(gate, rs)
-                                        + [filled[li], 0, 0])
-                filled[li] += k
-                rows += k
-        if rows >= _BLOCK_ROWS or r == n_runs - 1:
+    stop = run_offset + n_runs
+    n_aircraft, rows, first, chunks = 0, 0, 0, []
+    for c in range(run_offset // _CHUNK_RUNS, -(-stop // _CHUNK_RUNS)):
+        base = c * _CHUNK_RUNS
+        lo, hi = max(run_offset - base, 0), min(stop - base, _CHUNK_RUNS)
+        chunks.append(block.draw(src.substream(c), lo, hi))
+        rows += int(chunks[-1][0].sum())
+        done = base + hi - run_offset   # runs of the range drawn so far
+        if rows >= _BLOCK_ROWS or done == n_runs:
             n_aircraft += rows
             if rows:
-                per_run[first:r + 1], occupancy[first:r + 1] = block.score(
-                    ks, us, zs, steps, hits)
-            ks, rows, first, filled = [], 0, r + 1, [0 for _ in lanes]
+                per_run[first:done], occupancy[first:done] = block.score(
+                    chunks)
+            rows, first, chunks = 0, done, []
     return per_run, n_aircraft, occupancy
 
 
 class _Block:
-    """Scores the draws of a block of runs with a fixed number of array
-    calls, whatever the number of runs and lanes in it. Rows are laid out
-    lane-major, lanes in config order, each lane's aircraft in run order
-    (see the module docstring)."""
+    """Draws chunks of runs and scores blocks of them with a fixed number
+    of array calls, whatever the number of runs and lanes in a block.
+    Rows are laid out lane-major, lanes in config order, each lane's
+    aircraft in run order (see the module docstring)."""
 
     def __init__(self, cfg: ConfigFile, flows: list[FlowSpec],
                  snapshot: float | None):
@@ -252,6 +249,7 @@ class _Block:
         self.snapshot = snapshot
         self.t_cross = np.array([f.t_cross_min for f in flows])
         self.window = cfg.horizon_min + self.t_cross
+        self.mean = self.window * [f.intensity_per_min for f in flows]
         self.n_obs = lattice_steps(self.t_cross, cfg.obs_dt_min)
         self.bounds = np.array([[f.tolerance.for_axis(a) for a in AXES]
                                 for f in flows])
@@ -265,22 +263,57 @@ class _Block:
                     for n, bounds in dict.fromkeys(keys) if n >= 2}
         self.lanes = [samplers.get(key) for key in keys]
 
-    def score(self, ks: list[int], us: list[list], zs: list[list],
-              steps: list[list], hits: list[list]
-              ) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rs: RandomSource, lo: int, hi: int) -> tuple:
+        """The draws of one chunk of _CHUNK_RUNS runs from its stream rs,
+        in the order the module docstring gives, kept for runs lo .. hi -
+        1 only: their (run, lane) arrival counts and, per lane, their
+        arrival uniforms, one-observation normals (None unless the lane
+        is observed once), stepped axes' (observations, axes, aircraft)
+        noise (None without stepped axes) and (lane row, axis,
+        observation) hits of the thinned axes. The candidates of runs
+        from hi on are not drawn."""
+        k = rs.poisson(self.mean, (_CHUNK_RUNS, len(self.lanes)))
+        ends = np.cumsum(k, axis=0)     # per lane, the rows of runs 0 .. r
+        cuts = [slice(start, stop) for start, stop in
+                zip((ends - k)[lo].tolist(), ends[hi - 1].tolist())]
+        us, zs, steps, gated = [], [], [], []
+        for li, (n, lane, size, cut) in enumerate(zip(
+                self.n_obs.tolist(), self.lanes, ends[-1].tolist(), cuts)):
+            us.append(rs.uniform(size)[cut])
+            z = rs.standard_normal((size, len(AXES))) if n else None
+            zs.append(z[cut] if n == 1 else None)
+            steps.append(lane.noise(z, rs)[:, :, cut]
+                         if lane is not None and lane.stepped else None)
+            if lane is not None:
+                row, axis = np.nonzero(z < lane.gates)
+                run = np.searchsorted(ends[:, li], row, side="right")
+                gated.append(np.stack([run, np.full_like(row, li), row,
+                                       axis])[:, run < hi])
+        # the candidates in (run, lane, aircraft, axis) order
+        hits = [[] for _ in cuts]
+        if gated:
+            gated = np.concatenate(gated, axis=1)
+            gated = gated[:, np.argsort(gated[0], kind="stable")]
+            for run, li, row, axis in gated.T.tolist():
+                found = self.lanes[li].axes[axis].hits(rs)
+                if run >= lo:
+                    row -= cuts[li].start
+                    hits[li] += [(row, axis, m) for m in found]
+        hits = [np.array(h, dtype=np.int64).reshape(-1, 3) for h in hits]
+        return k[lo:hi], us, zs, steps, hits
+
+    def score(self, chunks: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """Counts per (run, lane, axis) and occupancy per run of a block
-        of runs, from its flat (run, lane) arrival counts ks and its
-        per-lane lists of arrival uniforms us, one-observation normals
-        zs, stepped axes' noise steps and (lane row, axis, observation)
-        hits of the thinned axes, which it empties. A hit counts if its
-        observation (1..n_obs of its lane) lies inside the horizon; those
-        of the pre-window warm-up only reset their axis."""
-        n_lanes, n_axes = len(us), len(AXES)
-        k = np.array(ks).reshape(-1, n_lanes).T
+        of runs, from the draws of its chunks in run order. A hit counts
+        if its observation (1..n_obs of its lane) lies inside the
+        horizon; those of the pre-window warm-up only reset their axis."""
+        ks, us, zs, steps, hits = zip(*chunks)
+        n_lanes, n_axes = len(self.lanes), len(AXES)
+        k = np.concatenate(ks).T
         n_runs, lane_rows = k.shape[1], k.sum(axis=1)
         run = np.repeat(np.tile(np.arange(n_runs), n_lanes), k.ravel())
         lane = np.repeat(np.arange(n_lanes), lane_rows)
-        u = np.concatenate([part for parts in us for part in parts])
+        u = np.concatenate([u[li] for li in range(n_lanes) for u in us])
         entries = -self.t_cross[lane] + u * self.window[lane]
         occupancy = np.zeros(n_runs, dtype=np.int64)
         if self.snapshot is not None:
@@ -290,27 +323,28 @@ class _Block:
         # a row's counted hits on an axis add to cell + axis
         cell, size = (run * n_lanes + lane) * n_axes, n_runs * n_lanes * n_axes
         found, stepped = [np.zeros((0, 3), dtype=np.int64)], []
-        for start, stop, z, noise, hit, bounds, sampler in zip(
-                np.cumsum(lane_rows) - lane_rows, np.cumsum(lane_rows), zs,
-                steps, hits, self.bounds, self.lanes):
-            if z:
+        for li, (start, stop, bounds, sampler) in enumerate(zip(
+                (np.cumsum(lane_rows) - lane_rows).tolist(),
+                np.cumsum(lane_rows).tolist(), self.bounds, self.lanes)):
+            if zs[0][li] is not None:
                 # b + s Z in that order, as a first transition from 0
-                row, axis = np.nonzero(np.abs(
-                    self.b + self.s * np.concatenate(z)) >= bounds)
+                z = np.concatenate([z[li] for z in zs])
+                row, axis = np.nonzero(np.abs(self.b + self.s * z) >= bounds)
                 found.append(np.stack([start + row, axis,
                                        np.ones_like(row)], axis=1))
-            if noise:
-                flags = sampler.step(np.concatenate(noise, axis=2))
+            if steps[0][li] is not None:
+                flags = sampler.step(np.concatenate([s[li] for s in steps],
+                                                    axis=2))
                 m = np.arange(1, sampler.n + 1)[:, None, None]
                 counted = flags & self._counted(entries[start:stop], m)
                 axes = np.array(sampler.stepped)[:, None]
                 stepped.append(np.bincount(
                     (cell[start:stop] + axes).ravel(),
                     counted.sum(axis=0).ravel(), size))
-            if hit:
-                found.append(np.concatenate(hit) + [start, 0, 0])
-        for parts in (*us, *zs, *steps, *hits):
-            parts.clear()
+            offset = start     # of each chunk's rows of the lane
+            for u, hit in zip(us, hits):
+                found.append(hit[li] + [offset, 0, 0])
+                offset += u[li].size
         row, axis, m = np.concatenate(found).T
         hit_cells = (cell[row] + axis)[self._counted(entries[row], m)]
         counts = np.bincount(hit_cells, minlength=size)
@@ -345,16 +379,9 @@ class _Lane:
         self.gates = np.array([_normal_quantile(ax.union[-1]) if ax.thin
                                else -math.inf for ax in self.axes])
 
-    def candidates(self, gate: np.ndarray, rs: RandomSource) -> np.ndarray:
-        """(aircraft, axis, observation 1..n) of every hit of the
-        candidates that an (aircraft, axes) gate marks, in its order."""
-        return np.array([(i, j, m) for i, j in np.argwhere(gate).tolist()
-                         for m in self.axes[j].hits(rs)],
-                        dtype=np.int64).reshape(-1, 3)
-
     def noise(self, z: np.ndarray, rs: RandomSource) -> np.ndarray:
-        """The stepped axes' (observations, axes, aircraft) noise of one
-        run's aircraft, their normals z first."""
+        """The stepped axes' (observations, axes, aircraft) noise of a
+        chunk's aircraft, their normals z first."""
         noise = np.empty((self.n, len(self.stepped), z.shape[0]))
         noise[0] = z[:, self.stepped].T
         noise[1:] = rs.standard_normal(noise[1:].shape)
@@ -482,8 +509,7 @@ def _normal_quantile(p: float) -> float:
 
 def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     """Estimate the lane taskload PMF (per axis and all axes combined)
-    over cfg.resolved_runs() runs, the first drawn from substream
-    run_offset."""
+    over cfg.resolved_runs() runs, from run run_offset on."""
     if cfg.kind != "single_lane":
         raise ValueError("config kind must be single_lane")
     n_runs = cfg.resolved_runs()
@@ -502,7 +528,7 @@ def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
 def run_multilane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:
     """Estimate multilane taskload with cumulative lane-prefix PMFs.
 
-    All lanes of a run share the run substream, so prefix PMFs are
+    All lanes of a run draw from its chunk's substream, so prefix PMFs are
     nested views of the same realizations: adding a lane changes a
     prefix only through that lane's own interventions.
     """

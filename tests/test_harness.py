@@ -158,63 +158,83 @@ class ReferenceAxis:
         return beyond[0] + 1 if rs.uniform() * len(beyond) < 1.0 else 0
 
 
+CHUNK_RUNS = 32
+
+
 def reference_counts(cfg, flows, t_star=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star
-    from a plain loop over runs, lanes, aircraft and axes, drawing in the
-    order the harness documents: per lane the arrival count, the arrival
-    times, one normal per aircraft-axis, the stepped axes' other normals,
-    then each candidate's draws in aircraft and axis order."""
+    from a plain loop over chunks, lanes, runs, aircraft and axes, drawing
+    in the order the harness documents. Runs 32 c .. 32 c + 31 draw from
+    substream c: the (run, lane) arrival counts, then per lane the arrival
+    times, one normal per aircraft-axis and the stepped axes' other
+    normals, then each candidate's draws in run, lane, aircraft and axis
+    order."""
     src = RandomSource(cfg.seed, cfg.stream_id)
     coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
     occupancy = np.zeros(cfg.n_runs, dtype=int)
     n_aircraft = 0
-    for r in range(cfg.n_runs):
-        rs = src.substream(r)
+    for c in range(math.ceil(cfg.n_runs / CHUNK_RUNS)):
+        rs = src.substream(c)
+        runs = range(c * CHUNK_RUNS, min((c + 1) * CHUNK_RUNS, cfg.n_runs))
+        k = rs.poisson([f.intensity_per_min * (cfg.horizon_min + f.t_cross_min)
+                        for f in flows], (CHUNK_RUNS, len(flows)))
+        lanes = []  # per lane: its aircraft's runs, entries, normals, laws
         for li, flow in enumerate(flows):
             window = cfg.horizon_min + flow.t_cross_min
-            k = int(rs.poisson(flow.intensity_per_min * window))
-            n_aircraft += k
-            if k == 0:
-                continue
-            entries = -flow.t_cross_min + rs.uniform(k) * window
-            if t_star is not None:
-                occupancy[r] += sum(e <= t_star < e + flow.t_cross_min
-                                    for e in entries)
+            owner = [runs.start + r for r in range(CHUNK_RUNS)
+                     for _ in range(k[r, li])]
+            entries = -flow.t_cross_min + rs.uniform(len(owner)) * window
             m_last = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
-            if m_last == 0:
-                continue
             bounds = [flow.tolerance.for_axis(axis) for axis in AXES]
-            z = rs.standard_normal((k, len(AXES)))
-            hits = []   # (aircraft, axis, observation)
+            z, laws, hits = None, None, []   # hits: (aircraft, axis, obs.)
+            if m_last:
+                z = rs.standard_normal((len(owner), len(AXES)))
             if m_last == 1:
-                for i, j in itertools.product(range(k), range(len(AXES))):
+                for i, j in itertools.product(range(len(owner)),
+                                              range(len(AXES))):
                     a, b, s = coeffs[j]
                     if abs(b + s * z[i, j]) >= bounds[j]:
                         hits.append((i, j, 1))
-            else:
-                laws = [ReferenceAxis(c, bound, m_last)
-                        for c, bound in zip(coeffs, bounds)]
+            elif m_last >= 2:
+                laws = [ReferenceAxis(coeff, bound, m_last)
+                        for coeff, bound in zip(coeffs, bounds)]
                 stepped = [j for j, law in enumerate(laws) if not law.thin]
                 if stepped:
-                    rest = rs.standard_normal((m_last - 1, len(stepped), k))
+                    rest = rs.standard_normal((m_last - 1, len(stepped),
+                                               len(owner)))
                 for col, j in enumerate(stepped):
                     a, b, s = coeffs[j]
-                    for i in range(k):
+                    for i in range(len(owner)):
                         x = 0.0
                         for m in range(1, m_last + 1):
-                            noise = z[i, j] if m == 1 else rest[m - 2, col, i]
+                            noise = (z[i, j] if m == 1
+                                     else rest[m - 2, col, i])
                             x = a * x + b + s * noise
                             if abs(x) >= bounds[j]:
                                 hits.append((i, j, m))
                                 x = 0.0
-                for i, j in itertools.product(range(k), range(len(AXES))):
-                    if laws[j].thin and z[i, j] < laws[j].gate:
+            lanes.append((owner, entries, z, laws, hits))
+        for r in runs:
+            for owner, _, z, laws, hits in lanes:
+                if laws is None:
+                    continue
+                for i, j in itertools.product(range(len(owner)),
+                                              range(len(AXES))):
+                    if (owner[i] == r and laws[j].thin
+                            and z[i, j] < laws[j].gate):
                         hits += [(i, j, m) for m in laws[j].hits(rs)]
+        for li, (owner, entries, _, _, hits) in enumerate(lanes):
+            n_aircraft += sum(r in runs for r in owner)
+            if t_star is not None:
+                for r, e in zip(owner, entries):
+                    if r in runs and e <= t_star < e + flows[li].t_cross_min:
+                        occupancy[r] += 1
             for i, j, m in hits:
                 t_obs = entries[i] + m * cfg.obs_dt_min
-                if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
-                    per_run[r, li, j] += 1
+                if (owner[i] in runs
+                        and -1e-9 <= t_obs <= cfg.horizon_min + 1e-9):
+                    per_run[owner[i], li, j] += 1
     return per_run, n_aircraft, occupancy
 
 
@@ -308,6 +328,22 @@ class TestEngine:
                 est.components[f"lanes{prefix}_lateral"].counts,
                 bincount(per_run[:, :prefix, 0].sum(axis=1)))
 
+    def test_multilane_candidates_match_reference_loop(self):
+        # every axis of both lanes thins, so each hit is a candidate's, and
+        # a chunk's candidates of the two lanes interleave run by run
+        flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross)
+                 for t_cross in (20.0, 7.5)]
+        cfg = replace(default_config(), kind="multilane", flows=flows,
+                      n_runs=41, seed=73)
+        est = run_multilane(cfg)
+        per_run, n_aircraft, _ = reference_counts(cfg, flows)
+        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        assert (per_run[:32].sum(axis=(0, 2)) > 0).all()
+        for prefix in (1, 2):
+            assert np.array_equal(
+                est.components[f"lanes{prefix}_total"].counts,
+                bincount(per_run[:, :prefix].sum(axis=(1, 2))))
+
     def test_crossing_matches_reference_loop(self):
         geom = solve_safe_zone(CrossingGeometry(alpha_deg=30.0))
         flows = [FlowSpec(intensity_per_hour=60.0),
@@ -350,8 +386,8 @@ class TestEngine:
                               bincount(conf))
 
     def test_merge_split_inside_a_block(self):
-        # about 22 runs of a 10/h lane fill one block, so run 37 falls
-        # inside the second block of the whole range
+        # a 32-run chunk of a 10/h lane (about 740 aircraft) fills a
+        # block, so run 37 falls inside the second chunk and block
         whole = run_single_lane(lane_cfg(n_runs=150))
         first = run_single_lane(lane_cfg(n_runs=37))
         second = run_single_lane(lane_cfg(n_runs=113), run_offset=37)
@@ -394,6 +430,78 @@ def test_block_size_changes_no_output(monkeypatch, runner, cfg):
         assert est.components.keys() == first.components.keys()
         for key, comp in first.components.items():
             assert np.array_equal(est.components[key].counts, comp.counts)
+
+
+def addressing_cases():
+    """(runner, config, the flows _lane_counts sees) of a lane with
+    candidates, a multilane with an unobserved lane and both candidates
+    and stepped axes, and a crossing, each of 100 runs."""
+    tight = ToleranceBounds(0.07, 14.0, 0.35)
+    lane = lane_cfg(flows=[FlowSpec(intensity_per_hour=10.0, tolerance=tight)],
+                    n_runs=100, seed=67)
+    slow = {a: replace(p, kappa=p.kappa / 20)
+            for a, p in OU_FTE_CENTERED.items()}
+    multilane = replace(default_config(), kind="multilane", ou=slow,
+                        n_runs=100, seed=69, flows=[
+                            FlowSpec(intensity_per_hour=10.0, t_cross_min=t,
+                                     tolerance=TOLERANCE_STANDARDS[name])
+                            for name, t in (("stringent", 0.5),
+                                            ("severe", 7.5),
+                                            ("stringent", 20.0))])
+    geom = solve_safe_zone(CrossingGeometry(alpha_deg=30.0))
+    severe = TOLERANCE_STANDARDS["severe"]
+    crossing = replace(default_config(), kind="crossing", geometry=geom,
+                       n_runs=100, seed=71,
+                       flows=[FlowSpec(intensity_per_hour=60.0),
+                              FlowSpec(intensity_per_hour=30.0,
+                                       tolerance=severe)])
+    transits = [replace(f, t_cross_min=geom.t_safe_min)
+                for f in crossing.flows]
+    return {"lane": (run_single_lane, lane, lane.flows),
+            "multilane": (run_multilane, multilane, multilane.flows),
+            "crossing": (run_crossing, crossing, transits)}
+
+
+#: Split points around the first two chunk boundaries, and one inside a
+#: chunk
+SPLITS = (31, 32, 33, 37, 63, 64, 65)
+
+
+class TestChunkAddressing:
+    """Runs 32 c .. 32 c + 31 share substream c, yet every run range
+    draws each of its runs as the range [0, 100) does."""
+
+    @pytest.mark.parametrize("case", ["lane", "multilane", "crossing"])
+    def test_ranges_count_the_rows_of_the_whole(self, case):
+        _, cfg, flows = addressing_cases()[case]
+        snapshot = cfg.horizon_min / 2.0
+        whole, aircraft, occupancy = harness._lane_counts(
+            cfg, flows, 100, 0, snapshot)
+        assert whole.sum() > 0 and occupancy.sum() > 0
+        ranges = [(0, split) for split in SPLITS] + [(37, 65), (64, 65)]
+        ranges += [(split, 100) for split in SPLITS]
+        drawn = {}
+        for start, stop in ranges:
+            per_run, drawn[start, stop], occ = harness._lane_counts(
+                cfg, flows, stop - start, start, snapshot)
+            assert np.array_equal(per_run, whole[start:stop])
+            assert np.array_equal(occ, occupancy[start:stop])
+        for split in SPLITS:
+            assert drawn[0, split] + drawn[split, 100] == aircraft
+
+    @pytest.mark.parametrize("case", ["lane", "multilane", "crossing"])
+    def test_merge_at_each_split_equals_the_whole(self, case):
+        runner, cfg, _ = addressing_cases()[case]
+        whole = runner(cfg)
+        for split in SPLITS:
+            first = runner(replace(cfg, n_runs=split))
+            second = runner(replace(cfg, n_runs=100 - split), run_offset=split)
+            merged = first.merge(second)
+            assert (merged.n_runs, merged.run_offset) == (100, 0)
+            assert merged.n_aircraft == whole.n_aircraft
+            for key, comp in whole.components.items():
+                assert np.array_equal(merged.components[key].counts,
+                                      comp.counts)
 
 
 class TestTruncatedNormal:

@@ -19,8 +19,7 @@ from test_trace_contract import load_tracing
 #: superset one, so retargeting the tracer may shrink this set.
 NEVER_CALLED = {"pipeline.fpt_density_oracle", "pipeline.intervention_count_mc",
                 "hitting.first_passage_mc", "flow.single_lane_pmf",
-                "flow.conflict_pmf", "flow.convolve_pmf",
-                "RandomSource.substream"}
+                "flow.conflict_pmf", "flow.convolve_pmf"}
 
 CONFIGS = {
     "single_lane": [10.0],

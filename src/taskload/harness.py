@@ -222,10 +222,12 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     occupancy = np.zeros(n_runs, dtype=np.int64)
     stop = run_offset + n_runs
     n_aircraft, rows, first, chunks = 0, 0, 0, []
-    for c in range(run_offset // _CHUNK_RUNS, -(-stop // _CHUNK_RUNS)):
+    c0 = run_offset // _CHUNK_RUNS
+    n_chunks = -(-stop // _CHUNK_RUNS) - c0
+    for c, chunk_src in enumerate(src.substreams(c0, n_chunks), c0):
         base = c * _CHUNK_RUNS
         lo, hi = max(run_offset - base, 0), min(stop - base, _CHUNK_RUNS)
-        chunks.append(block.draw(src.substream(c), lo, hi))
+        chunks.append(block.draw(chunk_src, lo, hi))
         rows += int(chunks[-1][0].sum())
         done = base + hi - run_offset   # runs of the range drawn so far
         if rows >= _BLOCK_ROWS or done == n_runs:

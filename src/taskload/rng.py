@@ -6,12 +6,15 @@ the (seed, stream_id) pair recorded in its provenance.
 
 A stream is numpy's PCG64 seeded through a SeedSequence whose spawn key
 is the stream's lineage, so substream(i) of a source is an independent
-stream for every i. The Monte Carlo harness keys one substream per chunk
-of runs (harness._CHUNK_RUNS), and ou.first_passage_mc one per block of
+stream for every i, and substreams(start, count) yields a range of them.
+The Monte Carlo harness keys one substream per chunk of runs
+(harness._CHUNK_RUNS), and ou.first_passage_mc one per block of
 paths, so the cost of building a stream is paid once per array of draws.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,6 +49,14 @@ class RandomSource:
         """
         return RandomSource(self.seed, index,
                             self._lineage + (self.stream_id,))
+
+    def substreams(self, start: int, count: int) -> Iterator["RandomSource"]:
+        """Yield ``substream(i)`` for i = start, ..., start + count - 1."""
+        if start < 0 or count < 0:
+            raise ValueError(f"start and count must be >= 0, got "
+                             f"{start} and {count}")
+        for index in range(start, start + count):
+            yield self.substream(index)
 
     @property
     def generator(self) -> np.random.Generator:

@@ -29,60 +29,57 @@ needs only its first hit index, or none: after a hit it restarts from
 P[X_j <= -bound] are exact Gaussian tails, and their sum U_L over the
 first L observations bounds the probability of a hit among them. Where
 U_n < 1 a stretch of L observations is a candidate with probability
-U_L; a candidate picks one exceedance event with probability
+U_L: an aircraft-axis is one if its gate uniform lies below U_n. A
+candidate stretch of one observation hits, which has probability U_1
+exactly. A longer one picks one exceedance event with probability
 proportional to its tail, draws X_j from its truncated normal,
 completes the path by shifting an unconditional path along its
-regression on X_j (Cov(X_i, X_j) = a^|i - j| Var(X_min(i, j)); after j
-that is the chain continued from X_j), and with N the path's
-exceedances is accepted with probability 1 / N. So P[hit] = U_L E[1 /
-N] = P[some |X_j| >= bound], an accepted path has the law of a path
-given a hit, and its first exceedance is the first hit
-(Adler, Blanchet & Liu 2012, Ann. Appl. Probab. 22(3); the
-retrospective idea of Beskos & Roberts 2005, Ann. Appl. Probab. 15(4)).
-A stretch of one observation hits with probability U_1 exactly. An
-axis with U_n >= 1 or s = 0 (tight bounds, slow reversion) is stepped
-instead, once per observation and reset at each hit. A lane observed
-once decides each hit directly: |b + s Z| >= bound, in that order.
+regression on X_j (Cov(X_i, X_j) = a^|i - j| Var(X_min(i, j))), and
+with N the path's exceedances is accepted with probability 1 / N. So
+P[hit] = U_L E[1 / N] = P[some |X_j| >= bound], an accepted path has
+the law of a path given a hit, and its first exceedance is the first
+hit (Adler, Blanchet & Liu 2012, Ann. Appl. Probab. 22(3); the
+retrospective idea of Beskos & Roberts 2005, Ann. Appl. Probab.
+15(4)). An axis with U_n >= 1 or s = 0 (tight bounds, slow reversion)
+is stepped instead, once per observation and reset at each hit.
 
 A chunk draws, in this order: the arrival counts of its 32 runs, one
 Poisson (runs, lanes) array; then lane by lane in config order, the
-lane's arrival uniforms of all its runs, k of them in run order; if the
-lane is observed, one standard normal Z per aircraft-axis, a (k, axes)
-array; and if it has stepped axes, their other noise, an (n - 1,
-stepped axes, k) array. A lane observed once takes Z as its
-observation's noise. A lane observed n >= 2 times takes Z as the gate
-of a thinned axis, a candidate if Z < Phi^-1(U_n), and as the first
-step's noise of a stepped axis. Last come the candidates, in (run,
-lane, aircraft, axis) order, each drawing what its stretches need
-before the next one starts: per candidate stretch of L observations a
-uniform for the event, the truncated normal's rejection draws, L
-normals for the path and a uniform for the acceptance; after a hit
-with observations left, one uniform, a candidate if below U_L for the L
-left. Under the stringent standard about one aircraft-axis in a
-hundred is a candidate, so a lane draws about one normal per
-aircraft-axis instead of one per observation.
+lane's arrival uniforms of all its runs, k of them in run order, and if
+the lane is observed, one gate uniform per aircraft-axis of its thinned
+axes, a (k, thinned axes) array, and the noise of its stepped axes, an
+(n, stepped axes, k) normal array. Last come the candidates of all 32
+runs, in (run, lane, aircraft, axis) order, as one batch sampled in
+rounds. A round takes every candidate stretch of two or more
+observations and draws, each as one array in stretch order: a uniform
+per stretch for its event; the truncated normals, in rejection rounds
+of a (2, stretches left) uniform array, proposals first; L normals per
+stretch for its path; and a uniform per stretch for its acceptance.
+Then each accepted stretch with L' observations left draws a uniform,
+and is a candidate stretch of the next round if it lies below U_L'.
+Under the stringent standard about one aircraft-axis in a hundred is a
+candidate, so a lane draws about one uniform per aircraft-axis and few
+normals.
 
-A range of runs draws every chunk it touches. Of its first chunk it
-draws the runs before run_offset in full, candidates included, and of
-its last chunk the arrivals and normals of the runs after its end but
-not their candidates; neither is scored or counted in n_aircraft.
-The rest is scored in blocks of whole chunks, each block by a fixed
-number of array calls however many runs and lanes it holds: entry
-times, occupancy, the one-observation lanes' hits, the stepped axes,
-which observations fall in the horizon, and the counts. A block is laid
+A range of runs draws every chunk it touches, the runs before
+run_offset in its first chunk and those after its end in its last
+chunk included: a chunk's candidates share the batch's arrays, so each
+run's draws depend on the other runs of its chunk. Those runs are not
+scored or counted in n_aircraft. The rest is scored in blocks of whole
+chunks, each block by a fixed number of array calls however many runs
+and lanes it holds: entry times, occupancy, the stepped axes, which
+observations fall in the horizon, and the counts. A block is laid
 out lane-major, lanes in config order, the rows of one lane its
 aircraft of every run in run order. A lane that is never observed
-(residency below one surveillance step) draws no normals, and its rows
-are never counted. Neither the layout nor the block boundaries change
-an output. A block closes once it holds _BLOCK_ROWS aircraft, which
-bounds the arrival uniforms and the one-observation and stepped noise
-it holds to that plus one chunk.
+(residency below one surveillance step) draws only its arrivals, and
+its rows are never counted. Neither the layout nor the block boundaries
+change an output. A block closes once it holds _BLOCK_ROWS aircraft,
+which bounds the arrival uniforms and stepped noise it holds to that
+plus one chunk.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,7 +102,6 @@ _BLOCK_ROWS = 2048
 #: of 64 ran no faster within noise and draw more runs that a range does
 #: not score.
 _CHUNK_RUNS = 32
-_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass
@@ -252,64 +248,72 @@ class _Block:
         self.t_cross = np.array([f.t_cross_min for f in flows])
         self.window = cfg.horizon_min + self.t_cross
         self.mean = self.window * [f.intensity_per_min for f in flows]
+        # lanes of one mean draw the same counts from a scalar, faster
+        self.arrival_mean = (self.mean[0] if (self.mean == self.mean[0]).all()
+                             else self.mean)
         self.n_obs = lattice_steps(self.t_cross, cfg.obs_dt_min)
         self.bounds = np.array([[f.tolerance.for_axis(a) for a in AXES]
                                 for f in flows])
         coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
-        _, self.b, self.s = (np.array(c) for c in zip(*coeffs))
-        # the samplers of the lanes observed twice or more: they hold
-        # only tables, so lanes with equal observations and bounds share one
+        # the samplers of the observed lanes: they hold only tables, so
+        # lanes with equal observations and bounds share one
         keys = [(n, tuple(bounds)) for n, bounds in
                 zip(self.n_obs.tolist(), self.bounds.tolist())]
         samplers = {(n, bounds): _Lane(coeffs, list(bounds), n)
-                    for n, bounds in dict.fromkeys(keys) if n >= 2}
+                    for n, bounds in dict.fromkeys(keys) if n >= 1}
         self.lanes = [samplers.get(key) for key in keys]
+        # the batch stacks the thinned axes of the samplers in order, so
+        # lane li's are its rows first[li], first[li] + 1, ...
+        distinct = [lane for lane in samplers.values() if lane.thinned]
+        self.batch = _Batch(distinct) if distinct else None
+        rows = np.cumsum([0] + [len(lane.thinned) for lane in distinct])
+        first = dict(zip(map(id, distinct), rows.tolist()))
+        self.first = [first.get(id(lane)) for lane in self.lanes]
 
     def draw(self, rs: RandomSource, lo: int, hi: int) -> tuple:
         """The draws of one chunk of _CHUNK_RUNS runs from its stream rs,
         in the order the module docstring gives, kept for runs lo .. hi -
-        1 only: their (run, lane) arrival counts and, per lane, their
-        arrival uniforms, one-observation normals (None unless the lane
-        is observed once), stepped axes' (observations, axes, aircraft)
-        noise (None without stepped axes) and (lane row, axis,
-        observation) hits of the thinned axes. The candidates of runs
-        from hi on are not drawn."""
-        k = rs.poisson(self.mean, (_CHUNK_RUNS, len(self.lanes)))
+        1 only: their (run, lane) arrival counts, per lane their arrival
+        uniforms and stepped axes' (observations, axes, aircraft) noise
+        (None without stepped axes), and the (lane, lane row, axis,
+        observation) hits of the thinned axes."""
+        k = rs.poisson(self.arrival_mean, (_CHUNK_RUNS, len(self.lanes)))
         ends = np.cumsum(k, axis=0)     # per lane, the rows of runs 0 .. r
+        starts = (ends - k)[lo]
         cuts = [slice(start, stop) for start, stop in
-                zip((ends - k)[lo].tolist(), ends[hi - 1].tolist())]
-        us, zs, steps, gated = [], [], [], []
-        for li, (n, lane, size, cut) in enumerate(zip(
-                self.n_obs.tolist(), self.lanes, ends[-1].tolist(), cuts)):
+                zip(starts.tolist(), ends[hi - 1].tolist())]
+        us, steps, gated = [], [], []
+        for li, (lane, first, size, cut) in enumerate(zip(
+                self.lanes, self.first, ends[-1].tolist(), cuts)):
             us.append(rs.uniform(size)[cut])
-            z = rs.standard_normal((size, len(AXES))) if n else None
-            zs.append(z[cut] if n == 1 else None)
-            steps.append(lane.noise(z, rs)[:, :, cut]
-                         if lane is not None and lane.stepped else None)
-            if lane is not None:
-                row, axis = np.nonzero(z < lane.gates)
-                run = np.searchsorted(ends[:, li], row, side="right")
-                gated.append(np.stack([run, np.full_like(row, li), row,
-                                       axis])[:, run < hi])
-        # the candidates in (run, lane, aircraft, axis) order
-        hits = [[] for _ in cuts]
+            if lane is not None and lane.thinned:
+                row, col = np.nonzero(
+                    rs.uniform((size, len(lane.thinned))) < lane.gates)
+                if row.size:
+                    run = np.searchsorted(ends[:, li], row, side="right")
+                    gated.append(np.stack([run, np.full_like(row, li), row,
+                                           first + col]))
+            steps.append(rs.standard_normal(
+                (lane.n, len(lane.stepped), size))[:, :, cut]
+                if lane is not None and lane.stepped else None)
+        hits = np.zeros((4, 0), dtype=np.int64)
         if gated:
+            # the candidates in (run, lane, aircraft, axis) order
             gated = np.concatenate(gated, axis=1)
             gated = gated[:, np.argsort(gated[0], kind="stable")]
-            for run, li, row, axis in gated.T.tolist():
-                found = self.lanes[li].axes[axis].hits(rs)
-                if run >= lo:
-                    row -= cuts[li].start
-                    hits[li] += [(row, axis, m) for m in found]
-        hits = [np.array(h, dtype=np.int64).reshape(-1, 3) for h in hits]
-        return k[lo:hi], us, zs, steps, hits
+            cand, m = self.batch.hits(rs, gated[3])
+            run, lane, row, table = gated[:, cand]
+            hits = np.stack([lane, row - starts[lane],
+                             self.batch.axis[table], m])
+            hits = hits[:, (lo <= run) & (run < hi)]
+        return k[lo:hi], us, steps, hits
 
     def score(self, chunks: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """Counts per (run, lane, axis) and occupancy per run of a block
         of runs, from the draws of its chunks in run order. A hit counts
         if its observation (1..n_obs of its lane) lies inside the
         horizon; those of the pre-window warm-up only reset their axis."""
-        ks, us, zs, steps, hits = zip(*chunks)
+        ks, us, steps, hits = zip(*chunks)
         n_lanes, n_axes = len(self.lanes), len(AXES)
         k = np.concatenate(ks).T
         n_runs, lane_rows = k.shape[1], k.sum(axis=1)
@@ -324,34 +328,27 @@ class _Block:
             occupancy = np.bincount(run[inside], minlength=n_runs)
         # a row's counted hits on an axis add to cell + axis
         cell, size = (run * n_lanes + lane) * n_axes, n_runs * n_lanes * n_axes
-        found, stepped = [np.zeros((0, 3), dtype=np.int64)], []
-        for li, (start, stop, bounds, sampler) in enumerate(zip(
-                (np.cumsum(lane_rows) - lane_rows).tolist(),
-                np.cumsum(lane_rows).tolist(), self.bounds, self.lanes)):
-            if zs[0][li] is not None:
-                # b + s Z in that order, as a first transition from 0
-                z = np.concatenate([z[li] for z in zs])
-                row, axis = np.nonzero(np.abs(self.b + self.s * z) >= bounds)
-                found.append(np.stack([start + row, axis,
-                                       np.ones_like(row)], axis=1))
+        counts = np.zeros(size, dtype=np.int64)
+        ends = np.cumsum(lane_rows)
+        # the block row of each chunk's first row of each lane
+        sizes = np.array([[u.size for u in chunk] for chunk in us])
+        offsets = np.cumsum(sizes, axis=0) - sizes + ends - lane_rows
+        row, axis, m = np.concatenate(
+            [[off[h[0]] + h[1], h[2], h[3]] for off, h in zip(offsets, hits)],
+            axis=1)
+        for li, (start, stop, sampler) in enumerate(zip(
+                (ends - lane_rows).tolist(), ends.tolist(), self.lanes)):
             if steps[0][li] is not None:
                 flags = sampler.step(np.concatenate([s[li] for s in steps],
                                                     axis=2))
-                m = np.arange(1, sampler.n + 1)[:, None, None]
-                counted = flags & self._counted(entries[start:stop], m)
+                m_all = np.arange(1, sampler.n + 1)[:, None, None]
+                counted = flags & self._counted(entries[start:stop], m_all)
                 axes = np.array(sampler.stepped)[:, None]
-                stepped.append(np.bincount(
-                    (cell[start:stop] + axes).ravel(),
-                    counted.sum(axis=0).ravel(), size))
-            offset = start     # of each chunk's rows of the lane
-            for u, hit in zip(us, hits):
-                found.append(hit[li] + [offset, 0, 0])
-                offset += u[li].size
-        row, axis, m = np.concatenate(found).T
+                counts += np.bincount((cell[start:stop] + axes).ravel(),
+                                      counted.sum(axis=0).ravel(),
+                                      size).astype(np.int64)
         hit_cells = (cell[row] + axis)[self._counted(entries[row], m)]
-        counts = np.bincount(hit_cells, minlength=size)
-        for weights in stepped:
-            counts += weights.astype(np.int64)
+        counts += np.bincount(hit_cells, minlength=size)
         return counts.reshape(n_runs, n_lanes, n_axes), occupancy
 
     def _counted(self, entries: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -362,32 +359,42 @@ class _Block:
 
 
 class _Lane:
-    """The samplers of the axes of a lane observed n >= 2 times from the
-    nominal path (see the module docstring). A thinned axis (U_n < 1)
-    takes each aircraft whose normal lies below its gate, Phi^-1(U_n),
-    through its candidate branch. Every other axis is stepped: the
-    scorer walks it once per observation over all the lane's aircraft of
-    a block, with the aircraft's normal as the first step's noise."""
+    """The samplers of the axes of a lane observed n >= 1 times from the
+    nominal path (see the module docstring). An axis thins where U_n < 1
+    and s > 0: each aircraft whose gate uniform lies below U_n goes
+    through the candidate batch, and tables holds what the batch reads
+    of the thinned axes, row q for axis thinned[q], indexed by
+    observation j = 0..n - 1 or stretch length L - 1. U_L <= U_n, so
+    every stretch left after a hit thins too. Every other axis is
+    stepped: the scorer walks it once per observation over all the
+    lane's aircraft of a block."""
 
     def __init__(self, coeffs: list[tuple[float, float, float]],
                  bounds: list[float], n: int):
         self.n = n
-        self.axes = [_Axis(c, bound, n) for c, bound in zip(coeffs, bounds)]
-        self.stepped = [j for j, ax in enumerate(self.axes) if not ax.thin]
+        a, b, s = (np.array(c)[:, None] for c in zip(*coeffs))
+        bound = np.array(bounds)[:, None]
+        powers = a ** np.arange(n)
+        mean = b * np.cumsum(powers, axis=1)                 # E X_j
+        var = s * s * np.cumsum(powers * powers, axis=1)     # Var X_j
+        sd = np.sqrt(var) + (s == 0.0)    # 1 where s = 0, which never thins
+        # cum[:, 2 j + side] sums the tails of the events up to (j, side),
+        # side 0 above the bound and 1 below; cum[:, 2 L - 1] is U_L
+        cum = np.cumsum(normal_cdf(np.stack(
+            [(mean - bound) / sd, (-bound - mean) / sd], axis=2)).reshape(
+                len(bounds), 2 * n), axis=1)
+        thin = (s[:, 0] > 0.0) & (cum[:, -1] < 1.0)
+        self.thinned = np.flatnonzero(thin).tolist()
+        self.stepped = np.flatnonzero(~thin).tolist()
+        self.gates = cum[thin, -1]
+        self.tables = {
+            "a": a[thin, 0], "b": b[thin, 0], "s": s[thin, 0],
+            "bound": bound[thin, 0], "cum": cum[thin],
+            "union": cum[thin, 1::2], "mean": mean[thin], "sd": sd[thin],
+            "powers": powers[thin], "var": var[thin]}
         # (stepped axes, 1) operands: each ufunc runs along the aircraft
-        self.coeffs = tuple(np.array(c)[self.stepped, None]
-                            for c in zip(*coeffs))
-        self.bounds = np.array(bounds)[self.stepped, None]
-        self.gates = np.array([_normal_quantile(ax.union[-1]) if ax.thin
-                               else -math.inf for ax in self.axes])
-
-    def noise(self, z: np.ndarray, rs: RandomSource) -> np.ndarray:
-        """The stepped axes' (observations, axes, aircraft) noise of a
-        chunk's aircraft, their normals z first."""
-        noise = np.empty((self.n, len(self.stepped), z.shape[0]))
-        noise[0] = z[:, self.stepped].T
-        noise[1:] = rs.standard_normal(noise[1:].shape)
-        return noise
+        self.step_coeffs = tuple(c[self.stepped] for c in (a, b, s))
+        self.step_bounds = bound[self.stepped]
 
     def step(self, noise: np.ndarray) -> np.ndarray:
         """The (observations, stepped axes, aircraft) hit flags of the
@@ -395,118 +402,111 @@ class _Lane:
         noise; one _observe_and_reset call per observation."""
         x, flags = np.zeros(noise.shape[1:]), np.zeros(noise.shape, bool)
         for m in range(self.n):
-            _observe_and_reset(x, noise[m:m + 1], self.coeffs, self.bounds,
-                               flags[m])
+            _observe_and_reset(x, noise[m:m + 1], self.step_coeffs,
+                               self.step_bounds, flags[m])
         return flags
 
 
-class _Axis:
-    """The thinned sampler of one axis of a lane observed n times, with
-    its tables indexed by observation j = 0..n - 1 or stretch length
-    L - 1, each of length n. It thins (thin) where U_n < 1 and s > 0;
-    U_L <= U_n, so every stretch left after a hit thins too."""
+class _Batch:
+    """The mixture branch over arrays of candidate stretches, whatever
+    their lanes and axes. Its tables stack the lanes' tables of their
+    thinned axes in lane order, padded to the most observations; row g
+    is axis axis[g] of a lane observed n[g] times, and stretch c of a
+    round reads row g[c]."""
 
-    def __init__(self, coeffs: tuple[float, float, float], bound: float,
-                 n: int):
-        self.a, self.b, self.s = coeffs
-        self.bound, self.n = bound, n
-        powers = self.a ** np.arange(n)
-        mean = self.b * np.cumsum(powers)                # E X_j
-        var = self.s ** 2 * np.cumsum(powers * powers)   # Var X_j
-        self.thin = False
-        if self.s > 0.0:
-            sd = np.sqrt(var)
-            tails = np.stack([normal_cdf((mean - bound) / sd),
-                              normal_cdf((-bound - mean) / sd)], axis=1)
-            # cum[2 j + side] sums the tails of the events up to (j,
-            # side), side 0 above the bound and 1 below; union[L - 1] is U_L
-            self.cum = np.cumsum(tails).tolist()
-            self.union = self.cum[1::2]
-            self.thin = self.union[-1] < 1.0
-        if self.thin:
-            self.powers, self.var = powers.tolist(), var.tolist()
-            self.mean, self.sd = mean.tolist(), sd.tolist()
+    def __init__(self, lanes: list[_Lane]):
+        self.n = np.repeat([lane.n for lane in lanes],
+                           [len(lane.thinned) for lane in lanes])
+        self.axis = np.concatenate([lane.thinned for lane in lanes])
+        for name in lanes[0].tables:
+            parts = [lane.tables[name] for lane in lanes]
+            if parts[0].ndim == 2 and len(parts) > 1:
+                # padded with 1, above every event's u U_L < U_n < 1
+                size = max(part.shape[1] for part in parts)
+                parts = [np.pad(part, ((0, 0), (0, size - part.shape[1])),
+                                constant_values=1.0) for part in parts]
+            setattr(self, name, np.concatenate(parts))
 
-    def hits(self, rs: RandomSource) -> list[int]:
-        """The observations (1..n) at which a candidate aircraft-axis
-        hits."""
-        found, j = [], self._candidate(self.n, rs)
-        while j:
-            found.append(found[-1] + j if found else j)
-            left = self.n - found[-1]
-            if not left or rs.uniform() >= self.union[left - 1]:
-                break
-            j = 1 if left == 1 else self._candidate(left, rs)
-        return found
+    def hits(self, rs: RandomSource, g: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """The (candidate, observation 1..n) pairs of every hit of
+        candidates on table rows g, each a stretch of its axis's n
+        observations, sampled in the rounds the module docstring gives."""
+        cand, start, length = np.arange(g.size), np.zeros_like(g), self.n[g]
+        found = []
+        while cand.size:
+            first = np.ones_like(length)   # a stretch of one observation hits
+            long = np.flatnonzero(length > 1)
+            if long.size:
+                first[long] = self._first_hits(rs, g[cand[long]],
+                                               length[long])
+            hit = first > 0
+            cand, start = cand[hit], start[hit] + first[hit]
+            found.append((cand, start))
+            left = (length - first)[hit]
+            cand, start, left = cand[left > 0], start[left > 0], left[left > 0]
+            again = rs.uniform(cand.size) < self.union[g[cand], left - 1]
+            cand, start, length = cand[again], start[again], left[again]
+        return tuple(map(np.concatenate, zip(*found)))
 
-    def _candidate(self, length: int, rs: RandomSource) -> int:
-        """The mixture branch on a candidate stretch of length
-        observations: its first hit (1-based), or 0 if rejected. Given
-        X_j, the path before j is an unconditional path shifted along
-        its regression on X_j, Cov(X_i, X_j) = a^(j - i) Var(X_i) for i
-        < j, and the path after j continues the chain from X_j."""
-        a, b, s, bound = self.a, self.b, self.s, self.bound
-        event = bisect_right(self.cum, rs.uniform() * self.union[length - 1],
-                             0, 2 * length - 1)
-        j = event // 2
-        x_j = _truncated_normal(rs, self.mean[j], self.sd[j], bound,
-                                1.0 - 2.0 * (event % 2))
-        noise, x, path = rs.standard_normal(length).tolist(), 0.0, []
-        for z in noise[:j + 1]:
-            x = a * x + b + s * z
-            path.append(x)
-        shift = (x_j - x) / self.var[j]
-        powers, var = self.powers, self.var
-        beyond = [i for i, y in enumerate(path[:j])
-                  if abs(y + powers[j - i] * var[i] * shift) >= bound]
-        beyond.append(j)
-        x = x_j
-        for i, z in enumerate(noise[j + 1:], j + 1):
-            x = a * x + b + s * z
-            if abs(x) >= bound:
-                beyond.append(i)
-        return beyond[0] + 1 if rs.uniform() * len(beyond) < 1.0 else 0
+    def _first_hits(self, rs: RandomSource, g: np.ndarray,
+                    length: np.ndarray) -> np.ndarray:
+        """One round of the mixture branch on candidate stretches of
+        length >= 2 observations of rows g: each one's first hit
+        (1-based), or 0 if rejected. Given X_j, a path from 0 shifted by
+        Cov(X_i, X_j) / Var(X_j) (X_j - x_j) along its regression has the
+        law of a path given X_j; after j that is the chain continued from
+        X_j."""
+        m, rows = g.size, np.arange(g.size)
+        x = rs.uniform(m) * self.union[g, length - 1]
+        event = np.minimum((self.cum[g] <= x[:, None]).sum(axis=1),
+                           2 * length - 1)
+        j, sign = event // 2, 1.0 - 2.0 * (event % 2)
+        bound = self.bound[g]
+        x_j = _truncated_normals(rs, self.mean[g, j], self.sd[g, j], bound,
+                                 sign)
+        # (observation, stretch) arrays, each stretch's path a column
+        live = np.arange(length.max())[:, None] < length
+        path = np.zeros(live.shape)
+        path.T[live.T] = rs.standard_normal(int(length.sum()))
+        # path_i = sum_k a^(i - k) (b + s Z_k), by a scan whose pass with
+        # reach r adds a^r times the partial sum r observations back
+        path = self.s[g] * path + self.b[g]
+        power, reach = self.a[g], 1
+        while reach < len(path):
+            path[reach:] += power * path[:-reach]
+            power, reach = power * power, 2 * reach
+        # Cov(X_i, X_j) / Var(X_j) = a^|i - j| Var(X_min(i, j)) / Var(X_j)
+        obs = np.arange(len(path))[:, None]
+        coef = (self.powers[g, np.abs(obs - j)]
+                * self.var[g, np.minimum(obs, j)] / self.var[g, j])
+        shift = coef * (x_j - path[j, rows])
+        beyond = live & (np.abs(path + shift) >= bound)
+        beyond[j, rows] = True
+        first = beyond.argmax(axis=0) + 1
+        return np.where(rs.uniform(m) * beyond.sum(axis=0) < 1.0, first, 0)
 
 
-def _truncated_normal(rs: RandomSource, mean: float, sd: float,
-                      bound: float, sign: float) -> float:
+def _truncated_normals(rs: RandomSource, mean: np.ndarray, sd: np.ndarray,
+                       bound: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """X ~ Normal(mean, sd^2) given sign X >= bound, exactly, for sign +1
-    or -1: X = mean + sign sd T with T a standard normal given T >= alpha
-    = (bound - sign mean) / sd. T is drawn by plain rejection up to alpha
-    0.5, and above it by Robert's (1995, Stat. Comput. 5) exponential
-    proposal alpha + E / lam, lam = (alpha + sqrt(alpha^2 + 4)) / 2,
-    accepted with probability exp(-(T - lam)^2 / 2), which neither
-    underflows nor slows as alpha grows. X is clamped to the bound, so
-    that rounding never puts it inside."""
+    or -1, over arrays: X = mean + sign sd T with T a standard normal
+    given T >= alpha = (bound - sign mean) / sd, by Robert's (1995, Stat.
+    Comput. 5) proposal alpha + E / lam, lam = (alpha + sqrt(alpha^2 +
+    4)) / 2, accepted with probability exp(-(T - lam)^2 / 2). It is exact
+    for any alpha, accepts over half its proposals from alpha = -1 up, and
+    neither underflows nor slows as alpha grows. Each round draws a (2,
+    left) uniform array, proposals first. X is clamped to the bound."""
     alpha = (bound - sign * mean) / sd
-    if alpha <= 0.5:
-        t = rs.standard_normal()
-        while t < alpha:
-            t = rs.standard_normal()
-    else:
-        lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
-        t = alpha - math.log1p(-rs.uniform()) / lam
-        while rs.uniform() > math.exp(-0.5 * (t - lam) ** 2):
-            t = alpha - math.log1p(-rs.uniform()) / lam
-    return sign * max(sign * mean + sd * t, bound)
-
-
-def _normal_quantile(p: float) -> float:
-    """Phi^-1(p) for p in [0, 1), by bisection to adjacent doubles on
-    normal_cdf's formula Phi(x) = erfc(-x / sqrt 2) / 2: the smallest x
-    found with Phi(x) >= p, and -inf for p = 0. Scalar erfc calls keep
-    it near 10 us, a tenth of what normal_cdf's array calls take."""
-    if p <= 0.0:
-        return -math.inf
-    lo, hi = -40.0, 9.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi
-        if 0.5 * math.erfc(mid * -_SQRT_HALF) < p:
-            lo = mid
-        else:
-            hi = mid
+    lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
+    t, left = np.empty_like(alpha), np.arange(alpha.size)
+    while left.size:
+        u = rs.uniform((2, left.size))
+        proposal = alpha[left] - np.log1p(-u[0]) / lam[left]
+        ok = u[1] <= np.exp(-0.5 * (proposal - lam[left]) ** 2)
+        t[left[ok]] = proposal[ok]
+        left = left[~ok]
+    return sign * np.maximum(sign * mean + sd * t, bound)
 
 
 def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:

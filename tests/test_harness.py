@@ -93,9 +93,8 @@ class TestDeterminism:
 
 
 class ReferenceAxis:
-    """One axis of a lane observed n times from 0, sampled as the harness
-    documents it, in plain scalar code: exact tails from scipy, the gate
-    Phi^-1(U_n), and the candidate branch with its restarts."""
+    """One axis of a lane observed n times from 0, with its tables in
+    plain scalar code: exact tails from scipy and the union bounds U_L."""
 
     def __init__(self, coeffs, bound, n):
         self.a, self.b, self.s = coeffs
@@ -112,41 +111,21 @@ class ReferenceAxis:
                                special.ndtr((-bound - m) / sd)]
         self.union = list(itertools.accumulate(self.tails))[1::2]
         self.thin = self.s > 0.0 and self.union[-1] < 1.0
-        self.gate = (special.ndtri(self.union[-1])
-                     if self.thin and self.union[-1] > 0.0 else -math.inf)
 
-    def hits(self, rs):
-        found, j = [], self.candidate(self.n, rs)
-        while j:
-            found.append(found[-1] + j if found else j)
-            left = self.n - found[-1]
-            if not left or rs.uniform() >= self.union[left - 1]:
-                break
-            j = 1 if left == 1 else self.candidate(left, rs)
-        return found
-
-    def candidate(self, length, rs):
-        u, acc = rs.uniform() * self.union[length - 1], 0.0
+    def event(self, u, length):
+        """(j, sign) of the event that u in [0, 1) picks on a stretch."""
+        u, acc = u * self.union[length - 1], 0.0
         for event in range(2 * length):
             acc += self.tails[event]
             if u < acc:
                 break
-        j, sign = event // 2, (1.0, -1.0)[event % 2]
-        sd = math.sqrt(self.var[j])
-        alpha = (self.bound - sign * self.mean[j]) / sd
-        if alpha <= 0.5:
-            t = rs.standard_normal()
-            while t < alpha:
-                t = rs.standard_normal()
-        else:
-            lam = (alpha + math.sqrt(alpha * alpha + 4.0)) / 2.0
-            while True:
-                t = alpha - math.log1p(-rs.uniform()) / lam
-                if rs.uniform() <= math.exp(-((t - lam) ** 2) / 2.0):
-                    break
-        x_j = sign * max(sign * self.mean[j] + sd * t, self.bound)
+        return event // 2, (1.0, -1.0)[event % 2]
+
+    def first_hit(self, j, x_j, noise, u):
+        """The first hit (1-based) of a stretch given X_j = x_j, its path
+        noise and its acceptance uniform u, or 0 if rejected."""
         x, path = 0.0, []
-        for z in rs.standard_normal(length):
+        for z in noise:
             x = self.a * x + self.b + self.s * z
             path.append(x)
         beyond = []
@@ -155,7 +134,60 @@ class ReferenceAxis:
             if i == j or abs(y + cov / self.var[j] * (x_j - path[j])) \
                     >= self.bound:
                 beyond.append(i)
-        return beyond[0] + 1 if rs.uniform() * len(beyond) < 1.0 else 0
+        return beyond[0] + 1 if u * len(beyond) < 1.0 else 0
+
+
+def reference_truncated_normals(rs, cases):
+    """X ~ Normal(mean, sd^2) given sign X >= bound for each (mean, sd,
+    bound, sign) case, scalar per case, drawing the rejection rounds of
+    Robert's exponential proposal as the harness documents."""
+    alpha = [(bound - sign * mean) / sd for mean, sd, bound, sign in cases]
+    t, left = [None] * len(cases), list(range(len(cases)))
+    while left:
+        u, rejected = rs.uniform((2, len(left))), []
+        for i, proposal, accept in zip(left, u[0], u[1]):
+            lam = (alpha[i] + math.sqrt(alpha[i] * alpha[i] + 4.0)) / 2.0
+            proposal = alpha[i] - math.log1p(-proposal) / lam
+            if accept <= math.exp(-((proposal - lam) ** 2) / 2.0):
+                t[i] = proposal
+            else:
+                rejected.append(i)
+        left = rejected
+    return [sign * max(sign * mean + sd * ti, bound)
+            for (mean, sd, bound, sign), ti in zip(cases, t)]
+
+
+def reference_candidate_hits(rs, laws):
+    """(candidate, observation) of every hit of candidates on axes laws,
+    in the rounds the harness documents, each stretch a (candidate, hits
+    before it, length) triple handled one at a time."""
+    found, stretches = [], [(c, 0, law.n) for c, law in enumerate(laws)]
+    while stretches:
+        found += [(c, start + 1) for c, start, length in stretches
+                  if length == 1]
+        stretches = [st for st in stretches if st[2] > 1]
+        if not stretches:
+            break
+        events = [laws[c].event(u, length) for (c, _, length), u
+                  in zip(stretches, rs.uniform(len(stretches)))]
+        x_js = reference_truncated_normals(rs, [
+            (laws[c].mean[j], math.sqrt(laws[c].var[j]), laws[c].bound, sign)
+            for (c, _, _), (j, sign) in zip(stretches, events)])
+        noise = iter(rs.standard_normal(sum(st[2] for st in stretches)))
+        paths = [[next(noise) for _ in range(length)]
+                 for _, _, length in stretches]
+        accepted = []
+        for (c, start, length), (j, _), x_j, path, u in zip(
+                stretches, events, x_js, paths, rs.uniform(len(stretches))):
+            first = laws[c].first_hit(j, x_j, path, u)
+            if first:
+                found.append((c, start + first))
+                if length > first:
+                    accepted.append((c, start + first, length - first))
+        stretches = [(c, start, left) for (c, start, left), u
+                     in zip(accepted, rs.uniform(len(accepted)))
+                     if u < laws[c].union[left - 1]]
+    return found
 
 
 CHUNK_RUNS = 32
@@ -166,9 +198,9 @@ def reference_counts(cfg, flows, t_star=None):
     from a plain loop over chunks, lanes, runs, aircraft and axes, drawing
     in the order the harness documents. Runs 32 c .. 32 c + 31 draw from
     substream c: the (run, lane) arrival counts, then per lane the arrival
-    times, one normal per aircraft-axis and the stepped axes' other
-    normals, then each candidate's draws in run, lane, aircraft and axis
-    order."""
+    times, a gate uniform per aircraft and thinned axis and the stepped
+    axes' normals, then the candidates of all 32 runs in run, lane,
+    aircraft and axis order, sampled in rounds."""
     src = RandomSource(cfg.seed, cfg.stream_id)
     coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
@@ -179,52 +211,47 @@ def reference_counts(cfg, flows, t_star=None):
         runs = range(c * CHUNK_RUNS, min((c + 1) * CHUNK_RUNS, cfg.n_runs))
         k = rs.poisson([f.intensity_per_min * (cfg.horizon_min + f.t_cross_min)
                         for f in flows], (CHUNK_RUNS, len(flows)))
-        lanes = []  # per lane: its aircraft's runs, entries, normals, laws
+        lanes = []  # per lane: its aircraft's runs, entries, laws, hits
+        candidates = []   # (run, lane, aircraft, axis)
         for li, flow in enumerate(flows):
             window = cfg.horizon_min + flow.t_cross_min
-            owner = [runs.start + r for r in range(CHUNK_RUNS)
+            owner = [c * CHUNK_RUNS + r for r in range(CHUNK_RUNS)
                      for _ in range(k[r, li])]
             entries = -flow.t_cross_min + rs.uniform(len(owner)) * window
             m_last = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
             bounds = [flow.tolerance.for_axis(axis) for axis in AXES]
-            z, laws, hits = None, None, []   # hits: (aircraft, axis, obs.)
+            laws, hits = None, []   # hits: (aircraft, axis, observation)
             if m_last:
-                z = rs.standard_normal((len(owner), len(AXES)))
-            if m_last == 1:
-                for i, j in itertools.product(range(len(owner)),
-                                              range(len(AXES))):
-                    a, b, s = coeffs[j]
-                    if abs(b + s * z[i, j]) >= bounds[j]:
-                        hits.append((i, j, 1))
-            elif m_last >= 2:
                 laws = [ReferenceAxis(coeff, bound, m_last)
                         for coeff, bound in zip(coeffs, bounds)]
+                thinned = [j for j, law in enumerate(laws) if law.thin]
                 stepped = [j for j, law in enumerate(laws) if not law.thin]
+                if thinned:
+                    gates = rs.uniform((len(owner), len(thinned)))
+                    for i, (col, j) in itertools.product(
+                            range(len(owner)), enumerate(thinned)):
+                        if gates[i, col] < laws[j].union[-1]:
+                            candidates.append((owner[i], li, i, j))
                 if stepped:
-                    rest = rs.standard_normal((m_last - 1, len(stepped),
-                                               len(owner)))
+                    noise = rs.standard_normal((m_last, len(stepped),
+                                                len(owner)))
                 for col, j in enumerate(stepped):
                     a, b, s = coeffs[j]
                     for i in range(len(owner)):
                         x = 0.0
                         for m in range(1, m_last + 1):
-                            noise = (z[i, j] if m == 1
-                                     else rest[m - 2, col, i])
-                            x = a * x + b + s * noise
+                            x = a * x + b + s * noise[m - 1, col, i]
                             if abs(x) >= bounds[j]:
                                 hits.append((i, j, m))
                                 x = 0.0
-            lanes.append((owner, entries, z, laws, hits))
-        for r in runs:
-            for owner, _, z, laws, hits in lanes:
-                if laws is None:
-                    continue
-                for i, j in itertools.product(range(len(owner)),
-                                              range(len(AXES))):
-                    if (owner[i] == r and laws[j].thin
-                            and z[i, j] < laws[j].gate):
-                        hits += [(i, j, m) for m in laws[j].hits(rs)]
-        for li, (owner, entries, _, _, hits) in enumerate(lanes):
+            lanes.append((owner, entries, laws, hits))
+        candidates.sort(key=lambda cand: cand[0])
+        found = reference_candidate_hits(
+            rs, [lanes[li][2][j] for _, li, _, j in candidates])
+        for cand, m in found:
+            _, li, i, j = candidates[cand]
+            lanes[li][3].append((i, j, m))
+        for li, (owner, entries, _, hits) in enumerate(lanes):
             n_aircraft += sum(r in runs for r in owner)
             if t_star is not None:
                 for r, e in zip(owner, entries):
@@ -505,8 +532,9 @@ class TestChunkAddressing:
 
 
 class TestTruncatedNormal:
-    """harness._truncated_normal, X ~ Normal(mean, sd^2) given sign X >=
-    bound, against the exact truncated law built from normal_cdf."""
+    """harness._truncated_normals, X ~ Normal(mean, sd^2) given sign X >=
+    bound over arrays, against the exact truncated law built from
+    normal_cdf."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.6, 8.0, 37.0])
@@ -514,8 +542,8 @@ class TestTruncatedNormal:
         mean, sd = 0.5 * sign, 2.0
         bound = 0.5 + sd * alpha   # standardised limit alpha on either side
         rs = RandomSource(81, int(10 * alpha) + (sign < 0))
-        x = np.array([harness._truncated_normal(rs, mean, sd, bound, sign)
-                      for _ in range(4000)])
+        x = harness._truncated_normals(rs, *(np.full(4000, v) for v in
+                                             (mean, sd, bound, sign)))
         t = sign * (x - mean) / sd
         # P[T <= t | T >= alpha] = 1 - Phi(-t) / Phi(-alpha)
         cdf = lambda v: 1.0 - normal_cdf(-v) / normal_cdf(-alpha)
@@ -524,19 +552,11 @@ class TestTruncatedNormal:
     def test_every_draw_lies_beyond_its_limit(self):
         gen = np.random.default_rng(82)
         rs = RandomSource(83)
-        for _ in range(3000):
-            mean, sd = gen.normal(0.0, 3.0), gen.uniform(1e-3, 5.0)
-            sign = gen.choice([1.0, -1.0])
-            bound = sign * mean + sd * gen.uniform(-3.0, 40.0)
-            x = harness._truncated_normal(rs, mean, sd, bound, sign)
-            assert sign * x >= bound
-
-    def test_normal_quantile_matches_scipy(self):
-        p = np.concatenate([np.logspace(-300, -1, 120),
-                            np.linspace(0.1, 0.999, 40)])
-        q = [harness._normal_quantile(x) for x in p.tolist()]
-        assert np.allclose(q, special.ndtri(p), rtol=1e-12, atol=1e-13)
-        assert harness._normal_quantile(0.0) == -math.inf
+        mean, sd = gen.normal(0.0, 3.0, 3000), gen.uniform(1e-3, 5.0, 3000)
+        sign = gen.choice([1.0, -1.0], 3000)
+        bound = sign * mean + sd * gen.uniform(-3.0, 40.0, 3000)
+        x = harness._truncated_normals(rs, mean, sd, bound, sign)
+        assert (sign * x >= bound).all()
 
 
 def stepped_counts(cfg, seed):
@@ -635,6 +655,27 @@ class TestThinnedLaw:
                                est.components[key].counts)
             assert pooled_chi2_p(runner, counts) > self.P_MIN, key
 
+    @pytest.mark.parametrize("ou", [OU_FTE_CENTERED, OU_FTE_FIT],
+                             ids=["stringent", "fitted_means"])
+    def test_one_observation_lanes_match_stepped_simulation(self, ou):
+        # residencies of 1 and 1.5 minutes: one observation, so each hit
+        # is a gate uniform below U_1, the sum of both tails (b != 0 with
+        # the fitted means)
+        flows = [FlowSpec(intensity_per_hour=60.0, t_cross_min=t_cross)
+                 for t_cross in (1.0, 1.5)]
+        cfg = replace(default_config(), kind="multilane", flows=flows,
+                      ou=dict(ou), n_runs=4000, seed=75)
+        est = run_multilane(cfg)
+        ref = stepped_counts(cfg, seed=76)
+        for prefix in (1, 2):
+            for key, counts in (
+                    (f"lanes{prefix}_total", ref[:, :prefix].sum(axis=(1, 2))),
+                    (f"lanes{prefix}_lateral", ref[:, :prefix, 0].sum(axis=1))):
+                comp = est.components[key].counts
+                assert comp.size > 1, key   # some run hits
+                runner = np.repeat(np.arange(comp.size), comp)
+                assert pooled_chi2_p(runner, counts) > self.P_MIN, key
+
     def test_unequal_residencies_match_stepped_simulation(self):
         # residencies of 0.5 (never observed), 2, 7.5 and 20 observations
         flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
@@ -709,8 +750,7 @@ class TestMultilane:
         assert isinstance(first, harness._Lane)
         assert second is first and third is first
         assert len({id(lane) for lane in (first, severe, short)}) == 3
-        bounds = lambda lane: [ax.bound for ax in lane.axes]
-        assert bounds(severe) != bounds(first)
+        assert (severe.tables["bound"] != first.tables["bound"]).all()
         assert short.n == 7 and first.n == 20
 
     def test_identical_lanes_match_summed_intensity(self):

@@ -10,7 +10,8 @@ mean-reverting transitions; the controller observes deviations at a
 fixed surveillance cadence (obs_dt_min, 1 minute by default) while the
 aircraft is in the sector, and every observation beyond an axis bound
 counts one intervention and returns that axis to the nominal
-trajectory. Only observations inside the horizon are counted.
+trajectory. Only observations inside the horizon are counted. An axis
+thins where U_n < 1 and s > 0 (see ou._Lane) and is stepped otherwise.
 
 Runs are drawn in aligned chunks of _CHUNK_RUNS = 32: runs 32 c ..
 32 c + 31 form chunk c, which draws from substream c of the stream
@@ -21,27 +22,6 @@ of their union. Each estimate records its run_offset, and a merge of
 ranges that overlap or leave a gap, like one of two streams or
 horizons, raises ValueError (L'Ecuyer, Munger, Oreshkin & Simard 2017,
 Math. Comput. Simul. 135, on partitioning runs among substreams).
-
-An axis is sampled by exact thinning, not step by step. Observed n
-times from the nominal path, the chain X_j = a X_{j-1} + b + s Z_j
-needs only its first hit index, or none: after a hit it restarts from
-0 over the remaining observations. Its tails p_j = P[X_j >= bound] +
-P[X_j <= -bound] are exact Gaussian tails, and their sum U_L over the
-first L observations bounds the probability of a hit among them. Where
-U_n < 1 a stretch of L observations is a candidate with probability
-U_L: an aircraft-axis is one if its gate uniform lies below U_n. A
-candidate stretch of one observation hits, which has probability U_1
-exactly. A longer one picks one exceedance event with probability
-proportional to its tail, draws X_j from its truncated normal,
-completes the path by shifting an unconditional path along its
-regression on X_j (Cov(X_i, X_j) = a^|i - j| Var(X_min(i, j))), and
-with N the path's exceedances is accepted with probability 1 / N. So
-P[hit] = U_L E[1 / N] = P[some |X_j| >= bound], an accepted path has
-the law of a path given a hit, and its first exceedance is the first
-hit (Adler, Blanchet & Liu 2012, Ann. Appl. Probab. 22(3); the
-retrospective idea of Beskos & Roberts 2005, Ann. Appl. Probab.
-15(4)). An axis with U_n >= 1 or s = 0 (tight bounds, slow reversion)
-is stepped instead, once per observation and reset at each hit.
 
 A chunk draws, in this order: the arrival counts of its 32 runs, one
 Poisson (runs, lanes) array; then lane by lane in config order, the
@@ -85,9 +65,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigFile
-from .distributions import AXES, normal_cdf
+from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
-from .ou import _observe_and_reset, lattice_steps, transition_coeffs
+from .ou import (_Batch, _Lane, _truncated_normals,  # noqa: F401
+                 lattice_steps, transition_coeffs)
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
 
@@ -356,157 +337,6 @@ class _Block:
         entries lies inside the horizon."""
         t_obs = entries + m * self.obs_dt
         return (t_obs >= -1e-9) & (t_obs <= self.horizon + 1e-9)
-
-
-class _Lane:
-    """The samplers of the axes of a lane observed n >= 1 times from the
-    nominal path (see the module docstring). An axis thins where U_n < 1
-    and s > 0: each aircraft whose gate uniform lies below U_n goes
-    through the candidate batch, and tables holds what the batch reads
-    of the thinned axes, row q for axis thinned[q], indexed by
-    observation j = 0..n - 1 or stretch length L - 1. U_L <= U_n, so
-    every stretch left after a hit thins too. Every other axis is
-    stepped: the scorer walks it once per observation over all the
-    lane's aircraft of a block."""
-
-    def __init__(self, coeffs: list[tuple[float, float, float]],
-                 bounds: list[float], n: int):
-        self.n = n
-        a, b, s = (np.array(c)[:, None] for c in zip(*coeffs))
-        bound = np.array(bounds)[:, None]
-        powers = a ** np.arange(n)
-        mean = b * np.cumsum(powers, axis=1)                 # E X_j
-        var = s * s * np.cumsum(powers * powers, axis=1)     # Var X_j
-        sd = np.sqrt(var) + (s == 0.0)    # 1 where s = 0, which never thins
-        # cum[:, 2 j + side] sums the tails of the events up to (j, side),
-        # side 0 above the bound and 1 below; cum[:, 2 L - 1] is U_L
-        cum = np.cumsum(normal_cdf(np.stack(
-            [(mean - bound) / sd, (-bound - mean) / sd], axis=2)).reshape(
-                len(bounds), 2 * n), axis=1)
-        thin = (s[:, 0] > 0.0) & (cum[:, -1] < 1.0)
-        self.thinned = np.flatnonzero(thin).tolist()
-        self.stepped = np.flatnonzero(~thin).tolist()
-        self.gates = cum[thin, -1]
-        self.tables = {
-            "a": a[thin, 0], "b": b[thin, 0], "s": s[thin, 0],
-            "bound": bound[thin, 0], "cum": cum[thin],
-            "union": cum[thin, 1::2], "mean": mean[thin], "sd": sd[thin],
-            "powers": powers[thin], "var": var[thin]}
-        # (stepped axes, 1) operands: each ufunc runs along the aircraft
-        self.step_coeffs = tuple(c[self.stepped] for c in (a, b, s))
-        self.step_bounds = bound[self.stepped]
-
-    def step(self, noise: np.ndarray) -> np.ndarray:
-        """The (observations, stepped axes, aircraft) hit flags of the
-        stepped axes, each started at 0 and reset at each hit, over their
-        noise; one _observe_and_reset call per observation."""
-        x, flags = np.zeros(noise.shape[1:]), np.zeros(noise.shape, bool)
-        for m in range(self.n):
-            _observe_and_reset(x, noise[m:m + 1], self.step_coeffs,
-                               self.step_bounds, flags[m])
-        return flags
-
-
-class _Batch:
-    """The mixture branch over arrays of candidate stretches, whatever
-    their lanes and axes. Its tables stack the lanes' tables of their
-    thinned axes in lane order, padded to the most observations; row g
-    is axis axis[g] of a lane observed n[g] times, and stretch c of a
-    round reads row g[c]."""
-
-    def __init__(self, lanes: list[_Lane]):
-        self.n = np.repeat([lane.n for lane in lanes],
-                           [len(lane.thinned) for lane in lanes])
-        self.axis = np.concatenate([lane.thinned for lane in lanes])
-        for name in lanes[0].tables:
-            parts = [lane.tables[name] for lane in lanes]
-            if parts[0].ndim == 2 and len(parts) > 1:
-                # padded with 1, above every event's u U_L < U_n < 1
-                size = max(part.shape[1] for part in parts)
-                parts = [np.pad(part, ((0, 0), (0, size - part.shape[1])),
-                                constant_values=1.0) for part in parts]
-            setattr(self, name, np.concatenate(parts))
-
-    def hits(self, rs: RandomSource, g: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """The (candidate, observation 1..n) pairs of every hit of
-        candidates on table rows g, each a stretch of its axis's n
-        observations, sampled in the rounds the module docstring gives."""
-        cand, start, length = np.arange(g.size), np.zeros_like(g), self.n[g]
-        found = []
-        while cand.size:
-            first = np.ones_like(length)   # a stretch of one observation hits
-            long = np.flatnonzero(length > 1)
-            if long.size:
-                first[long] = self._first_hits(rs, g[cand[long]],
-                                               length[long])
-            hit = first > 0
-            cand, start = cand[hit], start[hit] + first[hit]
-            found.append((cand, start))
-            left = (length - first)[hit]
-            cand, start, left = cand[left > 0], start[left > 0], left[left > 0]
-            again = rs.uniform(cand.size) < self.union[g[cand], left - 1]
-            cand, start, length = cand[again], start[again], left[again]
-        return tuple(map(np.concatenate, zip(*found)))
-
-    def _first_hits(self, rs: RandomSource, g: np.ndarray,
-                    length: np.ndarray) -> np.ndarray:
-        """One round of the mixture branch on candidate stretches of
-        length >= 2 observations of rows g: each one's first hit
-        (1-based), or 0 if rejected. Given X_j, a path from 0 shifted by
-        Cov(X_i, X_j) / Var(X_j) (X_j - x_j) along its regression has the
-        law of a path given X_j; after j that is the chain continued from
-        X_j."""
-        m, rows = g.size, np.arange(g.size)
-        x = rs.uniform(m) * self.union[g, length - 1]
-        event = np.minimum((self.cum[g] <= x[:, None]).sum(axis=1),
-                           2 * length - 1)
-        j, sign = event // 2, 1.0 - 2.0 * (event % 2)
-        bound = self.bound[g]
-        x_j = _truncated_normals(rs, self.mean[g, j], self.sd[g, j], bound,
-                                 sign)
-        # (observation, stretch) arrays, each stretch's path a column
-        live = np.arange(length.max())[:, None] < length
-        path = np.zeros(live.shape)
-        path.T[live.T] = rs.standard_normal(int(length.sum()))
-        # path_i = sum_k a^(i - k) (b + s Z_k), by a scan whose pass with
-        # reach r adds a^r times the partial sum r observations back
-        path = self.s[g] * path + self.b[g]
-        power, reach = self.a[g], 1
-        while reach < len(path):
-            path[reach:] += power * path[:-reach]
-            power, reach = power * power, 2 * reach
-        # Cov(X_i, X_j) / Var(X_j) = a^|i - j| Var(X_min(i, j)) / Var(X_j)
-        obs = np.arange(len(path))[:, None]
-        coef = (self.powers[g, np.abs(obs - j)]
-                * self.var[g, np.minimum(obs, j)] / self.var[g, j])
-        shift = coef * (x_j - path[j, rows])
-        beyond = live & (np.abs(path + shift) >= bound)
-        beyond[j, rows] = True
-        first = beyond.argmax(axis=0) + 1
-        return np.where(rs.uniform(m) * beyond.sum(axis=0) < 1.0, first, 0)
-
-
-def _truncated_normals(rs: RandomSource, mean: np.ndarray, sd: np.ndarray,
-                       bound: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """X ~ Normal(mean, sd^2) given sign X >= bound, exactly, for sign +1
-    or -1, over arrays: X = mean + sign sd T with T a standard normal
-    given T >= alpha = (bound - sign mean) / sd, by Robert's (1995, Stat.
-    Comput. 5) proposal alpha + E / lam, lam = (alpha + sqrt(alpha^2 +
-    4)) / 2, accepted with probability exp(-(T - lam)^2 / 2). It is exact
-    for any alpha, accepts over half its proposals from alpha = -1 up, and
-    neither underflows nor slows as alpha grows. Each round draws a (2,
-    left) uniform array, proposals first. X is clamped to the bound."""
-    alpha = (bound - sign * mean) / sd
-    lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
-    t, left = np.empty_like(alpha), np.arange(alpha.size)
-    while left.size:
-        u = rs.uniform((2, left.size))
-        proposal = alpha[left] - np.log1p(-u[0]) / lam[left]
-        ok = u[1] <= np.exp(-0.5 * (proposal - lam[left]) ** 2)
-        t[left[ok]] = proposal[ok]
-        left = left[~ok]
-    return sign * np.maximum(sign * mean + sd * t, bound)
 
 
 def run_single_lane(cfg: ConfigFile, run_offset: int = 0) -> McEstimate:

@@ -8,8 +8,7 @@ A stream is numpy's PCG64 seeded through a SeedSequence whose spawn key
 is the stream's lineage, so substream(i) of a source is an independent
 stream for every i, and substreams(start, count) yields a range of them.
 The Monte Carlo harness keys one substream per chunk of runs
-(harness._CHUNK_RUNS), and ou.first_passage_mc one per block of
-paths, so the cost of building a stream is paid once per array of draws.
+(harness._CHUNK_RUNS), so a stream is built once per chunk of draws.
 """
 
 from __future__ import annotations

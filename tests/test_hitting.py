@@ -130,7 +130,11 @@ class TestKernel:
     @pytest.mark.parametrize("params,level,dt,n_obs", [
         (LAT, 0.1, 0.1, 1200), (LAT, 0.15, 0.1, 1200),
         (OuParams(kappa=0.5, mu=0.06, sigma=0.05), 0.1, 1.0, 60),
-        (OuParams(kappa=0.0, mu=0.0, sigma=1.0), 10.0, 1.0, 150)])
+        (OuParams(kappa=0.0, mu=0.0, sigma=1.0), 10.0, 1.0, 150),
+        # these two and LAT at 0.15 NM thin (U_n 0.076, 0.105 and 0.0054);
+        # the other three walk, one normal per path per step
+        (OU_FTE_CENTERED["lateral"], 0.11, 0.1, 1200),
+        (OuParams(kappa=0.0, mu=0.0, sigma=1.0), 35.0, 1.0, 150)])
     def test_matches_first_passage_mc(self, params, level, dt, n_obs):
         # where hits occur the simulated probability agrees within 5 SE
         f = first_hit_law(params, level, dt, n_obs)

@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from taskload import (OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
-                      RandomSource, first_passage_mc, intervention_count_mc,
-                      pmf_from_counts, transition_coeffs)
+                      RandomSource, first_hit_law, first_passage_mc,
+                      intervention_count_mc, ou, pmf_from_counts,
+                      transition_coeffs)
 
 from oracles import ou_path
 
@@ -155,51 +156,62 @@ class TestFirstPassage:
         assert ph[0] <= ph[1] <= ph[2]
 
     @pytest.mark.parametrize("kind", ["two_sided", "one_sided"])
-    def test_output_independent_of_pool_size(self, monkeypatch, kind):
-        # blocks of fixed size on their own substreams: the worker count
-        # changes nothing, and each block is a plain per-step draw loop
-        from taskload import ou
-        monkeypatch.setattr(ou, "FIRST_PASSAGE_BLOCK", 1000)
+    def test_walk_matches_per_step_loop(self, kind):
+        # an origin off 0 takes the walk: one stream, one normal per path
+        # per step, in step order
         p, b = OU_FTE_CENTERED["lateral"], Barrier(kind, 0.06, origin=0.01)
-        runs = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(ou.os, "cpu_count", lambda: cpus)
-            runs.append(first_passage_mc(p, b, 30.0, 1.0, 4500,
-                                         RandomSource(53)))
-        for out in runs[1:]:
-            assert np.array_equal(out.hit_times, runs[0].hit_times)
+        out = first_passage_mc(p, b, 30.0, 1.0, 4500, RandomSource(53))
         a, bb, s = transition_coeffs(p, 1.0)
-        want = []
-        for k, size in enumerate((1000,) * 4 + (500,)):
-            gen = RandomSource(53).substream(k).generator
-            x = np.full(size, 0.01)
-            hit = np.zeros(size)
-            for step in range(1, 31):
-                x = a * x + bb + s * gen.standard_normal(size)
-                new = (hit == 0) & b.crossed(x)
-                hit[new] = step
-            want.append(hit[hit > 0])
-        assert 0 < runs[0].n_hits < 4500
-        assert np.array_equal(runs[0].hit_times, np.concatenate(want))
+        gen = RandomSource(53).generator
+        x, hit = np.full(4500, 0.01), np.zeros(4500)
+        for step in range(1, 31):
+            x = a * x + bb + s * gen.standard_normal(4500)
+            hit[(hit == 0) & b.crossed(x)] = step
+        assert 0 < out.n_hits < 4500
+        assert np.array_equal(out.hit_times, hit[hit > 0])
 
-    def test_every_path_retired(self, monkeypatch):
-        # a bound of 1e-6 about origin 0 retires every path of every block
-        # before the horizon; each block stays a plain per-step draw loop
-        from taskload import ou
-        monkeypatch.setattr(ou, "FIRST_PASSAGE_BLOCK", 1000)
+    def test_every_path_retired(self):
+        # a bound of 1e-6 about origin 0 (U_n >= 1, so the walk) retires
+        # every path before the horizon, as a plain per-step draw loop does
         p, b = OU_FTE_CENTERED["lateral"], Barrier("two_sided", 1e-6)
         out = first_passage_mc(p, b, 30.0, 1.0, 4500, RandomSource(59))
         assert out.n_hits == out.n_paths == 4500
         a, bb, s = transition_coeffs(p, 1.0)
-        want = []
-        for k, size in enumerate((1000,) * 4 + (500,)):
-            gen = RandomSource(59).substream(k).generator
-            x, hit = np.zeros(size), np.zeros(size)
-            for step in range(1, 31):
-                x = a * x + bb + s * gen.standard_normal(size)
-                hit[(hit == 0) & b.crossed(x)] = step
-            want.append(hit)
-        assert np.array_equal(out.hit_times, np.concatenate(want))
+        gen = RandomSource(59).generator
+        x, hit = np.zeros(4500), np.zeros(4500)
+        for step in range(1, 31):
+            x = a * x + bb + s * gen.standard_normal(4500)
+            hit[(hit == 0) & b.crossed(x)] = step
+        assert np.array_equal(out.hit_times, hit)
+
+    def test_horizon_below_one_step_has_no_hits(self):
+        # no observation falls in the horizon, so no sampler is built
+        out = first_passage_mc(OU_FTE_CENTERED["lateral"],
+                               Barrier("two_sided", 0.05), 0.5, 1.0, 1000,
+                               RandomSource(61))
+        assert out.n_hits == 0 and out.n_censored == 1000
+
+    def test_no_diffusion_walks_deterministically(self):
+        # sigma = 0 never thins: every path reaches 0.2 (1 - e^{-t}) >= 0.1
+        # at the first step with t >= ln 2, t = 0.7
+        p = OuParams(kappa=1.0, mu=0.2, sigma=0.0)
+        out = first_passage_mc(p, Barrier("two_sided", 0.1), 2.0, 0.1, 100,
+                               RandomSource(67))
+        assert out.n_hits == 100
+        assert np.allclose(out.hit_times, 0.7)
+
+    def test_one_step_thinned_horizon(self):
+        # one observation: a path hits exactly when its gate uniform lies
+        # below U_1, the two tails of X_1
+        p, level, n = OU_FTE_CENTERED["lateral"], 0.05, 50_000
+        out = first_passage_mc(p, Barrier("two_sided", level), 1.0, 1.0, n,
+                               RandomSource(71))
+        u1 = first_hit_law(p, level, 1.0, 1)[1]
+        assert u1 < ou.THIN_BELOW
+        assert np.all(out.hit_times == 1.0)
+        gate = RandomSource(71).uniform(n)
+        assert out.n_hits == int(np.sum(gate < u1))
+        assert abs(out.probability - u1) <= 5 * math.sqrt(u1 * (1 - u1) / n)
 
 
 class TestInterventionCounts:

@@ -11,7 +11,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from taskload import cli
+from taskload import OU_FTE_CENTERED, Barrier, RandomSource, cli, hitting
 from taskload.config import MONOLANE_RUNS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -61,3 +61,25 @@ def test_traced_commands_record_the_run_count(tmp_path):
     # uniform, so only the paths of the few candidates draw normals, far
     # fewer than one per aircraft-axis
     assert 0 < metrics["rng.normal_draws"] < 3 * metrics["harness.aircraft"]
+
+
+def test_first_passage_path_steps_bind():
+    # the tracer binds first_passage_mc's arguments by name to count its
+    # path-steps, n_paths x floor(horizon / dt), on either route
+    tracing = load_tracing()
+    targets = [t for t in tracing.boundary_targets()
+               if t[2] == "ou.first_passage_mc"]
+    tracer = tracing.Tracer()
+    tracer.install(targets)
+    p = OU_FTE_CENTERED["lateral"]
+    try:
+        # U_n about 0.03 (thinned), then a walk from an origin off 0
+        hitting.first_passage_mc(p, Barrier("two_sided", 0.09), 30.0, 1.0,
+                                 300, RandomSource(1))
+        hitting.first_passage_mc(p, Barrier("two_sided", 0.06, origin=0.01),
+                                 horizon=12.5, dt=0.5, n_paths=200,
+                                 src=RandomSource(2))
+    finally:
+        tracer.uninstall()
+    assert [s[tracing.ATTRS]["path_steps"] for s in tracer.spans] == [
+        300 * 30, 200 * 25]

@@ -16,6 +16,12 @@ through one reader, _read_table, which tells JSON from CSV by content,
 and compare takes the run count behind a Monte Carlo table from that
 table's provenance.
 
+Every file is written atomically, through one function, _atomic_write: a
+temporary file in the target's directory, renamed over the target. A
+target that already holds exactly the bytes to be written is left as it
+is, so its mtime does not change when a command is run again. New files
+take the mode the umask leaves of 0666, as open(path, "w") would give.
+
 Exit codes: 0 success, 2 config or usage error (an output path that
 cannot be written included), 3 data error, 4 numerical failure, 5
 comparison failure.
@@ -62,14 +68,37 @@ class DataError(Exception):
     pass
 
 
+@functools.cache  # once per process: os.umask reads it only by setting it
+def _file_mode() -> int:
+    """The mode open(path, "w") gives a new file under the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: str, payload: str) -> None:
-    """Write-then-rename so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write-then-rename so readers never see a torn file. A target that
+    already holds the payload's bytes is left as it is (sizes compared
+    first, then bytes); any other gets them in a temporary file of
+    _file_mode() in the same directory, renamed over it."""
+    data = payload.encode("utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        if os.stat(path).st_size == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+    except OSError:
+        pass  # no readable target: write it
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               suffix=".tmp")
+    try:
+        try:
+            os.fchmod(fd, _file_mode())
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -113,22 +142,23 @@ def _json_payload(prov: dict, body: dict) -> str:
 
 
 def _write(path: str | None, payload: str) -> None:
-    """Write payload to path, or to stdout when no path is given."""
+    """Write payload to path, making its directory, or to stdout when no
+    path is given."""
     if path:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         _atomic_write(path, payload)
     else:
         sys.stdout.write(payload)
 
 
-def _write_table(path: str | None, fmt: str, prov: dict, header: list[str],
-                 rows: list[list]) -> None:
+def _table_payload(fmt: str, prov: dict, header: list[str],
+                   rows: list[list]) -> str:
     if fmt == "json":
-        body = {"columns": header,
-                "rows": [[float(v) if isinstance(v, (int, float)) else v
-                          for v in row] for row in rows]}
-        _write(path, _json_payload(prov, body))
-    else:
-        _write(path, _csv_payload(prov, header, rows))
+        return _json_payload(prov, {
+            "columns": header,
+            "rows": [[float(v) if isinstance(v, (int, float)) else v
+                      for v in row] for row in rows]})
+    return _csv_payload(prov, header, rows)
 
 
 def _pmf_rows(pmf: TaskloadPmf) -> list[list]:
@@ -148,8 +178,8 @@ def _write_result_set(cfg: ConfigFile, out_dir: str, prov: dict,
     fmt = cfg.output_format
     for name, (horizon, header, rows) in tables.items():
         extra = {} if horizon is None else {"horizon_min": horizon}
-        _write_table(os.path.join(out_dir, f"{name}.{fmt}"), fmt,
-                     {**prov, **extra}, header, rows)
+        _atomic_write(os.path.join(out_dir, f"{name}.{fmt}"),
+                      _table_payload(fmt, {**prov, **extra}, header, rows))
 
 
 # --- commands -------------------------------------------------------------
@@ -166,7 +196,7 @@ def cmd_generate(args) -> int:
         src = RandomSource(cfg.seed, cfg.stream_id)
         samples = johnson_sample(cfg.distributions[axis], src, args.n)
         rows = [[float(v)] for v in samples]
-    _write_table(args.out, cfg.output_format, prov, [col], rows)
+    _write(args.out, _table_payload(cfg.output_format, prov, [col], rows))
     return EXIT_OK
 
 
@@ -270,7 +300,7 @@ def cmd_calibrate(args) -> int:
         except (calibration.DegenerateDataError, ValueError) as exc:
             body["reports"][axis]["sample_moments"] = {"error": str(exc)}
     prov = _provenance(None, {"command": "calibrate"})
-    _atomic_write(args.out, _json_payload(prov, body))
+    _write(args.out, _json_payload(prov, body))
     return EXIT_OK
 
 
@@ -394,7 +424,7 @@ def cmd_safe_zone(args) -> int:
     rows = [[float(solved.alpha_deg), float(solved.e1_nm), float(solved.e2_nm),
              float(solved.d_min_nm), float(solved.x1_nm), float(solved.x2_nm),
              float(solved.t_safe_min)]]
-    _write_table(args.out, cfg.output_format, prov, header, rows)
+    _write(args.out, _table_payload(cfg.output_format, prov, header, rows))
     return EXIT_OK
 
 

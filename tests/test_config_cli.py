@@ -2,6 +2,7 @@ import contextlib
 import copy
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import taskload
-from taskload import ConfigError, default_config
+from taskload import ConfigError, cli, default_config
 from taskload.cli import build_parser, main
 from taskload.config import parse_config
 
@@ -614,6 +615,130 @@ class TestCommandLineValues:
         assert "afile" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
         assert (tmp_path / "afile").read_bytes() == b""
+
+
+def file_ids(directory):
+    """(inode, mtime in ns) of each file in directory, by name; no
+    temporary file may be left there."""
+    ids = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+           for p in directory.iterdir()}
+    assert not [name for name in ids if name.endswith(".tmp")]
+    return ids
+
+
+@pytest.fixture
+def held_open():
+    """Keeps files open so that a file replaced meanwhile cannot hand
+    its inode number on to its replacement."""
+    with contextlib.ExitStack() as stack:
+        yield lambda directory: [stack.enter_context(open(p, "rb"))
+                                 for p in directory.iterdir()]
+
+
+@pytest.fixture
+def set_umask():
+    """Sets the process umask for one test, and the mode the writer
+    reads from it once per process; both are restored afterwards."""
+    old = os.umask(0o022)
+    os.umask(old)
+
+    def set_to(mask):
+        os.umask(mask)
+        cli._file_mode.cache_clear()
+    yield set_to
+    set_to(old)
+
+
+class TestWrites:
+    """Every output is written atomically, a file that already holds
+    the bytes to be written is left in place, and new files take the
+    umask's mode."""
+
+    def run_both(self, cfg, out):
+        for command in ("analytic", "simulate"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+
+    def test_unchanged_files_left_in_place(self, tmp_path, held_open):
+        out = tmp_path / "out"
+        cfg = lane_config(tmp_path, mc={"n_runs": 20})
+        self.run_both(cfg, out)
+        before = file_ids(out)
+        assert "config_resolved.json" in before
+        assert sum(name.startswith("mc_") for name in before) == 4
+        held_open(out)
+        self.run_both(cfg, out)
+        assert file_ids(out) == before
+
+    def test_another_seed_rewrites_config_and_mc_tables(self, tmp_path,
+                                                        held_open):
+        out = tmp_path / "out"
+        self.run_both(lane_config(tmp_path, mc={"n_runs": 20}), out)
+        before = file_ids(out)
+        held_open(out)
+        assert main(["simulate", "--config",
+                     str(lane_config(tmp_path, mc={"n_runs": 20, "seed": 32})),
+                     "--out", str(out)]) == 0
+        after = file_ids(out)
+        assert sorted(after) == sorted(before)
+        changed = {name for name in after if after[name][0] != before[name][0]}
+        assert changed == {name for name in after
+                           if name == "config_resolved.json"
+                           or name.startswith("mc_")}
+        assert json.loads(read_payload(out / "config_resolved.json"))[
+            "mc"]["seed"] == 32
+
+    def test_same_size_file_with_one_byte_changed_replaced(self, tmp_path,
+                                                           held_open):
+        out = tmp_path / "out"
+        cfg = lane_config(tmp_path, mc={"n_runs": 20})
+        self.run_both(cfg, out)
+        table = out / "mc_total.csv"
+        written = table.read_bytes()
+        at = written.index(b"\n0,") + 1
+        table.write_bytes(written[:at] + b"1" + written[at + 1:])
+        before = file_ids(out)
+        held_open(out)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert table.read_bytes() == written
+        after = file_ids(out)
+        assert {name for name in after if after[name] != before[name]} == \
+            {"mc_total.csv"}
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["022", "077"])
+    def test_files_take_the_umask_mode(self, tmp_path, set_umask, mask,
+                                       mode):
+        set_umask(mask)
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == mode
+        out = tmp_path / "out"
+        self.run_both(lane_config(tmp_path, mc={"n_runs": 20}), out)
+        assert main(["generate", "--axis", "lateral", "-n", "3",
+                     "--out", str(out / "x.csv")]) == 0
+        modes = {name: stat.S_IMODE((out / name).stat().st_mode)
+                 for name in file_ids(out)}
+        assert len(modes) > 5
+        assert set(modes.values()) == {mode}
+
+    @pytest.mark.parametrize("argv, out", [
+        (["generate", "--axis", "lateral", "-n", "3"], "new/a/x.csv"),
+        (["compare", "--analytic", "a.csv", "--mc", "m.csv"], "new/b/r.json"),
+        (["safe-zone"], "new/c/s.csv"),
+        (["calibrate", "--in", "series.csv"], "new/d/r.json")],
+        ids=["generate", "compare", "safe-zone", "calibrate"])
+    def test_single_file_commands_make_parent_directories(
+            self, tmp_path, monkeypatch, argv, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text("n,prob\n0,1\n")
+        (tmp_path / "m.csv").write_text("# n_runs=1\nn,prob\n0,1\n")
+        (tmp_path / "series.csv").write_text(
+            "lat_nm\n" + "\n".join(str(0.01 * (i % 7)) for i in range(50)))
+        assert main(argv + ["--out", out]) == 0
+        assert (tmp_path / out).stat().st_size > 0
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestFlowCountPerKind:

@@ -10,8 +10,24 @@ mean-reverting transitions; the controller observes deviations at a
 fixed surveillance cadence (obs_dt_min, 1 minute by default) while the
 aircraft is in the sector, and every observation beyond an axis bound
 counts one intervention and returns that axis to the nominal
-trajectory. Only observations inside the horizon are counted. An axis
-thins where U_n < 1 and s > 0 (see ou._Lane) and is stepped otherwise.
+trajectory. Only observations inside the horizon are counted.
+
+An axis observed n times from the nominal path needs only the index of
+its first hit, or none: after a hit it restarts from the nominal path
+over the observations left, so its hits form a renewal chain on the
+observation lattice (Feller 1968, An Introduction to Probability
+Theory, vol. 1, ch. XIII). hitting.first_hit_law gives f, the exact law
+of that index, and the first L + 1 terms of f are the law over L
+observations. With F = cumsum(f) the harness samples each axis by the
+inverse of F: an aircraft-axis hits at all with probability F[n], at
+the smallest m with F[m] > u for u uniform on [0, F[n]), and then hits
+again over the L = n - m observations left in the same way. No path is
+drawn, so comparing the harness with the analytic route, which reads
+the same f, tests the flow layer (arrivals, windows, warm-up,
+superposition, crossings), not the kernel; TestThinnedLaw in
+tests/test_harness.py holds the harness to a per-step simulation. A
+lane whose kernel needs more than hitting.MAX_NODES nodes raises
+ValueError.
 
 Runs are drawn in aligned chunks of _CHUNK_RUNS = 32: runs 32 c ..
 32 c + 31 form chunk c, which draws from substream c of the stream
@@ -26,36 +42,32 @@ Math. Comput. Simul. 135, on partitioning runs among substreams).
 A chunk draws, in this order: the arrival counts of its 32 runs, one
 Poisson (runs, lanes) array; then lane by lane in config order, the
 lane's arrival uniforms of all its runs, k of them in run order, and if
-the lane is observed, one gate uniform per aircraft-axis of its thinned
-axes, a (k, thinned axes) array, and the noise of its stepped axes, an
-(n, stepped axes, k) normal array. Last come the candidates of all 32
-runs, in (run, lane, aircraft, axis) order, as one batch sampled in
-rounds. A round takes every candidate stretch of two or more
-observations and draws, each as one array in stretch order: a uniform
-per stretch for its event; the truncated normals, in rejection rounds
-of a (2, stretches left) uniform array, proposals first; L normals per
-stretch for its path; and a uniform per stretch for its acceptance.
-Then each accepted stretch with L' observations left draws a uniform,
-and is a candidate stretch of the next round if it lies below U_L'.
-Under the stringent standard about one aircraft-axis in a hundred is a
-candidate, so a lane draws about one uniform per aircraft-axis and few
-normals.
+the lane is observed n >= 1 times, a gate uniform per aircraft-axis, a
+(k, 3) array. An aircraft-axis is a candidate when its gate uniform u
+lies below F[n], and its first hit is the smallest m with F[m] > u, the
+same u reused. Last come restart rounds over the candidates of all 32
+runs, in (run, lane, aircraft, axis) order: a round draws one uniform
+array, a uniform per candidate with L = n - m > 0 observations left,
+and a candidate whose uniform lies below F[L] hits again at m plus the
+inverse of F at that uniform. A transit observed once (a crossing's)
+draws nothing after its gate. The draws are all uniforms, and few come
+after the gates: an aircraft-axis of a 20-minute stringent lane observed
+each minute is a candidate with probability 0.0002-0.0055.
 
 A range of runs draws every chunk it touches, the runs before
 run_offset in its first chunk and those after its end in its last
-chunk included: a chunk's candidates share the batch's arrays, so each
-run's draws depend on the other runs of its chunk. Those runs are not
-scored or counted in n_aircraft. The rest is scored in blocks of whole
-chunks, each block by a fixed number of array calls however many runs
-and lanes it holds: entry times, occupancy, the stepped axes, which
-observations fall in the horizon, and the counts. A block is laid
-out lane-major, lanes in config order, the rows of one lane its
-aircraft of every run in run order. A lane that is never observed
+chunk included: a chunk's restart rounds share their uniform arrays,
+so each run's draws depend on the other runs of its chunk. Those runs
+are not scored or counted in n_aircraft. The rest is scored in blocks
+of whole chunks, each block by a fixed number of array calls however
+many runs and lanes it holds: entry times, occupancy, which
+observations fall in the horizon, and the counts. A block is laid out
+lane-major, lanes in config order, the rows of one lane its aircraft
+of every run in run order. A lane that is never observed
 (residency below one surveillance step) draws only its arrivals, and
 its rows are never counted. Neither the layout nor the block boundaries
 change an output. A block closes once it holds _BLOCK_ROWS aircraft,
-which bounds the arrival uniforms and stepped noise it holds to that
-plus one chunk.
+which bounds the arrival uniforms it holds to that plus one chunk.
 """
 
 from __future__ import annotations
@@ -67,8 +79,8 @@ import numpy as np
 from .config import ConfigFile
 from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
-from .ou import (_Batch, _Lane, _truncated_normals,  # noqa: F401
-                 lattice_steps, transition_coeffs)
+from .hitting import first_hit_law
+from .ou import lattice_steps
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
 
@@ -233,69 +245,105 @@ class _Block:
         self.arrival_mean = (self.mean[0] if (self.mean == self.mean[0]).all()
                              else self.mean)
         self.n_obs = lattice_steps(self.t_cross, cfg.obs_dt_min)
-        self.bounds = np.array([[f.tolerance.for_axis(a) for a in AXES]
-                                for f in flows])
-        coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
-        # the samplers of the observed lanes: they hold only tables, so
-        # lanes with equal observations and bounds share one
-        keys = [(n, tuple(bounds)) for n, bounds in
-                zip(self.n_obs.tolist(), self.bounds.tolist())]
-        samplers = {(n, bounds): _Lane(coeffs, list(bounds), n)
-                    for n, bounds in dict.fromkeys(keys) if n >= 1}
-        self.lanes = [samplers.get(key) for key in keys]
-        # the batch stacks the thinned axes of the samplers in order, so
-        # lane li's are its rows first[li], first[li] + 1, ...
-        distinct = [lane for lane in samplers.values() if lane.thinned]
-        self.batch = _Batch(distinct) if distinct else None
-        rows = np.cumsum([0] + [len(lane.thinned) for lane in distinct])
-        first = dict(zip(map(id, distinct), rows.tolist()))
-        self.first = [first.get(id(lane)) for lane in self.lanes]
+        # one table F = cumsum(first_hit_law) per (axis, bound) of the
+        # observed lanes, at the most observations of the lanes that read
+        # it: the law of n observations is its first n + 1 terms
+        keys = [list(enumerate(f.tolerance.for_axis(a) for a in AXES))
+                if n >= 1 else [] for n, f in zip(self.n_obs.tolist(), flows)]
+        most: dict[tuple[int, float], int] = {}
+        for n, lane_keys in zip(self.n_obs.tolist(), keys):
+            for key in lane_keys:
+                most[key] = max(n, most.get(key, 0))
+        tables = [np.cumsum(first_hit_law(cfg.ou[AXES[j]], bound,
+                                          cfg.obs_dt_min, n))
+                  for (j, bound), n in most.items()]
+        # F_t[m] is cum[start[t] + m]; numpy orders complex numbers by real
+        # part, then imaginary part, so the pairs t + i F_t[m] are sorted
+        # and one search inverts every table (_inverse)
+        self.cum = np.concatenate([np.zeros(0)] + tables)
+        self.start = np.cumsum([0] + [f.size for f in tables])
+        self.pairs = np.concatenate([np.zeros(0, complex)] + [
+            t + 1j * f for t, f in enumerate(tables)])
+        # per lane, its axes' tables and hit probabilities F[n] (0 for a
+        # lane never observed): an aircraft-axis is a candidate when its
+        # gate uniform lies below
+        index = {key: t for t, key in enumerate(most)}
+        self.table = np.zeros((len(flows), len(AXES)), dtype=np.int64)
+        self.gates = np.zeros((len(flows), len(AXES)))
+        for li, (n, lane_keys) in enumerate(zip(self.n_obs.tolist(), keys)):
+            if lane_keys:
+                self.table[li] = [index[key] for key in lane_keys]
+                self.gates[li] = self.cum[self.start[self.table[li]] + n]
 
     def draw(self, rs: RandomSource, lo: int, hi: int) -> tuple:
         """The draws of one chunk of _CHUNK_RUNS runs from its stream rs,
         in the order the module docstring gives, kept for runs lo .. hi -
         1 only: their (run, lane) arrival counts, per lane their arrival
-        uniforms and stepped axes' (observations, axes, aircraft) noise
-        (None without stepped axes), and the (lane, lane row, axis,
-        observation) hits of the thinned axes."""
-        k = rs.poisson(self.arrival_mean, (_CHUNK_RUNS, len(self.lanes)))
+        uniforms, and the (lane, lane row, axis, observation) hits."""
+        k = rs.poisson(self.arrival_mean, (_CHUNK_RUNS, len(self.n_obs)))
         ends = np.cumsum(k, axis=0)     # per lane, the rows of runs 0 .. r
         starts = (ends - k)[lo]
         cuts = [slice(start, stop) for start, stop in
                 zip(starts.tolist(), ends[hi - 1].tolist())]
-        us, steps, gated = [], [], []
-        for li, (lane, first, size, cut) in enumerate(zip(
-                self.lanes, self.first, ends[-1].tolist(), cuts)):
+        us, gated, gate_us = [], [], []
+        for li, (n, size, cut) in enumerate(zip(
+                self.n_obs.tolist(), ends[-1].tolist(), cuts)):
             us.append(rs.uniform(size)[cut])
-            if lane is not None and lane.thinned:
-                row, col = np.nonzero(
-                    rs.uniform((size, len(lane.thinned))) < lane.gates)
+            if n >= 1:
+                u = rs.uniform((size, len(AXES)))
+                row, axis = np.nonzero(u < self.gates[li])
                 if row.size:
                     run = np.searchsorted(ends[:, li], row, side="right")
                     gated.append(np.stack([run, np.full_like(row, li), row,
-                                           first + col]))
-            steps.append(rs.standard_normal(
-                (lane.n, len(lane.stepped), size))[:, :, cut]
-                if lane is not None and lane.stepped else None)
-        hits = np.zeros((4, 0), dtype=np.int64)
-        if gated:
-            # the candidates in (run, lane, aircraft, axis) order
-            gated = np.concatenate(gated, axis=1)
-            gated = gated[:, np.argsort(gated[0], kind="stable")]
-            cand, m = self.batch.hits(rs, gated[3])
-            run, lane, row, table = gated[:, cand]
-            hits = np.stack([lane, row - starts[lane],
-                             self.batch.axis[table], m])
-            hits = hits[:, (lo <= run) & (run < hi)]
-        return k[lo:hi], us, steps, hits
+                                           axis]))
+                    gate_us.append(u[row, axis])
+        if not gated:
+            return k[lo:hi], us, np.zeros((4, 0), dtype=np.int64)
+        # the candidates in (run, lane, aircraft, axis) order
+        gated = np.concatenate(gated, axis=1)
+        order = np.argsort(gated[0], kind="stable")
+        run, lane, row, axis = gated[:, order]
+        cand, m = self._hits(rs, self.table[lane, axis], self.n_obs[lane],
+                             np.concatenate(gate_us)[order])
+        run, lane, row, axis = run[cand], lane[cand], row[cand], axis[cand]
+        hits = np.stack([lane, row - starts[lane], axis, m])
+        return k[lo:hi], us, hits[:, (lo <= run) & (run < hi)]
+
+    def _hits(self, rs: RandomSource, table: np.ndarray, n: np.ndarray,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (candidate, observation 1..n) pairs of every hit of
+        candidates on tables table, each observed n times and a candidate
+        by its gate uniform u < F[n]. Given that, u is uniform on [0,
+        F[n]), so its first hit is the smallest m with F[m] > u. Each
+        round then draws a uniform per candidate with L = n - m > 0
+        observations left, in candidate order, and one below F[L] hits
+        again, at most L observations on, by the same inverse."""
+        cand, m = np.arange(table.size), self._inverse(table, u)
+        found = [(cand, m)]
+        while True:
+            left = n[cand] - m
+            cand, m, left = cand[left > 0], m[left > 0], left[left > 0]
+            if not cand.size:
+                return tuple(map(np.concatenate, zip(*found)))
+            u = rs.uniform(cand.size)
+            again = u < self.cum[self.start[table[cand]] + left]
+            cand, m = cand[again], m[again]
+            m = m + self._inverse(table[cand], u[again])
+            found.append((cand, m))
+
+    def _inverse(self, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The smallest m with F[m] > u of each u in [0, 1) on its
+        table."""
+        pos = np.searchsorted(self.pairs, table + 1j * u, side="right")
+        return pos - self.start[table]
 
     def score(self, chunks: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """Counts per (run, lane, axis) and occupancy per run of a block
         of runs, from the draws of its chunks in run order. A hit counts
         if its observation (1..n_obs of its lane) lies inside the
         horizon; those of the pre-window warm-up only reset their axis."""
-        ks, us, steps, hits = zip(*chunks)
-        n_lanes, n_axes = len(self.lanes), len(AXES)
+        ks, us, hits = zip(*chunks)
+        n_lanes, n_axes = len(self.n_obs), len(AXES)
         k = np.concatenate(ks).T
         n_runs, lane_rows = k.shape[1], k.sum(axis=1)
         run = np.repeat(np.tile(np.arange(n_runs), n_lanes), k.ravel())
@@ -307,29 +355,17 @@ class _Block:
             t = self.snapshot
             inside = (entries <= t) & (t < entries + self.t_cross[lane])
             occupancy = np.bincount(run[inside], minlength=n_runs)
-        # a row's counted hits on an axis add to cell + axis
-        cell, size = (run * n_lanes + lane) * n_axes, n_runs * n_lanes * n_axes
-        counts = np.zeros(size, dtype=np.int64)
-        ends = np.cumsum(lane_rows)
         # the block row of each chunk's first row of each lane
         sizes = np.array([[u.size for u in chunk] for chunk in us])
-        offsets = np.cumsum(sizes, axis=0) - sizes + ends - lane_rows
+        offsets = np.cumsum(sizes, axis=0) - sizes + np.cumsum(
+            lane_rows) - lane_rows
         row, axis, m = np.concatenate(
             [[off[h[0]] + h[1], h[2], h[3]] for off, h in zip(offsets, hits)],
             axis=1)
-        for li, (start, stop, sampler) in enumerate(zip(
-                (ends - lane_rows).tolist(), ends.tolist(), self.lanes)):
-            if steps[0][li] is not None:
-                flags = sampler.step(np.concatenate([s[li] for s in steps],
-                                                    axis=2))
-                m_all = np.arange(1, sampler.n + 1)[:, None, None]
-                counted = flags & self._counted(entries[start:stop], m_all)
-                axes = np.array(sampler.stepped)[:, None]
-                counts += np.bincount((cell[start:stop] + axes).ravel(),
-                                      counted.sum(axis=0).ravel(),
-                                      size).astype(np.int64)
-        hit_cells = (cell[row] + axis)[self._counted(entries[row], m)]
-        counts += np.bincount(hit_cells, minlength=size)
+        # each counted hit adds one to its (run, lane, axis) cell
+        cell = (run[row] * n_lanes + lane[row]) * n_axes + axis
+        counts = np.bincount(cell[self._counted(entries[row], m)],
+                             minlength=n_runs * n_lanes * n_axes)
         return counts.reshape(n_runs, n_lanes, n_axes), occupancy
 
     def _counted(self, entries: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -114,7 +114,17 @@ def fpt_density_oracle(p: OuParams, b: Barrier, horizon: float,
 #: Gauss-Legendre nodes of the discrete-monitoring kernel: at least
 #: KERNEL_NODES, and NODES_PER_SD per per-observation deviation s across
 #: the bound (about 3.75 suffice), so that a wide bound stays converged.
-KERNEL_NODES, NODES_PER_SD, MAX_NODES = 200, 6, 4000
+#: The floor binds on narrow bounds: the stringent ones need 24-30
+#: nodes. On the laws of tests/test_hitting.py::TestNodeFloor (the four
+#: standards on every axis and 0.01 and 1 NM bounds; centred, fitted,
+#: kappa / 20 and kappa = 0 dynamics; 1, 0.1 and 0.05-min observations,
+#: up to 2 400 of them), against the law at max(800, 4x the rule's)
+#: nodes, a floor of 32 stays within 4.0e-12 relative per entry and on
+#: the sum where it binds (64 laws), a floor of 8 within 8.3e-11, and a
+#: floor of 200 within 1.0e-11 but at 2-3x the time: the three
+#: stringent axes took 620 us at 20 observations and 1 650 us at 120 with
+#: it, 210 and 770 us with 32 (a 2-core x86-64 host).
+KERNEL_NODES, NODES_PER_SD, MAX_NODES = 32, 6, 4000
 #: beyond this many deviations of the free chain every hit underflows
 _UNDERFLOW_SD = 40.0
 _legendre = functools.cache(leggauss)

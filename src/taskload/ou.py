@@ -15,29 +15,26 @@ First-passage estimates remain grid-monitored: a barrier contact is the
 first *grid time* at which the state lies beyond the barrier, and
 excursions between grid points are invisible by construction.
 
-Two exact engines sample the chain: _observe_and_reset steps it one
-observation at a time (_walk and the harness's stepped axes call it),
-and the thinned sampler (_Lane, _Batch) draws first hits only. Observed
-n times from the nominal path, the chain X_j = a X_{j-1} + b + s Z_j
-needs only its first hit index, or none: after a hit it restarts from 0
-over the remaining observations. Its tails p_j = P[X_j >= bound] +
-P[X_j <= -bound] are exact Gaussian tails, and their sum U_L over the
-first L observations bounds the probability of a hit among them. Where
-U_n < 1 a stretch of L observations is a candidate with probability
-U_L: an aircraft-axis is one if its gate uniform lies below U_n. A
-candidate stretch of one observation hits, which has probability U_1
-exactly. A longer one picks one exceedance event with probability
-proportional to its tail, draws X_j from its truncated normal,
-completes the path by shifting an unconditional path along its
-regression on X_j (Cov(X_i, X_j) = a^|i - j| Var(X_min(i, j))), and
-with N the path's exceedances is accepted with probability 1 / N. So
-P[hit] = U_L E[1 / N] = P[some |X_j| >= bound], an accepted path has
-the law of a path given a hit, and its first exceedance is the first
-hit (Adler, Blanchet & Liu 2012, Ann. Appl. Probab. 22(3); the
-retrospective idea of Beskos & Roberts 2005, Ann. Appl. Probab.
-15(4)). One route rule picks the engine of first_passage_mc: paths
-from 0 under a two-sided barrier with s > 0 and U_n < THIN_BELOW thin;
-all else walks.
+Two exact engines sample the chain for first_passage_mc: _walk steps
+it one observation at a time through _observe_and_reset, and the
+thinned sampler (_Lane, _Batch) draws first hits only. (The Monte Carlo
+harness draws its hits from the exact law hitting.first_hit_law.)
+Observed n times from 0, the chain X_j = a X_{j-1} + b + s Z_j has
+exact Gaussian tails p_j = P[X_j >= bound] + P[X_j <= -bound], and
+their sum U_n bounds the probability of a hit. Where U_n < 1 a path is
+a candidate if its gate uniform lies below U_n; with n = 1 a candidate
+hits, which has probability U_1 exactly. Otherwise it picks one
+exceedance event with probability proportional to its tail, draws X_j
+from its truncated normal, completes the path by shifting an
+unconditional path along its regression on X_j (Cov(X_i, X_j) =
+a^|i - j| Var(X_min(i, j))), and with N the path's exceedances is
+accepted with probability 1 / N. So P[hit] = U_n E[1 / N] = P[some
+|X_j| >= bound], an accepted path has the law of a path given a hit,
+and its first exceedance is the first hit (Adler, Blanchet & Liu 2012,
+Ann. Appl. Probab. 22(3); the retrospective idea of Beskos & Roberts
+2005, Ann. Appl. Probab. 15(4)). One route rule picks the engine:
+paths from 0 under a two-sided barrier with s > 0 and U_n < THIN_BELOW
+thin; all else walks.
 """
 
 from __future__ import annotations
@@ -193,7 +190,7 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
         # 1 marks a candidate, a hit if n_steps = 1; longer horizons go
         # once through the branch, in slices of about 2^20 path-observations
         hit_step = (src.uniform(n_paths) < lane.gates[0]).astype(np.int64)
-        cand, batch = np.flatnonzero(hit_step), _Batch([lane])
+        cand, batch = np.flatnonzero(hit_step), _Batch(lane)
         per = max(2 ** 20 // n_steps, 1)
         for k in range(0, cand.size if n_steps > 1 else 0, per):
             c = cand[k:k + per]
@@ -238,7 +235,7 @@ def _walk(coeffs, b: Barrier, n_steps: int, size: int,
     _observe_and_reset call into a one-byte hit flag, read only when it
     shows a hit (an int64 count there runs about 8% slower). A NaN reset
     retires a path at its first hit: NaN never compares beyond a bound."""
-    x, z = np.full(size, float(b.origin)), np.empty((1, size))
+    x, z = np.full(size, float(b.origin)), np.empty(size)
     flag = np.zeros(size, dtype=bool)
     first, count = np.zeros(size, dtype=np.int32), np.zeros(size, np.int64)
     for step in range(1, n_steps + 1):
@@ -256,40 +253,30 @@ def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
                        counts: np.ndarray, reset: float = 0.0,
                        two_sided: bool = True) -> None:
     """Step x through one exact transition (coeffs = (a, b, s) at the
-    observation step) per slice of the noise block z (observations,
-    *x.shape) and observe it; x, counts and z (scaled by s) are updated
-    in place. A state at or beyond its bound is a hit, resets to `reset`
-    and adds one to counts. Each element computes ((a x) + b) + s z;
-    coefficients and bounds broadcast to x. Callers: _walk, one call per
-    step into a one-byte flag array (bool + is or), and _Lane.step, one
-    call per observation into that observation's flags."""
+    observation step) with the noise z of its shape and observe it; x,
+    counts and z (scaled by s) are updated in place. A state at or beyond
+    its bound is a hit, resets to `reset` and adds one to counts. Each
+    element computes ((a x) + b) + s z. _walk calls it once per step into
+    a one-byte flag array (bool + is or)."""
     a, b, s = coeffs
     z *= s
-    hits, tmp = np.empty(x.shape, dtype=bool), np.empty_like(x)
-    for m in range(z.shape[0]):
-        x *= a
-        x += b
-        x += z[m]
-        np.greater_equal(np.abs(x, out=tmp) if two_sided else x, bounds,
-                         out=hits)
-        np.copyto(x, reset, where=hits)
-        counts += hits
+    x *= a
+    x += b
+    x += z
+    hits = np.greater_equal(np.abs(x) if two_sided else x, bounds)
+    np.copyto(x, reset, where=hits)
+    counts += hits
 
 
 class _Lane:
-    """The samplers of the axes of a lane observed n >= 1 times from the
-    nominal path (see the module docstring). An axis thins where U_n < 1
-    and s > 0: each aircraft whose gate uniform lies below U_n goes
-    through the candidate batch, and tables holds what the batch reads
-    of the thinned axes, row q for axis thinned[q], indexed by
-    observation j = 0..n - 1 or stretch length L - 1. U_L <= U_n, so
-    every stretch left after a hit thins too. Every other axis is
-    stepped: the scorer walks it once per observation over all the
-    lane's aircraft of a block."""
+    """The thinned sampler's tables for the axes of a path observed n >= 1
+    times from 0 (see the module docstring). An axis thins where U_n < 1
+    and s > 0; tables holds what _Batch reads of the thinned axes, row q
+    for axis thinned[q], indexed by observation j = 0..n - 1 or stretch
+    length L - 1."""
 
     def __init__(self, coeffs: list[tuple[float, float, float]],
                  bounds: list[float], n: int):
-        self.n = n
         a, b, s = (np.array(c)[:, None] for c in zip(*coeffs))
         bound = np.array(bounds)[:, None]
         powers = a ** np.arange(n)
@@ -303,69 +290,21 @@ class _Lane:
                 len(bounds), 2 * n), axis=1)
         thin = (s[:, 0] > 0.0) & (cum[:, -1] < 1.0)
         self.thinned = np.flatnonzero(thin).tolist()
-        self.stepped = np.flatnonzero(~thin).tolist()
         self.gates = cum[thin, -1]
         self.tables = {
             "a": a[thin, 0], "b": b[thin, 0], "s": s[thin, 0],
             "bound": bound[thin, 0], "cum": cum[thin],
             "union": cum[thin, 1::2], "mean": mean[thin], "sd": sd[thin],
             "powers": powers[thin], "var": var[thin]}
-        # (stepped axes, 1) operands: each ufunc runs along the aircraft
-        self.step_coeffs = tuple(c[self.stepped] for c in (a, b, s))
-        self.step_bounds = bound[self.stepped]
-
-    def step(self, noise: np.ndarray) -> np.ndarray:
-        """The (observations, stepped axes, aircraft) hit flags of the
-        stepped axes, each started at 0 and reset at each hit, over their
-        noise; one _observe_and_reset call per observation."""
-        x, flags = np.zeros(noise.shape[1:]), np.zeros(noise.shape, bool)
-        for m in range(self.n):
-            _observe_and_reset(x, noise[m:m + 1], self.step_coeffs,
-                               self.step_bounds, flags[m])
-        return flags
 
 
 class _Batch:
-    """The mixture branch over arrays of candidate stretches, whatever
-    their lanes and axes. Its tables stack the lanes' tables of their
-    thinned axes in lane order, padded to the most observations; row g
-    is axis axis[g] of a lane observed n[g] times, and stretch c of a
-    round reads row g[c]."""
+    """The mixture branch over arrays of candidate stretches of a lane's
+    thinned axes: row g of its tables is axis thinned[g], and stretch c
+    of a round reads row g[c]."""
 
-    def __init__(self, lanes: list[_Lane]):
-        self.n = np.repeat([lane.n for lane in lanes],
-                           [len(lane.thinned) for lane in lanes])
-        self.axis = np.concatenate([lane.thinned for lane in lanes])
-        for name in lanes[0].tables:
-            parts = [lane.tables[name] for lane in lanes]
-            if parts[0].ndim == 2 and len(parts) > 1:
-                # padded with 1, above every event's u U_L < U_n < 1
-                size = max(part.shape[1] for part in parts)
-                parts = [np.pad(part, ((0, 0), (0, size - part.shape[1])),
-                                constant_values=1.0) for part in parts]
-            setattr(self, name, np.concatenate(parts))
-
-    def hits(self, rs: RandomSource, g: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """The (candidate, observation 1..n) pairs of every hit of
-        candidates on table rows g, each a stretch of its axis's n
-        observations, sampled in the rounds the harness docstring gives."""
-        cand, start, length = np.arange(g.size), np.zeros_like(g), self.n[g]
-        found = []
-        while cand.size:
-            first = np.ones_like(length)   # a stretch of one observation hits
-            long = np.flatnonzero(length > 1)
-            if long.size:
-                first[long] = self._first_hits(rs, g[cand[long]],
-                                               length[long])
-            hit = first > 0
-            cand, start = cand[hit], start[hit] + first[hit]
-            found.append((cand, start))
-            left = (length - first)[hit]
-            cand, start, left = cand[left > 0], start[left > 0], left[left > 0]
-            again = rs.uniform(cand.size) < self.union[g[cand], left - 1]
-            cand, start, length = cand[again], start[again], left[again]
-        return tuple(map(np.concatenate, zip(*found)))
+    def __init__(self, lane: _Lane):
+        self.__dict__.update(lane.tables)
 
     def _first_hits(self, rs: RandomSource, g: np.ndarray,
                     length: np.ndarray) -> np.ndarray:

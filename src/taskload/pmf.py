@@ -39,7 +39,7 @@ class TaskloadPmf:
             raise ValueError(f"negative truncation mass {self.truncation_mass}")
         self.truncation_mass = max(0.0, float(self.truncation_mass))
         total = self.probs.sum() + self.truncation_mass
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"PMF mass {total} is not 1")
 
     @property

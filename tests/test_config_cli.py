@@ -311,6 +311,23 @@ class TestCli:
                    "--out", str(tmp_path / "an")])
         assert rc == 4
 
+    def test_kernel_above_max_nodes_exits_4(self, tmp_path, capsys):
+        # kappa = 0 and a per-observation sd of 0.01 NM: a 7 NM lateral
+        # bound is 700 deviations wide, yet 400 observations spread the
+        # chain to within 40 of its deviations (0.2 NM), so the lane's
+        # first-hit kernel needs 4 200 nodes, above MAX_NODES
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "ou": {"lateral": {"kappa": 0.0, "mu": 0.0, "sigma": 0.01}},
+            "flows": [{"intensity_per_hour": 5.0, "t_cross_min": 400.0,
+                       "tolerance": {"lateral_nm": 7.0}}],
+            "mc": {"kind": "single_lane", "n_runs": 5, "seed": 1}}))
+        out = tmp_path / "mc"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 4
+        assert "needs 4200 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_writes_components_and_reproduces(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -4,17 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, CrossingGeometry,
-                      EmpiricalPmf, FlowSpec, RandomSource, TaskloadPmf,
-                      compare, compare_empirical, conflict_interventions_pmf,
-                      conflict_pmf, default_config, delta_pmf, run_crossing,
+                      EmpiricalPmf, FlowSpec, OuParams, RandomSource,
+                      TaskloadPmf, compare, compare_empirical,
+                      conflict_interventions_pmf, conflict_pmf,
+                      default_config, delta_pmf, first_hit_law, run_crossing,
                       run_multilane, run_single_lane, solve_safe_zone,
                       transition_coeffs, wilson_interval)
 from taskload.distributions import normal_cdf
 from taskload.flow import TOLERANCE_STANDARDS, ToleranceBounds
-from taskload import harness
+from taskload import harness, ou
 
 
 def lane_cfg(**kw):
@@ -92,102 +93,12 @@ class TestDeterminism:
                                       whole.components[key].counts)
 
 
-class ReferenceAxis:
-    """One axis of a lane observed n times from 0, with its tables in
-    plain scalar code: exact tails from scipy and the union bounds U_L."""
-
-    def __init__(self, coeffs, bound, n):
-        self.a, self.b, self.s = coeffs
-        self.bound, self.n = bound, n
-        self.mean, self.var, self.tails = [], [], []
-        m = v = 0.0
-        for _ in range(n):
-            m, v = self.a * m + self.b, self.a * self.a * v + self.s ** 2
-            self.mean.append(m)
-            self.var.append(v)
-            if self.s > 0.0:
-                sd = math.sqrt(v)
-                self.tails += [special.ndtr((m - bound) / sd),
-                               special.ndtr((-bound - m) / sd)]
-        self.union = list(itertools.accumulate(self.tails))[1::2]
-        self.thin = self.s > 0.0 and self.union[-1] < 1.0
-
-    def event(self, u, length):
-        """(j, sign) of the event that u in [0, 1) picks on a stretch."""
-        u, acc = u * self.union[length - 1], 0.0
-        for event in range(2 * length):
-            acc += self.tails[event]
-            if u < acc:
-                break
-        return event // 2, (1.0, -1.0)[event % 2]
-
-    def first_hit(self, j, x_j, noise, u):
-        """The first hit (1-based) of a stretch given X_j = x_j, its path
-        noise and its acceptance uniform u, or 0 if rejected."""
-        x, path = 0.0, []
-        for z in noise:
-            x = self.a * x + self.b + self.s * z
-            path.append(x)
-        beyond = []
-        for i, y in enumerate(path):
-            cov = self.a ** abs(i - j) * self.var[min(i, j)]
-            if i == j or abs(y + cov / self.var[j] * (x_j - path[j])) \
-                    >= self.bound:
-                beyond.append(i)
-        return beyond[0] + 1 if u * len(beyond) < 1.0 else 0
-
-
-def reference_truncated_normals(rs, cases):
-    """X ~ Normal(mean, sd^2) given sign X >= bound for each (mean, sd,
-    bound, sign) case, scalar per case, drawing the rejection rounds of
-    Robert's exponential proposal as the harness documents."""
-    alpha = [(bound - sign * mean) / sd for mean, sd, bound, sign in cases]
-    t, left = [None] * len(cases), list(range(len(cases)))
-    while left:
-        u, rejected = rs.uniform((2, len(left))), []
-        for i, proposal, accept in zip(left, u[0], u[1]):
-            lam = (alpha[i] + math.sqrt(alpha[i] * alpha[i] + 4.0)) / 2.0
-            proposal = alpha[i] - math.log1p(-proposal) / lam
-            if accept <= math.exp(-((proposal - lam) ** 2) / 2.0):
-                t[i] = proposal
-            else:
-                rejected.append(i)
-        left = rejected
-    return [sign * max(sign * mean + sd * ti, bound)
-            for (mean, sd, bound, sign), ti in zip(cases, t)]
-
-
-def reference_candidate_hits(rs, laws):
-    """(candidate, observation) of every hit of candidates on axes laws,
-    in the rounds the harness documents, each stretch a (candidate, hits
-    before it, length) triple handled one at a time."""
-    found, stretches = [], [(c, 0, law.n) for c, law in enumerate(laws)]
-    while stretches:
-        found += [(c, start + 1) for c, start, length in stretches
-                  if length == 1]
-        stretches = [st for st in stretches if st[2] > 1]
-        if not stretches:
-            break
-        events = [laws[c].event(u, length) for (c, _, length), u
-                  in zip(stretches, rs.uniform(len(stretches)))]
-        x_js = reference_truncated_normals(rs, [
-            (laws[c].mean[j], math.sqrt(laws[c].var[j]), laws[c].bound, sign)
-            for (c, _, _), (j, sign) in zip(stretches, events)])
-        noise = iter(rs.standard_normal(sum(st[2] for st in stretches)))
-        paths = [[next(noise) for _ in range(length)]
-                 for _, _, length in stretches]
-        accepted = []
-        for (c, start, length), (j, _), x_j, path, u in zip(
-                stretches, events, x_js, paths, rs.uniform(len(stretches))):
-            first = laws[c].first_hit(j, x_j, path, u)
-            if first:
-                found.append((c, start + first))
-                if length > first:
-                    accepted.append((c, start + first, length - first))
-        stretches = [(c, start, left) for (c, start, left), u
-                     in zip(accepted, rs.uniform(len(accepted)))
-                     if u < laws[c].union[left - 1]]
-    return found
+def inverse_cdf(cum, u):
+    """The smallest m with cum[m] > u, by a scan from 0."""
+    m = 0
+    while cum[m] <= u:
+        m += 1
+    return m
 
 
 CHUNK_RUNS = 32
@@ -198,11 +109,11 @@ def reference_counts(cfg, flows, t_star=None):
     from a plain loop over chunks, lanes, runs, aircraft and axes, drawing
     in the order the harness documents. Runs 32 c .. 32 c + 31 draw from
     substream c: the (run, lane) arrival counts, then per lane the arrival
-    times, a gate uniform per aircraft and thinned axis and the stepped
-    axes' normals, then the candidates of all 32 runs in run, lane,
-    aircraft and axis order, sampled in rounds."""
+    times and, if it is observed, a gate uniform per aircraft and axis,
+    then restart rounds over the candidates of all 32 runs in run, lane,
+    aircraft and axis order. Each axis of a lane observed n times reads
+    F = the running sum of first_hit_law over its n observations."""
     src = RandomSource(cfg.seed, cfg.stream_id)
-    coeffs = [transition_coeffs(cfg.ou[a], cfg.obs_dt_min) for a in AXES]
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
     occupancy = np.zeros(cfg.n_runs, dtype=int)
     n_aircraft = 0
@@ -211,47 +122,38 @@ def reference_counts(cfg, flows, t_star=None):
         runs = range(c * CHUNK_RUNS, min((c + 1) * CHUNK_RUNS, cfg.n_runs))
         k = rs.poisson([f.intensity_per_min * (cfg.horizon_min + f.t_cross_min)
                         for f in flows], (CHUNK_RUNS, len(flows)))
-        lanes = []  # per lane: its aircraft's runs, entries, laws, hits
-        candidates = []   # (run, lane, aircraft, axis)
+        lanes = []  # per lane: its aircraft's runs, entries, F, n, hits
+        candidates = []   # [run, lane, aircraft, axis, last hit]
         for li, flow in enumerate(flows):
             window = cfg.horizon_min + flow.t_cross_min
             owner = [c * CHUNK_RUNS + r for r in range(CHUNK_RUNS)
                      for _ in range(k[r, li])]
             entries = -flow.t_cross_min + rs.uniform(len(owner)) * window
-            m_last = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
-            bounds = [flow.tolerance.for_axis(axis) for axis in AXES]
-            laws, hits = None, []   # hits: (aircraft, axis, observation)
-            if m_last:
-                laws = [ReferenceAxis(coeff, bound, m_last)
-                        for coeff, bound in zip(coeffs, bounds)]
-                thinned = [j for j, law in enumerate(laws) if law.thin]
-                stepped = [j for j, law in enumerate(laws) if not law.thin]
-                if thinned:
-                    gates = rs.uniform((len(owner), len(thinned)))
-                    for i, (col, j) in itertools.product(
-                            range(len(owner)), enumerate(thinned)):
-                        if gates[i, col] < laws[j].union[-1]:
-                            candidates.append((owner[i], li, i, j))
-                if stepped:
-                    noise = rs.standard_normal((m_last, len(stepped),
-                                                len(owner)))
-                for col, j in enumerate(stepped):
-                    a, b, s = coeffs[j]
-                    for i in range(len(owner)):
-                        x = 0.0
-                        for m in range(1, m_last + 1):
-                            x = a * x + b + s * noise[m - 1, col, i]
-                            if abs(x) >= bounds[j]:
-                                hits.append((i, j, m))
-                                x = 0.0
-            lanes.append((owner, entries, laws, hits))
+            n = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
+            cums, hits = None, []   # hits: (aircraft, axis, observation)
+            if n:
+                cums = [list(itertools.accumulate(first_hit_law(
+                    cfg.ou[axis], flow.tolerance.for_axis(axis),
+                    cfg.obs_dt_min, n))) for axis in AXES]
+                gates = rs.uniform((len(owner), len(AXES)))
+                for i, j in itertools.product(range(len(owner)),
+                                              range(len(AXES))):
+                    if gates[i, j] < cums[j][n]:
+                        m = inverse_cdf(cums[j], gates[i, j])
+                        hits.append((i, j, m))
+                        candidates.append([owner[i], li, i, j, m])
+            lanes.append((owner, entries, cums, n, hits))
         candidates.sort(key=lambda cand: cand[0])
-        found = reference_candidate_hits(
-            rs, [lanes[li][2][j] for _, li, _, j in candidates])
-        for cand, m in found:
-            _, li, i, j = candidates[cand]
-            lanes[li][3].append((i, j, m))
-        for li, (owner, entries, _, hits) in enumerate(lanes):
+        while candidates:
+            live = [cand for cand in candidates if cand[4] < lanes[cand[1]][3]]
+            candidates = []
+            for (r, li, i, j, m), u in zip(live, rs.uniform(len(live))):
+                cum, n, hits = lanes[li][2][j], lanes[li][3], lanes[li][4]
+                if u < cum[n - m]:
+                    m += inverse_cdf(cum, u)
+                    hits.append((i, j, m))
+                    candidates.append([r, li, i, j, m])
+        for li, (owner, entries, _, _, hits) in enumerate(lanes):
             n_aircraft += sum(r in runs for r in owner)
             if t_star is not None:
                 for r, e in zip(owner, entries):
@@ -294,8 +196,8 @@ class TestEngine:
                               bincount(per_run.sum(axis=(1, 2))))
 
     def test_single_lane_matches_reference_loop(self):
-        # bounds tight enough that every axis has candidates (U_20 of
-        # 0.22, 0.04 and 0.17), some hitting twice and some rejected
+        # bounds tight enough that every axis has candidates (F[20] of
+        # 0.20, 0.04 and 0.16), some hitting twice
         flow = FlowSpec(intensity_per_hour=10.0,
                         tolerance=ToleranceBounds(0.07, 14.0, 0.35))
         self.assert_lane_matches_reference_loop(
@@ -310,12 +212,14 @@ class TestEngine:
             lane_cfg(n_runs=89, seed=57, ou=dict(OU_FTE_FIT)))
 
     def test_multilane_matches_reference_loop(self):
-        # lanes of unequal residency pad the shorter ones' noise in a block
+        # lanes of unequal residency, the 7.5 and 30-minute ones each
+        # with bounds of their own
         flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross,
                           tolerance=TOLERANCE_STANDARDS[name])
                  for name, t_cross in (("stringent", 20.0), ("severe", 7.5),
                                        ("intermediate", 30.0))]
-        # slow reversion keeps an unreset excursion beyond the bound
+        # slow reversion: most aircraft-axes hit (F[20] 0.86-0.99 on the
+        # 20-minute lane), many more than once
         slow = {a: replace(p, kappa=p.kappa / 20)
                 for a, p in OU_FTE_CENTERED.items()}
         cfg = replace(default_config(), kind="multilane", flows=flows,
@@ -356,8 +260,9 @@ class TestEngine:
                 bincount(per_run[:, :prefix, 0].sum(axis=1)))
 
     def test_multilane_candidates_match_reference_loop(self):
-        # every axis of both lanes thins, so each hit is a candidate's, and
-        # a chunk's candidates of the two lanes interleave run by run
+        # one table per axis for both lanes, the 7.5-minute lane reading
+        # its first 8 entries, and a chunk's candidates of the two lanes
+        # interleave run by run
         flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross)
                  for t_cross in (20.0, 7.5)]
         cfg = replace(default_config(), kind="multilane", flows=flows,
@@ -461,8 +366,8 @@ def test_block_size_changes_no_output(monkeypatch, runner, cfg):
 
 def addressing_cases():
     """(runner, config, the flows _lane_counts sees) of a lane with
-    candidates, a multilane with an unobserved lane and both candidates
-    and stepped axes, and a crossing, each of 100 runs."""
+    candidates, a multilane with an unobserved lane and candidates that
+    hit many times, and a crossing, each of 100 runs."""
     tight = ToleranceBounds(0.07, 14.0, 0.35)
     lane = lane_cfg(flows=[FlowSpec(intensity_per_hour=10.0, tolerance=tight)],
                     n_runs=100, seed=67)
@@ -532,7 +437,7 @@ class TestChunkAddressing:
 
 
 class TestTruncatedNormal:
-    """harness._truncated_normals, X ~ Normal(mean, sd^2) given sign X >=
+    """ou._truncated_normals, X ~ Normal(mean, sd^2) given sign X >=
     bound over arrays, against the exact truncated law built from
     normal_cdf."""
 
@@ -542,8 +447,8 @@ class TestTruncatedNormal:
         mean, sd = 0.5 * sign, 2.0
         bound = 0.5 + sd * alpha   # standardised limit alpha on either side
         rs = RandomSource(81, int(10 * alpha) + (sign < 0))
-        x = harness._truncated_normals(rs, *(np.full(4000, v) for v in
-                                             (mean, sd, bound, sign)))
+        x = ou._truncated_normals(rs, *(np.full(4000, v) for v in
+                                        (mean, sd, bound, sign)))
         t = sign * (x - mean) / sd
         # P[T <= t | T >= alpha] = 1 - Phi(-t) / Phi(-alpha)
         cdf = lambda v: 1.0 - normal_cdf(-v) / normal_cdf(-alpha)
@@ -555,7 +460,7 @@ class TestTruncatedNormal:
         mean, sd = gen.normal(0.0, 3.0, 3000), gen.uniform(1e-3, 5.0, 3000)
         sign = gen.choice([1.0, -1.0], 3000)
         bound = sign * mean + sd * gen.uniform(-3.0, 40.0, 3000)
-        x = harness._truncated_normals(rs, mean, sd, bound, sign)
+        x = ou._truncated_normals(rs, mean, sd, bound, sign)
         assert (sign * x >= bound).all()
 
 
@@ -614,23 +519,35 @@ def pooled_chi2_p(a, b):
 
 SLOW = {a: replace(p, kappa=p.kappa / 20) for a, p in OU_FTE_CENTERED.items()}
 BROWNIAN = {a: replace(p, kappa=0.0) for a, p in OU_FTE_CENTERED.items()}
+#: a noise-free lateral axis drifting toward 0.15 NM: beyond 0.1 NM at
+#: its 6th observation from the nominal path (0.105 NM, the 5th 0.095)
+NOISE_FREE = {**OU_FTE_FIT,
+              "lateral": OuParams(kappa=0.2, mu=0.15, sigma=0.0)}
 
-#: name -> (dynamics, bounds, intensity per hour, runs); the union bounds
-#: U_20 that decide the branch per axis are in the comments
+#: name -> (dynamics, bounds, intensity per hour, runs); the hit
+#: probabilities F[20] per axis are in the comments
 LAW_CASES = {
     **{f"{name}_{lam:g}": (OU_FTE_CENTERED, TOLERANCE_STANDARDS[name], lam,
                            runs)
        for name in TOLERANCE_STANDARDS
        for lam, runs in ((5.0, 4000), (60.0, 1000))},
-    # U_20 7.6, 4.9, 6.7: every axis stepped
+    # F[20] 0.99, 0.86, 0.96 (union bounds 7.6, 4.9, 6.7): most
+    # aircraft-axes hit, many more than once
     "slow_tight": (SLOW, TOLERANCE_STANDARDS["stringent"], 5.0, 1500),
-    # U_20 0.65, 0.91, 0.55: correlated candidates, often rejected
+    # F[20] 0.28, 0.29, 0.20: hits of a slowly forgetting chain
     "slow_wide": (SLOW, ToleranceBounds(0.25, 36.0, 1.2), 10.0, 3000),
-    # kappa = 0, U_20 1.9, 0.88, 0.74: lateral stepped, the others thinned
+    # kappa = 0, F[20] 0.35, 0.19, 0.17 (lateral union bound 1.9)
     "brownian": (BROWNIAN, ToleranceBounds(0.4, 60.0, 2.0), 10.0, 1500),
     # nonzero reversion means: tails differ above and below
     "fitted_means": (OU_FTE_FIT, TOLERANCE_STANDARDS["stringent"], 20.0,
                      3000),
+    # 0.01 NM lateral: a union bound above 1 (F[20] = 1.0), and most
+    # observations hit
+    "lateral_0.01": (OU_FTE_CENTERED, ToleranceBounds(0.01, 20.0, 0.5), 5.0,
+                     2000),
+    # sigma = 0 under mu != 0: the lateral axis hits at observations 6,
+    # 12 and 18 of each aircraft's 20
+    "noise_free": (NOISE_FREE, TOLERANCE_STANDARDS["stringent"], 10.0, 2000),
 }
 
 
@@ -640,20 +557,30 @@ class TestThinnedLaw:
 
     P_MIN = 1e-4
 
-    @pytest.mark.parametrize("case", LAW_CASES)
-    def test_single_lane_matches_stepped_simulation(self, case):
-        ou, bounds, lam, runs = LAW_CASES[case]
-        cfg = lane_cfg(ou=dict(ou), n_runs=runs, seed=71,
-                       flows=[FlowSpec(intensity_per_hour=lam,
-                                       tolerance=bounds)])
+    def assert_lane_matches_stepped_simulation(self, cfg, seed):
         est = run_single_lane(cfg)
-        ref = stepped_counts(cfg, seed=72)[:, 0]
+        ref = stepped_counts(cfg, seed)[:, 0]
         laws = {axis: ref[:, j] for j, axis in enumerate(AXES)}
         laws["total"] = ref.sum(axis=1)
         for key, counts in laws.items():
             runner = np.repeat(np.arange(est.components[key].counts.size),
                                est.components[key].counts)
             assert pooled_chi2_p(runner, counts) > self.P_MIN, key
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_single_lane_matches_stepped_simulation(self, case):
+        ou, bounds, lam, runs = LAW_CASES[case]
+        cfg = lane_cfg(ou=dict(ou), n_runs=runs, seed=71,
+                       flows=[FlowSpec(intensity_per_hour=lam,
+                                       tolerance=bounds)])
+        self.assert_lane_matches_stepped_simulation(cfg, seed=72)
+
+    def test_fine_cadence_lane_matches_stepped_simulation(self):
+        # a 60/h stringent lane observed every 0.1 min: 200 observations
+        # per aircraft, F[200] 0.047, 0.002, 0.026
+        cfg = lane_cfg(n_runs=1000, seed=77, obs_dt_min=0.1,
+                       flows=[FlowSpec(intensity_per_hour=60.0)])
+        self.assert_lane_matches_stepped_simulation(cfg, seed=78)
 
     @pytest.mark.parametrize("ou", [OU_FTE_CENTERED, OU_FTE_FIT],
                              ids=["stringent", "fitted_means"])
@@ -738,20 +665,30 @@ class TestMultilane:
             est.components["lanes1_total"])
 
     def test_equal_lanes_share_one_sampler(self):
-        # a sampler holds only tables, so lanes with equal observations
-        # and bounds share one; another bound or residency gets its own
+        # lanes with equal bounds read one F table per axis, built at the
+        # most observations among them: a shorter residency reads its
+        # prefix. Another bound gets tables of its own
         flows = [FlowSpec(intensity_per_hour=5.0)] * 3 + [
             FlowSpec(intensity_per_hour=5.0,
                      tolerance=TOLERANCE_STANDARDS["severe"]),
             FlowSpec(intensity_per_hour=5.0, t_cross_min=7.5)]
         cfg = replace(default_config(), kind="multilane", flows=flows)
         block = harness._Block(cfg, flows, None)
-        first, second, third, severe, short = block.lanes
-        assert isinstance(first, harness._Lane)
-        assert second is first and third is first
-        assert len({id(lane) for lane in (first, severe, short)}) == 3
-        assert (severe.tables["bound"] != first.tables["bound"]).all()
-        assert short.n == 7 and first.n == 20
+        first, second, third, severe, short = block.table.tolist()
+        assert first == second == third == short
+        assert len(set(first + severe)) == 6
+        assert block.n_obs.tolist() == [20] * 4 + [7]
+        assert np.diff(block.start).tolist() == [21] * 6
+        for lane in range(5):
+            for j, axis in enumerate(AXES):
+                t = block.table[lane, j]
+                n = block.n_obs[lane]
+                law = first_hit_law(cfg.ou[axis],
+                                    flows[lane].tolerance.for_axis(axis),
+                                    cfg.obs_dt_min, n)
+                cum = block.cum[block.start[t]:block.start[t] + n + 1]
+                assert np.array_equal(cum, np.cumsum(law))
+                assert block.gates[lane, j] == cum[-1]
 
     def test_identical_lanes_match_summed_intensity(self):
         half = [FlowSpec(intensity_per_hour=30.0)] * 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
                       RandomSource, first_hit_law, first_passage_mc,
                       fpt_density_oracle, intervention_count_mc,
                       intervention_pmf, tv_distance)
-from taskload import hitting
+from taskload import hitting, transition_coeffs
+from taskload.flow import TOLERANCE_STANDARDS
 from taskload.hitting import FLAG_NO_HITS
 from taskload.pmf import TaskloadPmf
 
@@ -117,7 +119,9 @@ class TestKernel:
             assert np.max(np.abs(f - laws[0])) <= 1e-12
             assert abs(f.sum() - laws[0].sum()) <= 1e-12
         assert laws[1].sum() == pytest.approx(0.0327954, abs=5e-8)
-        assert np.array_equal(default, laws[1])
+        for f in laws:
+            assert np.max(np.abs(default - f)) <= 1e-12
+            assert abs(default.sum() - f.sum()) <= 1e-12
 
     @pytest.mark.parametrize("level,want", [(0.3, 2.71e-20), (0.4, 6.5e-39)])
     def test_c04_setting(self, monkeypatch, level, want):
@@ -274,6 +278,52 @@ class TestFold:
         args = (OU_FTE_FIT[axis], STRINGENT[axis], 1.0, n_obs)
         assert np.array_equal(first_hit_law(*args),
                               first_hit_law_unfolded(*args))
+
+
+#: kappa / 20 and kappa = 0 spread the chain toward a bound over many
+#: observations, the fitted means (mu != 0) take it off centre
+NODE_DYNAMICS = {
+    "centred": OU_FTE_CENTERED, "fitted": OU_FTE_FIT,
+    "slow": {a: replace(p, kappa=p.kappa / 20)
+             for a, p in OU_FTE_CENTERED.items()},
+    "driftless": {a: replace(p, kappa=0.0) for a, p in OU_FTE_CENTERED.items()},
+}
+
+
+def node_floor_bounds(axis, dt):
+    """The four standards' bounds on an axis; 0.01 NM on the NM axes, and
+    1 NM at the 1-minute cadence (at finer ones its reference needs over
+    1 000 nodes)."""
+    levels = [t.for_axis(axis) for t in TOLERANCE_STANDARDS.values()]
+    if axis != "vertical":
+        levels += [0.01] + [1.0] * (dt == 1.0)
+    return levels
+
+
+class TestNodeFloor:
+    """The law at the default nodes, the KERNEL_NODES floor binding on
+    narrow bounds, against the law at 4x those nodes."""
+
+    @pytest.mark.parametrize("dt,n_obs", [(1.0, 120), (0.1, 1200),
+                                          (0.05, 2400)])
+    @pytest.mark.parametrize("dynamics", NODE_DYNAMICS)
+    def test_matches_law_at_four_times_the_nodes(self, monkeypatch, dynamics,
+                                                 dt, n_obs):
+        hit = []
+        for axis in AXES:
+            params = NODE_DYNAMICS[dynamics][axis]
+            s = transition_coeffs(params, dt)[2]
+            for level in node_floor_bounds(axis, dt):
+                nodes = max(hitting.KERNEL_NODES,
+                            hitting.NODES_PER_SD * math.ceil(level / s))
+                nodes += nodes % 2
+                f = first_hit_law(params, level, dt, n_obs)
+                want = law_at_nodes(monkeypatch, 4 * nodes, params, level, dt,
+                                    n_obs)
+                monkeypatch.undo()
+                assert_close_per_entry(f, want, rel=1e-9)
+                hit.append(want.sum() > 0.0)
+        assert sum(hit) >= 10   # most bounds are reached
 
 
 class TestInterventionPmf:

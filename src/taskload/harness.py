@@ -29,49 +29,39 @@ tests/test_harness.py holds the harness to a per-step simulation. A
 lane whose kernel needs more than hitting.MAX_NODES nodes raises
 ValueError.
 
-Runs are drawn in aligned chunks of _CHUNK_RUNS = 32: runs 32 c ..
-32 c + 31 form chunk c, which draws from substream c of the stream
-keyed by (seed, stream). A run's draws therefore depend only on its
-index, not on the range that asks for it, so the estimates of two
-adjacent run ranges merge by count addition into exactly the estimate
-of their union. Each estimate records its run_offset, and a merge of
-ranges that overlap or leave a gap, like one of two streams or
-horizons, raises ValueError (L'Ecuyer, Munger, Oreshkin & Simard 2017,
-Math. Comput. Simul. 135, on partitioning runs among substreams).
+Runs are drawn in aligned chunks of _CHUNK_RUNS = 256: runs 256 c ..
+256 c + 255 form chunk c, which draws from substream c of the stream
+keyed by (seed, stream). A run's draws depend only on its index, so the
+estimates of two adjacent run ranges merge by count addition into
+exactly the estimate of their union. Each estimate records its
+run_offset, and a merge of ranges that overlap or leave a gap, like one
+of two streams or horizons, raises ValueError (L'Ecuyer, Munger,
+Oreshkin & Simard 2017, Math. Comput. Simul. 135).
 
-A chunk draws, in this order: the arrival counts of its 32 runs, one
-Poisson (runs, lanes) array; then lane by lane in config order, the
-lane's arrival uniforms of all its runs, k of them in run order, and if
-the lane is observed n >= 1 times, a gate uniform per aircraft-axis, a
-(k, 3) array. An aircraft-axis is a candidate when its gate uniform u
-lies below F[n], and its first hit is the smallest m with F[m] > u, the
-same u reused. Last come restart rounds over the candidates of all 32
-runs, in (run, lane, aircraft, axis) order: a round draws one uniform
-array, a uniform per candidate with L = n - m > 0 observations left,
-and a candidate whose uniform lies below F[L] hits again at m plus the
-inverse of F at that uniform. A transit observed once (a crossing's)
-draws nothing after its gate. The draws are all uniforms, and few come
-after the gates: an aircraft-axis of a 20-minute stringent lane observed
-each minute is a candidate with probability 0.0002-0.0055.
-
-A range of runs draws every chunk it touches, the runs before
-run_offset in its first chunk and those after its end in its last
-chunk included: a chunk's restart rounds share their uniform arrays,
-so each run's draws depend on the other runs of its chunk. Those runs
-are not scored or counted in n_aircraft. The rest is scored in blocks
-of whole chunks, each block by a fixed number of array calls however
-many runs and lanes it holds: entry times, occupancy, which
-observations fall in the horizon, and the counts. A block is laid out
-lane-major, lanes in config order, the rows of one lane its aircraft
-of every run in run order. A lane that is never observed
-(residency below one surveillance step) draws only its arrivals, and
-its rows are never counted. Neither the layout nor the block boundaries
-change an output. A block closes once it holds _BLOCK_ROWS aircraft,
-which bounds the arrival uniforms it holds to that plus one chunk.
+A chunk draws the arrival counts of all its runs, one Poisson (runs,
+lanes) array, then one uniform (rows, w) array with a row per aircraft
+of its runs up to the range's last, in (run, lane, aircraft) order; it
+draws no later run. A row holds the arrival time, then if any lane is
+observed a gate per axis, then if any lane is observed twice or more s
+restart slots. An aircraft-axis of a lane observed n >= 1 times is a
+candidate when its gate u < F[n], and its first hit is the smallest m
+with F[m] > u. A run's candidates then restart in rounds, in (lane,
+aircraft, axis) order: each with L = n - m > 0 observations left takes
+the run's next slot, its rows' slots read in row order, and one below
+F[L] hits again at m plus the inverse of F there. A run that uses up
+its slots goes on with substream r of its chunk's stream, r its index
+in the chunk; s = ceil(1.25 H + 0.5), H the expected hits per aircraft
+over the lanes' arrivals, keeps that rare. So no run's draws depend on
+another's, and the runs of the first chunk before the range are drawn
+but not processed or counted in n_aircraft. Each chunk is scored as it
+is drawn, by a fixed number of array calls. A lane never observed has
+rows but no candidates; an aircraft-axis of a 20-minute stringent lane
+observed each minute is one with probability 0.0002-0.0055.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,17 +74,12 @@ from .ou import lattice_steps
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
 
-#: Aircraft per scored block; a block closes with the chunk that brings it
-#: to this many. It bounds the memory a block holds: lane_dense Monte Carlo
-#: throughput was flat within noise from 2 048 rows to one block per call,
-#: and a 1 024-row block was about 10% slower.
-_BLOCK_ROWS = 2048
-#: Runs per chunk: chunk c holds runs 32 c .. 32 c + 31 and draws from
+#: Runs per chunk: chunk c holds runs 256 c .. 256 c + 255 and draws from
 #: substream c of the run stream, so the constant fixes every Monte Carlo
-#: table. Chunks of 16 ran slower on all three benchmark scenarios; chunks
-#: of 64 ran no faster within noise and draw more runs that a range does
-#: not score.
-_CHUNK_RUNS = 32
+#: table. Chunks of 128 and 512 ran no faster (see ROADMAP, "Chunk size").
+_CHUNK_RUNS = 256
+#: Restart slots per row per expected hit of an aircraft (_slot_count)
+_SLOTS_PER_HIT = 1.25
 
 
 @dataclass
@@ -197,42 +182,34 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     the occupancy per run at time snapshot.
 
     Runs run_offset .. run_offset + n_runs - 1 are drawn chunk by chunk
-    in the order the module docstring gives, and only they are scored
-    and counted in the aircraft total. A lane's residency is its flow's
-    t_cross_min, and each aircraft is observed floor(t_cross_min /
-    obs_dt_min) times. Chunks are scored in blocks of about _BLOCK_ROWS
-    aircraft, so block boundaries change no count. An aircraft occupies
-    its lane at the snapshot if snapshot lies in [entry, entry +
-    t_cross_min); without a snapshot every occupancy is zero.
+    in the order the module docstring gives, each chunk up to the last
+    run of the range, and each chunk is scored as it is drawn; only
+    these runs are counted in the aircraft total. A lane's residency is
+    its flow's t_cross_min, and each aircraft is observed floor(
+    t_cross_min / obs_dt_min) times. An aircraft occupies its lane at
+    the snapshot if snapshot lies in [entry, entry + t_cross_min);
+    without a snapshot every occupancy is zero.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
-    block = _Block(cfg, flows, snapshot)
+    chunks = _Chunks(cfg, flows, snapshot)
     per_run = np.zeros((n_runs, len(flows), len(AXES)), dtype=np.int64)
     occupancy = np.zeros(n_runs, dtype=np.int64)
-    stop = run_offset + n_runs
-    n_aircraft, rows, first, chunks = 0, 0, 0, []
-    c0 = run_offset // _CHUNK_RUNS
-    n_chunks = -(-stop // _CHUNK_RUNS) - c0
-    for c, chunk_src in enumerate(src.substreams(c0, n_chunks), c0):
+    n_aircraft, stop = 0, run_offset + n_runs
+    c0, c1 = run_offset // _CHUNK_RUNS, -(-stop // _CHUNK_RUNS)
+    for c, rs in enumerate(src.substreams(c0, c1 - c0), c0):
         base = c * _CHUNK_RUNS
         lo, hi = max(run_offset - base, 0), min(stop - base, _CHUNK_RUNS)
-        chunks.append(block.draw(chunk_src, lo, hi))
-        rows += int(chunks[-1][0].sum())
-        done = base + hi - run_offset   # runs of the range drawn so far
-        if rows >= _BLOCK_ROWS or done == n_runs:
-            n_aircraft += rows
-            if rows:
-                per_run[first:done], occupancy[first:done] = block.score(
-                    chunks)
-            rows, first, chunks = 0, done, []
+        runs = slice(base + lo - run_offset, base + hi - run_offset)
+        per_run[runs], occupancy[runs], aircraft = chunks.score(rs, lo, hi)
+        n_aircraft += aircraft
     return per_run, n_aircraft, occupancy
 
 
-class _Block:
-    """Draws chunks of runs and scores blocks of them with a fixed number
-    of array calls, whatever the number of runs and lanes in a block.
-    Rows are laid out lane-major, lanes in config order, each lane's
-    aircraft in run order (see the module docstring)."""
+class _Chunks:
+    """Draws the runs of a chunk and scores them with a fixed number of
+    array calls, whatever the number of runs and lanes. Rows are laid
+    out run by run, each run's in lane order (see the module
+    docstring)."""
 
     def __init__(self, cfg: ConfigFile, flows: list[FlowSpec],
                  snapshot: float | None):
@@ -274,99 +251,122 @@ class _Block:
             if lane_keys:
                 self.table[li] = [index[key] for key in lane_keys]
                 self.gates[li] = self.cum[self.start[self.table[li]] + n]
+        self.gate_max = self.gates.max(axis=0)
+        self.slots = self._slot_count(tables) if self.n_obs.max() >= 2 else 0
+        self.width = 1 + len(AXES) * bool(most) + self.slots
 
-    def draw(self, rs: RandomSource, lo: int, hi: int) -> tuple:
-        """The draws of one chunk of _CHUNK_RUNS runs from its stream rs,
-        in the order the module docstring gives, kept for runs lo .. hi -
-        1 only: their (run, lane) arrival counts, per lane their arrival
-        uniforms, and the (lane, lane row, axis, observation) hits."""
-        k = rs.poisson(self.arrival_mean, (_CHUNK_RUNS, len(self.n_obs)))
-        ends = np.cumsum(k, axis=0)     # per lane, the rows of runs 0 .. r
-        starts = (ends - k)[lo]
-        cuts = [slice(start, stop) for start, stop in
-                zip(starts.tolist(), ends[hi - 1].tolist())]
-        us, gated, gate_us = [], [], []
-        for li, (n, size, cut) in enumerate(zip(
-                self.n_obs.tolist(), ends[-1].tolist(), cuts)):
-            us.append(rs.uniform(size)[cut])
-            if n >= 1:
-                u = rs.uniform((size, len(AXES)))
-                row, axis = np.nonzero(u < self.gates[li])
-                if row.size:
-                    run = np.searchsorted(ends[:, li], row, side="right")
-                    gated.append(np.stack([run, np.full_like(row, li), row,
-                                           axis]))
-                    gate_us.append(u[row, axis])
-        if not gated:
-            return k[lo:hi], us, np.zeros((4, 0), dtype=np.int64)
-        # the candidates in (run, lane, aircraft, axis) order
-        gated = np.concatenate(gated, axis=1)
-        order = np.argsort(gated[0], kind="stable")
-        run, lane, row, axis = gated[:, order]
-        cand, m = self._hits(rs, self.table[lane, axis], self.n_obs[lane],
-                             np.concatenate(gate_us)[order])
-        run, lane, row, axis = run[cand], lane[cand], row[cand], axis[cand]
-        hits = np.stack([lane, row - starts[lane], axis, m])
-        return k[lo:hi], us, hits[:, (lo <= run) & (run < hi)]
+    def _slot_count(self, tables: list[np.ndarray]) -> int:
+        """s = ceil(_SLOTS_PER_HIT H + 0.5), H the expected hits per
+        aircraft over the lanes' arrivals. An axis hits k times with
+        probability at most F[n]^k, so gates all below 0.1 give H < 1/3
+        and, for _SLOTS_PER_HIT <= 1.5, s = 1 without renewal sums."""
+        if (self.gates < 0.1).all() or not self.mean.any():
+            return 1
+        expected = []   # per table, the expected hits over 0, 1, .. obs
+        for cum in tables:
+            # P[a hit at t] = sum_m f[m] P[a hit at t - m], 1 at t = 0
+            f, at = np.diff(cum, prepend=0.0), np.ones(cum.size)
+            for t in range(1, cum.size):
+                at[t] = f[1:t + 1] @ at[t - 1::-1]
+            expected.append(np.cumsum(at) - 1.0)
+        hits = [sum(expected[t][n] for t in lane)   # 0 if never observed
+                for lane, n in zip(self.table.tolist(), self.n_obs.tolist())]
+        per_row = np.dot(hits, self.mean) / self.mean.sum()
+        return math.ceil(_SLOTS_PER_HIT * per_row + 0.5)
 
-    def _hits(self, rs: RandomSource, table: np.ndarray, n: np.ndarray,
-              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (candidate, observation 1..n) pairs of every hit of
-        candidates on tables table, each observed n times and a candidate
-        by its gate uniform u < F[n]. Given that, u is uniform on [0,
-        F[n]), so its first hit is the smallest m with F[m] > u. Each
-        round then draws a uniform per candidate with L = n - m > 0
-        observations left, in candidate order, and one below F[L] hits
+    def score(self, rs: RandomSource, lo: int, hi: int
+              ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Counts per (run, lane, axis), occupancy per run and the
+        aircraft total of runs lo .. hi - 1 of the chunk drawn from rs.
+        A hit counts if its observation (1..n_obs of its lane) lies
+        inside the horizon; those of the pre-window warm-up only reset
+        their axis."""
+        n_lanes, n_axes = len(self.n_obs), len(AXES)
+        k = rs.poisson(self.arrival_mean, (_CHUNK_RUNS, n_lanes))[:hi]
+        first = int(k[:lo].sum())       # the range's first row
+        u = rs.uniform((int(k.sum()), self.width))
+        occupancy = np.zeros(hi - lo, dtype=np.int64)
+        if self.snapshot is not None:
+            cell = np.repeat(np.arange(lo * n_lanes, hi * n_lanes),
+                             k[lo:].ravel())
+            # lanes of one residency index it as a scalar, faster
+            lane = cell % n_lanes if np.ptp(self.t_cross) else 0
+            entries = -self.t_cross[lane] + u[first:, 0] * self.window[lane]
+            t = self.snapshot
+            inside = (entries <= t) & (t < entries + self.t_cross[lane])
+            occupancy = np.bincount(cell[inside] // n_lanes - lo,
+                                    minlength=hi - lo)
+        counts = np.zeros((hi - lo) * n_lanes * n_axes, dtype=np.int64)
+        if self.gate_max.any():
+            row, cell, axis, cand, m = self._hits(rs, u, k, first)
+            lane = cell % n_lanes
+            entries = -self.t_cross[lane] + u[row, 0] * self.window[lane]
+            cell = (cell - lo * n_lanes) * n_axes + axis
+            counted = self._counted(entries[cand], m)
+            counts += np.bincount(cell[cand[counted]], minlength=counts.size)
+        return (counts.reshape(hi - lo, n_lanes, n_axes), occupancy,
+                len(u) - first)
+
+    def _hits(self, rs: RandomSource, u: np.ndarray, k: np.ndarray,
+              first: int) -> tuple[np.ndarray, ...]:
+        """The row, (run, lane) cell and axis of each candidate among the
+        rows from first on of the chunk's uniforms u, k[run, lane] rows
+        per cell, then the candidate and observation 1..n of every hit.
+        Given u < F[n], a gate u is uniform on [0, F[n]), so the first
+        hit is the smallest m with F[m] > u; a slot below F[L] hits
         again, at most L observations on, by the same inverse."""
-        cand, m = np.arange(table.size), self._inverse(table, u)
+        n_lanes, n_axes = len(self.n_obs), len(AXES)
+        ends = np.cumsum(k.ravel())     # per (run, lane), its rows' end
+        # the candidates in (row, axis) order: each column below the
+        # highest gate of its axis, then below its own lane's
+        key = np.sort(np.concatenate([
+            np.flatnonzero(u[first:, 1 + j] < gate) * n_axes + j
+            for j, gate in enumerate(self.gate_max.tolist())]), kind="stable")
+        row, axis = np.divmod(key + first * n_axes, n_axes)
+        cell = np.searchsorted(ends, row, side="right")
+        gate = u[row, 1 + axis]
+        cand = gate < self.gates[cell % n_lanes, axis]
+        row, cell, axis, gate = row[cand], cell[cand], axis[cand], gate[cand]
+        run, lane = np.divmod(cell, n_lanes)
+        table, n = self.table[lane, axis], self.n_obs[lane]
+        cand, m = np.arange(row.size), self._inverse(table, gate)
         found = [(cand, m)]
+        # per run: its slots, their start in the flat u, those used, and
+        # past them its overflow stream
+        rows = k.sum(axis=1)
+        slots, used = self.slots * rows, np.zeros(rows.size, dtype=np.int64)
+        start = (ends[n_lanes - 1::n_lanes] - rows) * self.width + 1 + n_axes
+        overflow: dict[int, RandomSource] = {}
         while True:
             left = n[cand] - m
             cand, m, left = cand[left > 0], m[left > 0], left[left > 0]
             if not cand.size:
-                return tuple(map(np.concatenate, zip(*found)))
-            u = rs.uniform(cand.size)
-            again = u < self.cum[self.start[table[cand]] + left]
+                break
+            # the q-th slot of each run, counted over its rounds so far
+            r = run[cand]
+            per_run = np.bincount(r, minlength=used.size)
+            q = np.arange(r.size) + (used + per_run - np.cumsum(per_run))[r]
+            used += per_run
+            short = q >= slots[r]
+            q = np.minimum(q, slots[r] - 1)
+            x = u.ravel()[start[r] + q // self.slots * self.width
+                          + q % self.slots]
+            for out in np.unique(r[short]).tolist() if short.any() else ():
+                if out not in overflow:
+                    overflow[out] = rs.substream(out)
+                mine = short & (r == out)
+                x[mine] = overflow[out].uniform(int(mine.sum()))
+            again = x < self.cum[self.start[table[cand]] + left]
             cand, m = cand[again], m[again]
-            m = m + self._inverse(table[cand], u[again])
+            m = m + self._inverse(table[cand], x[again])
             found.append((cand, m))
+        return (row, cell, axis, *map(np.concatenate, zip(*found)))
 
     def _inverse(self, table: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The smallest m with F[m] > u of each u in [0, 1) on its
         table."""
         pos = np.searchsorted(self.pairs, table + 1j * u, side="right")
         return pos - self.start[table]
-
-    def score(self, chunks: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """Counts per (run, lane, axis) and occupancy per run of a block
-        of runs, from the draws of its chunks in run order. A hit counts
-        if its observation (1..n_obs of its lane) lies inside the
-        horizon; those of the pre-window warm-up only reset their axis."""
-        ks, us, hits = zip(*chunks)
-        n_lanes, n_axes = len(self.n_obs), len(AXES)
-        k = np.concatenate(ks).T
-        n_runs, lane_rows = k.shape[1], k.sum(axis=1)
-        run = np.repeat(np.tile(np.arange(n_runs), n_lanes), k.ravel())
-        lane = np.repeat(np.arange(n_lanes), lane_rows)
-        u = np.concatenate([u[li] for li in range(n_lanes) for u in us])
-        entries = -self.t_cross[lane] + u * self.window[lane]
-        occupancy = np.zeros(n_runs, dtype=np.int64)
-        if self.snapshot is not None:
-            t = self.snapshot
-            inside = (entries <= t) & (t < entries + self.t_cross[lane])
-            occupancy = np.bincount(run[inside], minlength=n_runs)
-        # the block row of each chunk's first row of each lane
-        sizes = np.array([[u.size for u in chunk] for chunk in us])
-        offsets = np.cumsum(sizes, axis=0) - sizes + np.cumsum(
-            lane_rows) - lane_rows
-        row, axis, m = np.concatenate(
-            [[off[h[0]] + h[1], h[2], h[3]] for off, h in zip(offsets, hits)],
-            axis=1)
-        # each counted hit adds one to its (run, lane, axis) cell
-        cell = (run[row] * n_lanes + lane[row]) * n_axes + axis
-        counts = np.bincount(cell[self._counted(entries[row], m)],
-                             minlength=n_runs * n_lanes * n_axes)
-        return counts.reshape(n_runs, n_lanes, n_axes), occupancy
 
     def _counted(self, entries: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Whether observation m (1-based) of an aircraft entering at

@@ -7,8 +7,8 @@ the (seed, stream_id) pair recorded in its provenance.
 A stream is numpy's PCG64 seeded through a SeedSequence whose spawn key
 is the stream's lineage, so substream(i) of a source is an independent
 stream for every i, and substreams(start, count) yields a range of them.
-The Monte Carlo harness keys one substream per chunk of runs
-(harness._CHUNK_RUNS), so a stream is built once per chunk of draws.
+The Monte Carlo harness draws chunk c of its runs from substream c, and
+a run that uses up its restart slots from substream r of its chunk's.
 """
 
 from __future__ import annotations

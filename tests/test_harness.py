@@ -101,69 +101,103 @@ def inverse_cdf(cum, u):
     return m
 
 
-CHUNK_RUNS = 32
+CHUNK_RUNS = 256
 
 
-def reference_counts(cfg, flows, t_star=None):
+def expected_hits(law, n):
+    """The mean number of hits over n observations of the renewal chain
+    whose first hit has law law: the sum over t of P[a hit at t]."""
+    hit = [1.0]
+    for t in range(1, n + 1):
+        hit.append(sum(law[m] * hit[t - m] for m in range(1, t + 1)))
+    return sum(hit[1:])
+
+
+def overflow_uniforms(rs, r):
+    """The uniforms of run r of a chunk drawn from rs once its slots
+    are used up."""
+    sub = rs.substream(r)
+    while True:
+        yield sub.uniform()
+
+
+def reference_counts(cfg, flows, t_star=None, slots=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star
-    from a plain loop over chunks, lanes, runs, aircraft and axes, drawing
-    in the order the harness documents. Runs 32 c .. 32 c + 31 draw from
-    substream c: the (run, lane) arrival counts, then per lane the arrival
-    times and, if it is observed, a gate uniform per aircraft and axis,
-    then restart rounds over the candidates of all 32 runs in run, lane,
-    aircraft and axis order. Each axis of a lane observed n times reads
-    F = the running sum of first_hit_law over its n observations."""
+    from a plain loop over chunks, runs, aircraft and axes, drawing in
+    the order the harness documents. Runs 256 c .. 256 c + 255 draw from
+    substream c: the (run, lane) arrival counts of all 256 runs, then a
+    row of uniforms per aircraft of the runs up to the last one asked
+    for, in run, lane and aircraft order, holding its arrival time, a
+    gate per axis and the slots. Each run then restarts its candidates
+    in rounds, in lane, aircraft and axis order, on its own rows' slots
+    and then on substream r of the chunk's stream, r its index there.
+    Each axis of a lane observed n times reads F = the running sum of
+    first_hit_law over its n observations. slots defaults to
+    ceil(1.25 H + 0.5), H the mean hits per aircraft over the lanes'
+    arrivals."""
     src = RandomSource(cfg.seed, cfg.stream_id)
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
     occupancy = np.zeros(cfg.n_runs, dtype=int)
     n_aircraft = 0
+    means = [f.intensity_per_min * (cfg.horizon_min + f.t_cross_min)
+             for f in flows]
+    ns = [math.floor(f.t_cross_min / cfg.obs_dt_min + 1e-9) for f in flows]
+    laws = [[first_hit_law(cfg.ou[axis], flow.tolerance.for_axis(axis),
+                           cfg.obs_dt_min, n) for axis in AXES] if n else None
+            for flow, n in zip(flows, ns)]
+    cums = [[list(itertools.accumulate(law)) for law in lane] if lane else None
+            for lane in laws]
+    if slots is None:
+        hits = [sum(expected_hits(law, n) for law in lane) if lane else 0.0
+                for lane, n in zip(laws, ns)]
+        slots = math.ceil(1.25 * sum(h * w for h, w in zip(hits, means))
+                          / sum(means) + 0.5)
+    if max(ns) < 2:
+        slots = 0
     for c in range(math.ceil(cfg.n_runs / CHUNK_RUNS)):
         rs = src.substream(c)
-        runs = range(c * CHUNK_RUNS, min((c + 1) * CHUNK_RUNS, cfg.n_runs))
-        k = rs.poisson([f.intensity_per_min * (cfg.horizon_min + f.t_cross_min)
-                        for f in flows], (CHUNK_RUNS, len(flows)))
-        lanes = []  # per lane: its aircraft's runs, entries, F, n, hits
-        candidates = []   # [run, lane, aircraft, axis, last hit]
-        for li, flow in enumerate(flows):
-            window = cfg.horizon_min + flow.t_cross_min
-            owner = [c * CHUNK_RUNS + r for r in range(CHUNK_RUNS)
-                     for _ in range(k[r, li])]
-            entries = -flow.t_cross_min + rs.uniform(len(owner)) * window
-            n = math.floor(flow.t_cross_min / cfg.obs_dt_min + 1e-9)
-            cums, hits = None, []   # hits: (aircraft, axis, observation)
-            if n:
-                cums = [list(itertools.accumulate(first_hit_law(
-                    cfg.ou[axis], flow.tolerance.for_axis(axis),
-                    cfg.obs_dt_min, n))) for axis in AXES]
-                gates = rs.uniform((len(owner), len(AXES)))
-                for i, j in itertools.product(range(len(owner)),
-                                              range(len(AXES))):
-                    if gates[i, j] < cums[j][n]:
-                        m = inverse_cdf(cums[j], gates[i, j])
-                        hits.append((i, j, m))
-                        candidates.append([owner[i], li, i, j, m])
-            lanes.append((owner, entries, cums, n, hits))
-        candidates.sort(key=lambda cand: cand[0])
-        while candidates:
-            live = [cand for cand in candidates if cand[4] < lanes[cand[1]][3]]
-            candidates = []
-            for (r, li, i, j, m), u in zip(live, rs.uniform(len(live))):
-                cum, n, hits = lanes[li][2][j], lanes[li][3], lanes[li][4]
-                if u < cum[n - m]:
-                    m += inverse_cdf(cum, u)
-                    hits.append((i, j, m))
-                    candidates.append([r, li, i, j, m])
-        for li, (owner, entries, _, _, hits) in enumerate(lanes):
-            n_aircraft += sum(r in runs for r in owner)
-            if t_star is not None:
-                for r, e in zip(owner, entries):
-                    if r in runs and e <= t_star < e + flows[li].t_cross_min:
-                        occupancy[r] += 1
-            for i, j, m in hits:
-                t_obs = entries[i] + m * cfg.obs_dt_min
-                if (owner[i] in runs
-                        and -1e-9 <= t_obs <= cfg.horizon_min + 1e-9):
-                    per_run[owner[i], li, j] += 1
+        k = rs.poisson(means, (CHUNK_RUNS, len(flows)))
+        n_chunk_runs = min(CHUNK_RUNS, cfg.n_runs - c * CHUNK_RUNS)
+        owner = [(r, li) for r in range(n_chunk_runs)
+                 for li in range(len(flows)) for _ in range(k[r, li])]
+        width = 1 + len(AXES) * (max(ns) >= 1) + slots
+        u = rs.uniform((len(owner), width))
+        for r in range(n_chunk_runs):
+            run = c * CHUNK_RUNS + r
+            rows = [i for i, (o, _) in enumerate(owner) if o == r]
+            pool = itertools.chain(
+                (u[i, 1 + len(AXES) + q] for i in rows for q in range(slots)),
+                overflow_uniforms(rs, r))
+            hits, live = [], []   # (row, lane, axis, observation)
+            for i in rows:
+                li = owner[i][1]
+                n_aircraft += 1
+                entry = (-flows[li].t_cross_min
+                         + u[i, 0] * (cfg.horizon_min + flows[li].t_cross_min))
+                if t_star is not None and (
+                        entry <= t_star < entry + flows[li].t_cross_min):
+                    occupancy[run] += 1
+                for j in range(len(AXES)):
+                    if ns[li] and u[i, 1 + j] < cums[li][j][ns[li]]:
+                        m = inverse_cdf(cums[li][j], u[i, 1 + j])
+                        hits.append((i, li, j, m))
+                        live.append((i, li, j, m))
+            while live:
+                restarted = []
+                for i, li, j, m in live:
+                    if m < ns[li]:
+                        x = next(pool)
+                        if x < cums[li][j][ns[li] - m]:
+                            m += inverse_cdf(cums[li][j], x)
+                            hits.append((i, li, j, m))
+                            restarted.append((i, li, j, m))
+                live = restarted
+            for i, li, j, m in hits:
+                entry = (-flows[li].t_cross_min
+                         + u[i, 0] * (cfg.horizon_min + flows[li].t_cross_min))
+                t_obs = entry + m * cfg.obs_dt_min
+                if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
+                    per_run[run, li, j] += 1
     return per_run, n_aircraft, occupancy
 
 
@@ -171,23 +205,16 @@ def bincount(values):
     return np.bincount(values, minlength=int(values.max(initial=0)) + 1)
 
 
-ENGINE_BLOCK_ROWS = 512
-
-
 class TestEngine:
-    """The block engine against a plain per-aircraft loop. Run counts are
-    not multiples of any block, and each case spans several blocks of
-    ENGINE_BLOCK_ROWS aircraft."""
-
-    @pytest.fixture(autouse=True)
-    def pinned_block_rows(self, monkeypatch):
-        monkeypatch.setattr(harness, "_BLOCK_ROWS", ENGINE_BLOCK_ROWS)
+    """The chunk engine against a plain per-aircraft loop. Run counts are
+    not multiples of a chunk."""
 
     @staticmethod
-    def assert_lane_matches_reference_loop(cfg):
+    def assert_lane_matches_reference_loop(cfg, slots=None):
         est = run_single_lane(cfg)
-        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows)
-        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows,
+                                                  slots=slots)
+        assert est.n_aircraft == n_aircraft > 0
         assert (per_run.sum(axis=(0, 1)) > 0).all()
         for j, axis in enumerate(AXES):
             assert np.array_equal(est.components[axis].counts,
@@ -226,7 +253,7 @@ class TestEngine:
                       ou=slow, n_runs=41, seed=53)
         est = run_multilane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, flows)
-        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 0
         for prefix in (1, 2, 3):
             assert np.array_equal(
                 est.components[f"lanes{prefix}_total"].counts,
@@ -248,7 +275,7 @@ class TestEngine:
                       ou=slow, obs_dt_min=1.0, n_runs=29, seed=59)
         est = run_multilane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, flows)
-        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 0
         assert per_run[:, 0].sum() == 0
         assert (per_run[:, 1:].sum(axis=(0, 2)) > 0).all()
         for prefix in (1, 2, 3):
@@ -261,16 +288,16 @@ class TestEngine:
 
     def test_multilane_candidates_match_reference_loop(self):
         # one table per axis for both lanes, the 7.5-minute lane reading
-        # its first 8 entries, and a chunk's candidates of the two lanes
-        # interleave run by run
+        # its first 8 entries, and the rows of the two lanes interleave
+        # run by run
         flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross)
                  for t_cross in (20.0, 7.5)]
         cfg = replace(default_config(), kind="multilane", flows=flows,
                       n_runs=41, seed=73)
         est = run_multilane(cfg)
         per_run, n_aircraft, _ = reference_counts(cfg, flows)
-        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
-        assert (per_run[:32].sum(axis=(0, 2)) > 0).all()
+        assert est.n_aircraft == n_aircraft > 0
+        assert (per_run.sum(axis=(0, 2)) > 0).all()
         for prefix in (1, 2):
             assert np.array_equal(
                 est.components[f"lanes{prefix}_total"].counts,
@@ -287,7 +314,7 @@ class TestEngine:
         transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
         per_run, n_aircraft, occupancy = reference_counts(
             cfg, transits, t_star=cfg.horizon_min / 2.0)
-        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 0
         dev = per_run.sum(axis=(1, 2))
         conf = np.maximum(occupancy - 1, 0)
         assert dev.sum() > 0
@@ -310,16 +337,38 @@ class TestEngine:
         transits = [replace(f, t_cross_min=geom.t_safe_min) for f in flows]
         _, n_aircraft, occupancy = reference_counts(
             cfg, transits, t_star=cfg.horizon_min / 2.0)
-        assert est.n_aircraft == n_aircraft > 2 * ENGINE_BLOCK_ROWS
+        assert est.n_aircraft == n_aircraft > 0
         assert est.components["deviation_control"].counts.tolist() == [31]
         conf = np.maximum(occupancy - 1, 0)
         assert conf.sum() > 0
         assert np.array_equal(est.components["conflict_resolution"].counts,
                               bincount(conf))
 
+    def test_two_chunks_match_reference_loop(self):
+        # runs 256-299 draw from the second chunk's stream
+        flow = FlowSpec(intensity_per_hour=10.0,
+                        tolerance=ToleranceBounds(0.07, 14.0, 0.35))
+        self.assert_lane_matches_reference_loop(
+            lane_cfg(flows=[flow], n_runs=300, seed=79))
+
+    def test_runs_past_their_slots_match_reference_loop(self, monkeypatch):
+        # one slot per row on a slow stringent lane that expects about 8
+        # hits per aircraft: every run goes on with the uniforms of
+        # its overflow stream
+        monkeypatch.setattr(harness, "_SLOTS_PER_HIT", 0.0)
+        built = []
+        substream = RandomSource.substream
+        monkeypatch.setattr(RandomSource, "substream",
+                            lambda rs, i: built.append(i) or substream(rs, i))
+        cfg = lane_cfg(ou=SLOW, n_runs=30, seed=83)
+        assert harness._Chunks(cfg, cfg.flows, None).slots == 1
+        self.assert_lane_matches_reference_loop(cfg, slots=1)
+        # on each side, the chunk's stream and then every run's overflow
+        assert len(built) == 2 * (1 + cfg.n_runs)
+
     def test_merge_split_inside_a_block(self):
-        # a 32-run chunk of a 10/h lane (about 740 aircraft) fills a
-        # block, so run 37 falls inside the second chunk and block
+        # runs 0-36 and 37-149 of one 256-run chunk: the second range
+        # draws runs 0-36 again but neither scores nor counts them
         whole = run_single_lane(lane_cfg(n_runs=150))
         first = run_single_lane(lane_cfg(n_runs=37))
         second = run_single_lane(lane_cfg(n_runs=113), run_offset=37)
@@ -330,51 +379,21 @@ class TestEngine:
                                   whole.components[key].counts)
 
 
-def unequal_multilane_cfg():
-    flows = [FlowSpec(intensity_per_hour=20.0, t_cross_min=t_cross)
-             for t_cross in (20.0, 7.5, 30.0)]
-    return replace(default_config(), kind="multilane", flows=flows,
-                   n_runs=37, seed=61)
-
-
-def crossing_cfg():
-    return replace(default_config(), kind="crossing",
-                   flows=[FlowSpec(intensity_per_hour=60.0)] * 2,
-                   geometry=solve_safe_zone(CrossingGeometry(alpha_deg=30.0)),
-                   n_runs=43, seed=63)
-
-
-@pytest.mark.parametrize("runner, cfg", [
-    (run_single_lane, lane_cfg(n_runs=53, seed=65)),
-    (run_multilane, unequal_multilane_cfg()),
-    (run_crossing, crossing_cfg()),
-], ids=["single_lane", "multilane", "crossing"])
-def test_block_size_changes_no_output(monkeypatch, runner, cfg):
-    estimates = []
-    for rows in (1, 7, 512, 10**6):
-        monkeypatch.setattr(harness, "_BLOCK_ROWS", rows)
-        estimates.append(runner(cfg))
-    first = estimates[0]
-    assert first.n_aircraft > 512
-    assert first.components["total"].counts.size > 1  # some run counts
-    for est in estimates[1:]:
-        assert est.n_aircraft == first.n_aircraft
-        assert est.components.keys() == first.components.keys()
-        for key, comp in first.components.items():
-            assert np.array_equal(est.components[key].counts, comp.counts)
+#: Runs of each addressing case: two whole chunks and part of a third
+RUNS = 600
 
 
 def addressing_cases():
     """(runner, config, the flows _lane_counts sees) of a lane with
     candidates, a multilane with an unobserved lane and candidates that
-    hit many times, and a crossing, each of 100 runs."""
+    hit many times, and a crossing, each of RUNS runs."""
     tight = ToleranceBounds(0.07, 14.0, 0.35)
     lane = lane_cfg(flows=[FlowSpec(intensity_per_hour=10.0, tolerance=tight)],
-                    n_runs=100, seed=67)
+                    n_runs=RUNS, seed=67)
     slow = {a: replace(p, kappa=p.kappa / 20)
             for a, p in OU_FTE_CENTERED.items()}
     multilane = replace(default_config(), kind="multilane", ou=slow,
-                        n_runs=100, seed=69, flows=[
+                        n_runs=RUNS, seed=69, flows=[
                             FlowSpec(intensity_per_hour=10.0, t_cross_min=t,
                                      tolerance=TOLERANCE_STANDARDS[name])
                             for name, t in (("stringent", 0.5),
@@ -383,7 +402,7 @@ def addressing_cases():
     geom = solve_safe_zone(CrossingGeometry(alpha_deg=30.0))
     severe = TOLERANCE_STANDARDS["severe"]
     crossing = replace(default_config(), kind="crossing", geometry=geom,
-                       n_runs=100, seed=71,
+                       n_runs=RUNS, seed=71,
                        flows=[FlowSpec(intensity_per_hour=60.0),
                               FlowSpec(intensity_per_hour=30.0,
                                        tolerance=severe)])
@@ -394,24 +413,23 @@ def addressing_cases():
             "crossing": (run_crossing, crossing, transits)}
 
 
-#: Split points around the first two chunk boundaries, and one inside a
-#: chunk
-SPLITS = (31, 32, 33, 37, 63, 64, 65)
+#: Split points around the first two chunk boundaries
+SPLITS = (255, 256, 257, 511, 512, 513)
 
 
 class TestChunkAddressing:
-    """Runs 32 c .. 32 c + 31 share substream c, yet every run range
-    draws each of its runs as the range [0, 100) does."""
+    """Runs 256 c .. 256 c + 255 share substream c, yet every run range
+    draws each of its runs as the range [0, RUNS) does."""
 
     @pytest.mark.parametrize("case", ["lane", "multilane", "crossing"])
     def test_ranges_count_the_rows_of_the_whole(self, case):
         _, cfg, flows = addressing_cases()[case]
         snapshot = cfg.horizon_min / 2.0
         whole, aircraft, occupancy = harness._lane_counts(
-            cfg, flows, 100, 0, snapshot)
+            cfg, flows, RUNS, 0, snapshot)
         assert whole.sum() > 0 and occupancy.sum() > 0
-        ranges = [(0, split) for split in SPLITS] + [(37, 65), (64, 65)]
-        ranges += [(split, 100) for split in SPLITS]
+        ranges = [(0, split) for split in SPLITS] + [(37, 300)]
+        ranges += [(split, RUNS) for split in SPLITS]
         drawn = {}
         for start, stop in ranges:
             per_run, drawn[start, stop], occ = harness._lane_counts(
@@ -419,7 +437,7 @@ class TestChunkAddressing:
             assert np.array_equal(per_run, whole[start:stop])
             assert np.array_equal(occ, occupancy[start:stop])
         for split in SPLITS:
-            assert drawn[0, split] + drawn[split, 100] == aircraft
+            assert drawn[0, split] + drawn[split, RUNS] == aircraft
 
     @pytest.mark.parametrize("case", ["lane", "multilane", "crossing"])
     def test_merge_at_each_split_equals_the_whole(self, case):
@@ -427,13 +445,32 @@ class TestChunkAddressing:
         whole = runner(cfg)
         for split in SPLITS:
             first = runner(replace(cfg, n_runs=split))
-            second = runner(replace(cfg, n_runs=100 - split), run_offset=split)
+            second = runner(replace(cfg, n_runs=RUNS - split),
+                            run_offset=split)
             merged = first.merge(second)
-            assert (merged.n_runs, merged.run_offset) == (100, 0)
+            assert (merged.n_runs, merged.run_offset) == (RUNS, 0)
             assert merged.n_aircraft == whole.n_aircraft
             for key, comp in whole.components.items():
                 assert np.array_equal(merged.components[key].counts,
                                       comp.counts)
+
+    @pytest.mark.parametrize("start", [0, 37])
+    def test_range_draws_no_row_past_its_last_run(self, monkeypatch, start):
+        # runs 0-99 and 37-99 both draw the rows of runs 0-99 alone, in
+        # one (rows, 1 + 3 + s) array: no run after the last is drawn
+        _, cfg, _ = addressing_cases()["lane"]
+        aircraft = run_single_lane(replace(cfg, n_runs=100)).n_aircraft
+        slots = harness._Chunks(cfg, cfg.flows, None).slots
+        shapes = []
+        uniform = RandomSource.uniform
+        monkeypatch.setattr(RandomSource, "uniform",
+                            lambda rs, size=None: shapes.append(size)
+                            or uniform(rs, size))
+        run_single_lane(replace(cfg, n_runs=100 - start), run_offset=start)
+        assert slots == 2
+        assert shapes[0] == (aircraft, 1 + len(AXES) + slots)
+        # any later draw is a run's overflow, one uniform per slot short
+        assert all(np.ndim(size) == 0 for size in shapes[1:])
 
 
 class TestTruncatedNormal:
@@ -673,22 +710,22 @@ class TestMultilane:
                      tolerance=TOLERANCE_STANDARDS["severe"]),
             FlowSpec(intensity_per_hour=5.0, t_cross_min=7.5)]
         cfg = replace(default_config(), kind="multilane", flows=flows)
-        block = harness._Block(cfg, flows, None)
-        first, second, third, severe, short = block.table.tolist()
+        chunks = harness._Chunks(cfg, flows, None)
+        first, second, third, severe, short = chunks.table.tolist()
         assert first == second == third == short
         assert len(set(first + severe)) == 6
-        assert block.n_obs.tolist() == [20] * 4 + [7]
-        assert np.diff(block.start).tolist() == [21] * 6
+        assert chunks.n_obs.tolist() == [20] * 4 + [7]
+        assert np.diff(chunks.start).tolist() == [21] * 6
         for lane in range(5):
             for j, axis in enumerate(AXES):
-                t = block.table[lane, j]
-                n = block.n_obs[lane]
+                t = chunks.table[lane, j]
+                n = chunks.n_obs[lane]
                 law = first_hit_law(cfg.ou[axis],
                                     flows[lane].tolerance.for_axis(axis),
                                     cfg.obs_dt_min, n)
-                cum = block.cum[block.start[t]:block.start[t] + n + 1]
+                cum = chunks.cum[chunks.start[t]:chunks.start[t] + n + 1]
                 assert np.array_equal(cum, np.cumsum(law))
-                assert block.gates[lane, j] == cum[-1]
+                assert chunks.gates[lane, j] == cum[-1]
 
     def test_identical_lanes_match_summed_intensity(self):
         half = [FlowSpec(intensity_per_hour=30.0)] * 2

@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -121,19 +121,25 @@ def _provenance(cfg: ConfigFile | None, extra: dict,
     return prov
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _csv_payload(prov: dict, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    for key, val in prov.items():
-        buf.write(f"# {key}={val}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """Provenance lines, then the header and rows as CSV, by one %
+    format over the flattened rows: a column whose first row holds a
+    float takes '%.17g' (round-trip exact), any other '%s'. Raises
+    ValueError for a field holding a comma, a quote or a line break, or
+    a lone empty field, which CSV would have to quote; no table holds
+    one."""
+    table = ",".join(header) + "\n"
+    if rows:
+        line = ",".join("%.17g" if isinstance(v, float) else "%s"
+                        for v in rows[0]) + "\n"
+        table += (line * len(rows)) % tuple(
+            itertools.chain.from_iterable(rows))
+    lines = len(rows) + 1
+    if ('"' in table or "\r" in table or table.count("\n") != lines
+            or table.count(",") != lines * (len(header) - 1)
+            or (len(header) == 1 and "\n\n" in "\n" + table)):
+        raise ValueError(f"a field of table {header} needs CSV quoting")
+    return "".join(f"# {key}={val}\n" for key, val in prov.items()) + table
 
 
 def _json_payload(prov: dict, body: dict) -> str:

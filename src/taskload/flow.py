@@ -199,23 +199,23 @@ def multilane_pmf(flows: list[FlowSpec],
 
 # --- safe-zone geometry -------------------------------------------------
 
-def _corner_pairs(g: CrossingGeometry) -> list[tuple[np.ndarray, ...]]:
+def _corner_pairs(g: CrossingGeometry) -> list[tuple]:
     """(p1, k1, p2, k2) for each pairing of zone-boundary corners across
     the two flows: at half-lengths x1 and x2 the corners sit at
-    x1 p1 + k1 and x2 p2 + k2."""
+    x1 p1 + k1 and x2 p2 + k2, each vector an (x, y) pair of floats."""
     a = math.radians(g.alpha_deg)
-    u1, n1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    u2 = np.array([math.cos(a), math.sin(a)])
-    n2 = np.array([-math.sin(a), math.cos(a)])
-    return [(end1 * u1, side1 * g.e1_nm / 2.0 * n1,
-             end2 * u2, side2 * g.e2_nm / 2.0 * n2)
+    cos, sin = math.cos(a), math.sin(a)
+    return [((end1, 0.0), (0.0, side1 * g.e1_nm / 2.0),
+             (end2 * cos, end2 * sin),
+             (-side2 * g.e2_nm / 2.0 * sin, side2 * g.e2_nm / 2.0 * cos))
             for end1 in (-1.0, 1.0) for side1 in (-1.0, 1.0)
             for end2 in (-1.0, 1.0) for side2 in (-1.0, 1.0)]
 
 
 def min_corner_separation(g: CrossingGeometry, x1: float, x2: float) -> float:
     """Smallest distance between zone-boundary corners of the two flows."""
-    return min(float(np.linalg.norm(x1 * p1 + k1 - (x2 * p2 + k2)))
+    return min(math.hypot(x1 * p1[0] + k1[0] - (x2 * p2[0] + k2[0]),
+                          x1 * p1[1] + k1[1] - (x2 * p2[1] + k2[1]))
                for p1, k1, p2, k2 in _corner_pairs(g))
 
 
@@ -234,10 +234,11 @@ def solve_safe_zone(g: CrossingGeometry) -> CrossingGeometry:
     x_req = 0.0
     for p1, k1, p2, k2 in _corner_pairs(g):
         # corner difference = x*(p1 - p2) + (k1 - k2)
-        dvec, kvec = p1 - p2, k1 - k2
-        qa = float(dvec @ dvec)
-        qb = 2.0 * float(dvec @ kvec)
-        qc = float(kvec @ kvec) - d2
+        dx, dy = p1[0] - p2[0], p1[1] - p2[1]
+        kx, ky = k1[0] - k2[0], k1[1] - k2[1]
+        qa = dx * dx + dy * dy
+        qb = 2.0 * (dx * kx + dy * ky)
+        qc = kx * kx + ky * ky - d2
         if qa < 1e-14:
             # parallel boundary motion: distance fixed in x
             if qc < 0.0 and qb <= 0.0:

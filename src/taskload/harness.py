@@ -18,10 +18,12 @@ over the observations left, so its hits form a renewal chain on the
 observation lattice (Feller 1968, An Introduction to Probability
 Theory, vol. 1, ch. XIII). hitting.first_hit_law gives f, the exact law
 of that index, and the first L + 1 terms of f are the law over L
-observations. With F = cumsum(f) the harness samples each axis by the
-inverse of F: an aircraft-axis hits at all with probability F[n], at
-the smallest m with F[m] > u for u uniform on [0, F[n]), and then hits
-again over the L = n - m observations left in the same way. No path is
+observations to rounding, not bit for bit: the law computed at L
+observations takes other block products. With F = cumsum(f) the
+harness samples each axis by the inverse of F: an aircraft-axis hits at
+all with probability F[n], at the smallest m with F[m] > u for u
+uniform on [0, F[n]), and then hits again over the L = n - m
+observations left in the same way. No path is
 drawn, so comparing the harness with the analytic route, which reads
 the same f, tests the flow layer (arrivals, windows, warm-up,
 superposition, crossings), not the kernel; TestThinnedLaw in
@@ -224,7 +226,8 @@ class _Chunks:
         self.n_obs = lattice_steps(self.t_cross, cfg.obs_dt_min)
         # one table F = cumsum(first_hit_law) per (axis, bound) of the
         # observed lanes, at the most observations of the lanes that read
-        # it: the law of n observations is its first n + 1 terms
+        # it: the law of n observations is its first n + 1 terms, equal
+        # to the law computed at n to rounding
         keys = [list(enumerate(f.tolerance.for_axis(a) for a in AXES))
                 if n >= 1 else [] for n, f in zip(self.n_obs.tolist(), flows)]
         most: dict[tuple[int, float], int] = {}

@@ -14,6 +14,21 @@ the tests keep it as a cross-check. The paper's printed one-sided density
 lives with the tests (``tests/oracles.py``), which nothing computes
 from.
 
+The unhit mass after m observations is the start's row times the
+(m - 1)-th power of the step matrix S, whose h rows are the folded node
+pairs or the nodes. The law carries a block of b consecutive mass rows
+and P = S^b: each pass takes the block's exit sums with one product and
+moves the block on by block @ P. Before the first pass the block
+doubles (itself and its successor under P, with P squared) while h b
+is at most the rows still needed after the doubled block. So the
+squarings cost no more flops than carrying every row alone, the block
+never holds more than 2 n_obs numbers, and a kernel of more than
+n_obs - 3 rows never doubles: it runs the one-row products unchanged.
+Every product adds nonnegative terms, so each entry moves from the
+one-row products' by rounding only; as each power's rounding recurs in
+every pass, it grows with the observations, to 1.35e-13 relative on
+tests/test_hitting.py::TestNodeFloor's grid (2 400 observations).
+
 Hits are renewals on the observation lattice, so counts follow from an
 exact discrete convolution of the first-hit law, carried until at most
 1e-15 of the mass is left; a count never exceeds the number of
@@ -121,9 +136,9 @@ def fpt_density_oracle(p: OuParams, b: Barrier, horizon: float,
 #: up to 2 400 of them), against the law at max(800, 4x the rule's)
 #: nodes, a floor of 32 stays within 4.0e-12 relative per entry and on
 #: the sum where it binds (64 laws), a floor of 8 within 8.3e-11, and a
-#: floor of 200 within 1.0e-11 but at 2-3x the time: the three
-#: stringent axes took 620 us at 20 observations and 1 650 us at 120 with
-#: it, 210 and 770 us with 32 (a 2-core x86-64 host).
+#: floor of 200 within 1.0e-11 but at 3-5x the time: the three
+#: stringent axes took 650 us at 20 observations and 1 480 us at 120 with
+#: it, 240 and 310 us with 32 (a 2-core x86-64 host).
 KERNEL_NODES, NODES_PER_SD, MAX_NODES = 32, 6, 4000
 #: beyond this many deviations of the free chain every hit underflows
 _UNDERFLOW_SD = 40.0
@@ -146,7 +161,8 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     is too: the kernel is built from the left half of the nodes and each
     column folded onto its mirror, and the carried vector holds the mass
     of each node pair. One observation (n_obs = 1) needs only the
-    start's two tails, and no kernel is built.
+    start's two tails, and no kernel is built. The mass rows are carried
+    a block at a time by powers of the step matrix (module docstring).
     """
     if bound <= 0.0 or n_obs < 0:
         raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
@@ -187,11 +203,19 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
         step = step[:, :h] + step[:, :h - 1:-1]
     exit_mass = (normal_cdf((mean - bound) / s)
                  + normal_cdf((-bound - mean) / s))
-    f[1], mass = exit_mass[-1], step[-1]
+    f[1], block = exit_mass[-1], step[-1]
     step, exit_mass = step[:-1], exit_mass[:-1]
-    for m in range(2, n_obs + 1):
-        f[m] = mass @ exit_mass
-        mass = mass @ step
+    # block: b consecutive mass rows from the first; power = step^b
+    rows, power, b = n_obs - 1, step, 1
+    while h * b <= rows - 2 * b:
+        block = np.vstack((block, block @ power))
+        power = power @ power
+        b *= 2
+    sums = [block @ exit_mass]
+    for _ in range(1, math.ceil(rows / b)):
+        block = block @ power
+        sums.append(block @ exit_mass)
+    f[2:] = np.ravel(sums)[:rows]
     return f
 
 

@@ -15,8 +15,15 @@
   that the free chain leaves its bounds at some observation. It is an
   independent check of the kernel's deep tail, where direct simulation
   sees no hit at all.
+* Earlier formulations that the library replaced, kept as references:
+  the first-hit law's one-row loop (``first_hit_law_loop``, folded or
+  not), the CSV builder through ``csv.writer``
+  (``csv_payload_csv_writer``) and the safe-zone solve in numpy vector
+  arithmetic (``safe_zone_half_length_numpy``).
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -226,13 +233,16 @@ def union_tail_is(p: OuParams, bound: float, obs_dt: float, n_obs: int,
     return float(scores.mean()), se, float(np.mean(n_events > 1))
 
 
-def first_hit_law_unfolded(p: OuParams, bound: float, obs_dt: float,
-                           n_obs: int) -> np.ndarray:
-    """``hitting.first_hit_law`` as it computed every chain: one n x n
-    step matrix over all nodes, whatever the chain's symmetry, and a
-    kernel even for one observation. It reads the node rule's constants
-    from ``hitting`` at call time, so a monkeypatched KERNEL_NODES
-    reaches it too, and takes that node count as it is, odd or even."""
+def first_hit_law_loop(p: OuParams, bound: float, obs_dt: float,
+                       n_obs: int, fold: bool = True) -> np.ndarray:
+    """``hitting.first_hit_law`` as it carried the mass before block
+    products: one mass row at a time, f[m] = mass @ exit_mass then
+    mass = mass @ step. With fold=False, as it computed every chain
+    before the fold: one n x n step matrix over all nodes, whatever the
+    chain's symmetry, a kernel even for one observation, and the node
+    count taken as it is, odd or even. It reads the node rule's
+    constants from ``hitting`` at call time, so a monkeypatched
+    KERNEL_NODES reaches it too."""
     if bound <= 0.0 or n_obs < 0:
         raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
     a, c, s = transition_coeffs(p, obs_dt)
@@ -245,20 +255,26 @@ def first_hit_law_unfolded(p: OuParams, bound: float, obs_dt: float,
     if s == 0.0:  # a noise-free path hits where its mean reaches the bound
         f[1 + np.argmax(abs(c) * np.cumsum(powers) >= bound)] = 1.0
         return f
+    if fold and n_obs == 1:  # the start's two tails; no kernel is needed
+        f[1] = normal_cdf((c - bound) / s) + normal_cdf((-bound - c) / s)
+        return f
     n = max(hitting.KERNEL_NODES, hitting.NODES_PER_SD * math.ceil(bound / s))
+    n += n % 2 if fold else 0
     if n > hitting.MAX_NODES:
         raise ValueError(f"bound / s = {bound / s:.0f} needs {n} nodes")
     t, w = hitting._legendre(n)
     x = bound * t
-    mean = a * np.append(x, 0.0) + c  # from each node, then from the start
-    # step[i, j]: weight of node j times the density of moving i -> j,
-    # built in place: fresh n^2 temporaries per call cost page faults
+    h = n // 2 if fold and c == 0.0 else n
+    mean = a * np.append(x[:h], 0.0) + c  # from each node, then the start
+    # step[i, j]: weight of node j times the density of moving i -> j
     step = x - mean[:, None]
     step /= s
     np.square(step, out=step)
     step *= -0.5
     np.exp(step, out=step)
     step *= bound * w / (s * math.sqrt(2.0 * math.pi))
+    if h < n:  # each column folded onto its mirror
+        step = step[:, :h] + step[:, :h - 1:-1]
     exit_mass = (normal_cdf((mean - bound) / s)
                  + normal_cdf((-bound - mean) / s))
     f[1], mass = exit_mass[-1], step[-1]
@@ -267,3 +283,72 @@ def first_hit_law_unfolded(p: OuParams, bound: float, obs_dt: float,
         f[m] = mass @ exit_mass
         mass = mass @ step
     return f
+
+
+def first_hit_law_unfolded(p: OuParams, bound: float, obs_dt: float,
+                           n_obs: int) -> np.ndarray:
+    """``first_hit_law_loop`` over all nodes, with no fold."""
+    return first_hit_law_loop(p, bound, obs_dt, n_obs, fold=False)
+
+
+def csv_payload_csv_writer(prov: dict, header: list[str],
+                           rows: list[list]) -> str:
+    """``cli._csv_payload`` as it built tables through ``csv.writer``:
+    each float formatted to 17 significant digits, any other value as
+    csv writes it."""
+    buf = io.StringIO()
+    for key, val in prov.items():
+        buf.write(f"# {key}={val}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") if isinstance(v, float)
+                         else v for v in row])
+    return buf.getvalue()
+
+
+def _corner_pairs_numpy(g: CrossingGeometry) -> list[tuple[np.ndarray, ...]]:
+    """``flow._corner_pairs`` with each vector a numpy 2-vector."""
+    a = math.radians(g.alpha_deg)
+    u1, n1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    u2 = np.array([math.cos(a), math.sin(a)])
+    n2 = np.array([-math.sin(a), math.cos(a)])
+    return [(end1 * u1, side1 * g.e1_nm / 2.0 * n1,
+             end2 * u2, side2 * g.e2_nm / 2.0 * n2)
+            for end1 in (-1.0, 1.0) for side1 in (-1.0, 1.0)
+            for end2 in (-1.0, 1.0) for side2 in (-1.0, 1.0)]
+
+
+def min_corner_separation_numpy(g: CrossingGeometry, x1: float,
+                                x2: float) -> float:
+    """``flow.min_corner_separation`` in numpy vector arithmetic."""
+    return min(float(np.linalg.norm(x1 * p1 + k1 - (x2 * p2 + k2)))
+               for p1, k1, p2, k2 in _corner_pairs_numpy(g))
+
+
+def safe_zone_half_length_numpy(g: CrossingGeometry) -> float:
+    """The half-length ``flow.solve_safe_zone`` finds, in numpy vector
+    arithmetic, with the same roots, checks and messages."""
+    d2 = g.d_min_nm ** 2
+    x_req = 0.0
+    for p1, k1, p2, k2 in _corner_pairs_numpy(g):
+        dvec, kvec = p1 - p2, k1 - k2
+        qa = float(dvec @ dvec)
+        qb = 2.0 * float(dvec @ kvec)
+        qc = float(kvec @ kvec) - d2
+        if qa < 1e-14:
+            if qc < 0.0 and qb <= 0.0:
+                raise ValueError("no positive safe-zone half-length exists")
+            if qb > 0.0 and qc < 0.0:
+                x_req = max(x_req, -qc / qb)
+            continue
+        disc = qb * qb - 4.0 * qa * qc
+        if disc <= 0.0:
+            continue
+        x_req = max(x_req, (-qb + math.sqrt(disc)) / (2.0 * qa))
+    if x_req <= 0.0:
+        raise ValueError("no positive safe-zone half-length exists")
+    sep = min_corner_separation_numpy(g, x_req, x_req)
+    if sep < g.d_min_nm - 1e-9:
+        raise ValueError(f"solver inconsistency: separation {sep}")
+    return x_req

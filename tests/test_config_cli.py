@@ -16,6 +16,8 @@ from taskload import ConfigError, cli, default_config
 from taskload.cli import build_parser, main
 from taskload.config import parse_config
 
+from oracles import csv_payload_csv_writer
+
 
 #: A crossing config with every key set off its default: bounds on one
 #: flow, a standard name on the other.
@@ -456,6 +458,48 @@ def lane_config(tmp_path, **sections):
         data[key] = {**data.get(key, {}), **val}
     cfg.write_text(json.dumps(data))
     return cfg
+
+
+class TestCsvPayload:
+    """_csv_payload against the csv.writer builder it replaced."""
+
+    def test_every_table_kind_matches_csv_writer(self, tmp_path,
+                                                 monkeypatch):
+        built = []
+        build = cli._csv_payload
+
+        def recording(prov, header, rows):
+            built.append((header, len(rows), build(prov, header, rows),
+                          csv_payload_csv_writer(prov, header, rows)))
+            return built[-1][2]
+
+        monkeypatch.setattr(cli, "_csv_payload", recording)
+        cfg = str(lane_config(tmp_path, mc={"n_runs": 50}))
+        for argv in (["analytic"], ["simulate"],
+                     ["generate", "--axis", "lateral", "-n", "0"],
+                     ["generate", "--axis", "vertical", "-n", "5"],
+                     ["safe-zone"]):
+            out = tmp_path / f"{argv[0]}{len(built)}"
+            assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        for header, n_rows, text, want in built:
+            assert text == want, header
+        kinds = {(tuple(header), n_rows > 0) for header, n_rows, *_ in built}
+        assert kinds >= {
+            (("n", "prob"), True),        # PMF, its truncation row last
+            (("n", "prob", "ci_lo", "ci_hi", "below_floor"), True),
+            (("t_min", "value"), True), (("lat_nm",), False),
+            (("vert_ft",), True), (("alpha_deg", "e1_nm", "e2_nm",
+                                     "d_min_nm", "x1_nm", "x2_nm",
+                                     "t_safe_min"), True)}
+
+    @pytest.mark.parametrize("header,rows", [
+        (["n", "label"], [[0, "a,b"]]), (["n", "label"], [[0, 'say "a"']]),
+        (["n", "label"], [[0, "two\nlines"]]),
+        (["n", "label"], [[0, "cr\r"]]), (["label"], [[""]]),
+        (["a,b"], [])])
+    def test_field_that_needs_quoting_raises(self, header, rows):
+        with pytest.raises(ValueError, match="needs CSV quoting"):
+            cli._csv_payload({}, header, rows)
 
 
 class TestConfigReachesOutput:

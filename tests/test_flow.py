@@ -19,7 +19,8 @@ from taskload import (OU_FTE_CENTERED, TOLERANCE_STANDARDS, CrossingGeometry,
                       single_lane_pmf, solve_safe_zone, tv_distance)
 from taskload.flow import CP_TAIL, occupancy_pmf
 
-from oracles import safe_zone_printed_residuals, solve_safe_zone_printed
+from oracles import (min_corner_separation_numpy, safe_zone_half_length_numpy,
+                     safe_zone_printed_residuals, solve_safe_zone_printed)
 
 
 def poisson_pmf(lam, kmax=80, horizon=None):
@@ -272,6 +273,25 @@ class TestSafeZone:
             scaled = solve_safe_zone(CrossingGeometry(
                 alpha_deg=75.0, e1_nm=0.8 * s, e2_nm=1.2 * s, d_min_nm=5.0 * s))
             assert scaled.x1_nm == pytest.approx(s * base.x1_nm, rel=1e-9)
+
+    @pytest.mark.parametrize("d_min", [3.0, 5.0])
+    @pytest.mark.parametrize("alpha", range(10, 171, 20))
+    def test_matches_numpy_formulation(self, alpha, d_min):
+        # the solve over plain floats against the 2-vector numpy one it
+        # replaced: the same roots to rounding, the separation check too
+        for e1 in (0.0, 1.0, 5.0):
+            for e2 in (0.0, 2.5):
+                g = CrossingGeometry(alpha_deg=alpha, e1_nm=e1, e2_nm=e2,
+                                     d_min_nm=d_min)
+                x = safe_zone_half_length_numpy(g)
+                out = solve_safe_zone(g)
+                assert out.x1_nm == out.x2_nm
+                assert out.x1_nm == pytest.approx(x, rel=1e-15, abs=0.0)
+                for scale in (0.5, 1.0, 2.0):
+                    assert min_corner_separation(
+                        g, scale * x, x) == pytest.approx(
+                        min_corner_separation_numpy(g, scale * x, x),
+                        rel=1e-15, abs=0.0)
 
     def test_right_angle_transit_time_near_one_minute(self):
         g = CrossingGeometry(alpha_deg=90.0, e1_nm=1.0, e2_nm=1.0,

@@ -720,12 +720,16 @@ class TestMultilane:
             for j, axis in enumerate(AXES):
                 t = chunks.table[lane, j]
                 n = chunks.n_obs[lane]
-                law = first_hit_law(cfg.ou[axis],
-                                    flows[lane].tolerance.for_axis(axis),
-                                    cfg.obs_dt_min, n)
+                bound = flows[lane].tolerance.for_axis(axis)
+                shared = np.cumsum(first_hit_law(cfg.ou[axis], bound,
+                                                 cfg.obs_dt_min, 20))
                 cum = chunks.cum[chunks.start[t]:chunks.start[t] + n + 1]
-                assert np.array_equal(cum, np.cumsum(law))
+                assert np.array_equal(cum, shared[:n + 1])
                 assert chunks.gates[lane, j] == cum[-1]
+                # the lane's own law differs from the prefix by rounding
+                own = np.cumsum(first_hit_law(cfg.ou[axis], bound,
+                                              cfg.obs_dt_min, n))
+                assert np.allclose(cum, own, rtol=1e-15, atol=0.0)
 
     def test_identical_lanes_match_summed_intensity(self):
         half = [FlowSpec(intensity_per_hour=30.0)] * 2

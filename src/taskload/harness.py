@@ -71,7 +71,7 @@ import numpy as np
 from .config import ConfigFile
 from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
-from .hitting import first_hit_law
+from .hitting import first_hit_law, intervention_pmf
 from .ou import lattice_steps
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
@@ -198,11 +198,12 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     occupancy = np.zeros(n_runs, dtype=np.int64)
     n_aircraft, stop = 0, run_offset + n_runs
     c0, c1 = run_offset // _CHUNK_RUNS, -(-stop // _CHUNK_RUNS)
-    for c, rs in enumerate(src.substreams(c0, c1 - c0), c0):
+    for c in range(c0, c1):
         base = c * _CHUNK_RUNS
         lo, hi = max(run_offset - base, 0), min(stop - base, _CHUNK_RUNS)
         runs = slice(base + lo - run_offset, base + hi - run_offset)
-        per_run[runs], occupancy[runs], aircraft = chunks.score(rs, lo, hi)
+        per_run[runs], occupancy[runs], aircraft = chunks.score(
+            src.substream(c), lo, hi)
         n_aircraft += aircraft
     return per_run, n_aircraft, occupancy
 
@@ -234,9 +235,9 @@ class _Chunks:
         for n, lane_keys in zip(self.n_obs.tolist(), keys):
             for key in lane_keys:
                 most[key] = max(n, most.get(key, 0))
-        tables = [np.cumsum(first_hit_law(cfg.ou[AXES[j]], bound,
-                                          cfg.obs_dt_min, n))
-                  for (j, bound), n in most.items()]
+        laws = [first_hit_law(cfg.ou[AXES[j]], bound, cfg.obs_dt_min, n)
+                for (j, bound), n in most.items()]
+        tables = [np.cumsum(f) for f in laws]
         # F_t[m] is cum[start[t] + m]; numpy orders complex numbers by real
         # part, then imaginary part, so the pairs t + i F_t[m] are sorted
         # and one search inverts every table (_inverse)
@@ -255,24 +256,20 @@ class _Chunks:
                 self.table[li] = [index[key] for key in lane_keys]
                 self.gates[li] = self.cum[self.start[self.table[li]] + n]
         self.gate_max = self.gates.max(axis=0)
-        self.slots = self._slot_count(tables) if self.n_obs.max() >= 2 else 0
+        self.slots = self._slot_count(laws) if self.n_obs.max() >= 2 else 0
         self.width = 1 + len(AXES) * bool(most) + self.slots
 
-    def _slot_count(self, tables: list[np.ndarray]) -> int:
+    def _slot_count(self, laws: list[np.ndarray]) -> int:
         """s = ceil(_SLOTS_PER_HIT H + 0.5), H the expected hits per
-        aircraft over the lanes' arrivals. An axis hits k times with
-        probability at most F[n]^k, so gates all below 0.1 give H < 1/3
-        and, for _SLOTS_PER_HIT <= 1.5, s = 1 without renewal sums."""
+        aircraft over the lanes' arrivals, each axis's the mean of its
+        renewal count (hitting.intervention_pmf). An axis hits k times
+        with probability at most F[n]^k, so gates all below 0.1 give
+        H < 1/3 and, for _SLOTS_PER_HIT <= 1.5, s = 1 without renewal
+        sums."""
         if (self.gates < 0.1).all() or not self.mean.any():
             return 1
-        expected = []   # per table, the expected hits over 0, 1, .. obs
-        for cum in tables:
-            # P[a hit at t] = sum_m f[m] P[a hit at t - m], 1 at t = 0
-            f, at = np.diff(cum, prepend=0.0), np.ones(cum.size)
-            for t in range(1, cum.size):
-                at[t] = f[1:t + 1] @ at[t - 1::-1]
-            expected.append(np.cumsum(at) - 1.0)
-        hits = [sum(expected[t][n] for t in lane)   # 0 if never observed
+        hits = [sum(intervention_pmf(laws[t], n).mean()  # 0 if never observed
+                    for t in lane)
                 for lane, n in zip(self.table.tolist(), self.n_obs.tolist())]
         per_row = np.dot(hits, self.mean) / self.mean.sum()
         return math.ceil(_SLOTS_PER_HIT * per_row + 0.5)

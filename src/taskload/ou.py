@@ -15,10 +15,11 @@ First-passage estimates remain grid-monitored: a barrier contact is the
 first *grid time* at which the state lies beyond the barrier, and
 excursions between grid points are invisible by construction.
 
-Two exact engines sample the chain for first_passage_mc: _walk steps
-it one observation at a time through _observe_and_reset, and the
-thinned sampler (_Lane, _Batch) draws first hits only. (The Monte Carlo
-harness draws its hits from the exact law hitting.first_hit_law.)
+Two exact engines sample the chain for first_passage_mc: _walk steps,
+observes and resets every path one observation at a time (it also runs
+intervention_count_mc), and _Thinned, the mixture branch on one axis,
+draws first hits only. (The Monte Carlo harness draws its hits from the
+exact law hitting.first_hit_law.)
 Observed n times from 0, the chain X_j = a X_{j-1} + b + s Z_j has
 exact Gaussian tails p_j = P[X_j >= bound] + P[X_j <= -bound], and
 their sum U_n bounds the probability of a hit. Where U_n < 1 a path is
@@ -184,18 +185,18 @@ def first_passage_mc(p: OuParams, b: Barrier, horizon: float, dt: float,
                                   horizon, dt, 1.0, lo, hi, degenerate=True)
 
     n_steps, coeffs = lattice_steps(horizon, dt), transition_coeffs(p, dt)
-    lane = (_Lane([coeffs], [b.level], n_steps) if b.kind == "two_sided"
-            and b.origin == 0.0 and n_steps >= 1 else None)
-    if lane is not None and lane.thinned and lane.gates[0] < THIN_BELOW:
+    thinned = (_Thinned(coeffs, b.level, n_steps) if b.kind == "two_sided"
+               and b.origin == 0.0 and n_steps >= 1 and coeffs[2] > 0.0
+               else None)
+    if thinned is not None and thinned.gate < THIN_BELOW:
         # 1 marks a candidate, a hit if n_steps = 1; longer horizons go
         # once through the branch, in slices of about 2^20 path-observations
-        hit_step = (src.uniform(n_paths) < lane.gates[0]).astype(np.int64)
-        cand, batch = np.flatnonzero(hit_step), _Batch(lane)
+        hit_step = (src.uniform(n_paths) < thinned.gate).astype(np.int64)
+        cand = np.flatnonzero(hit_step)
         per = max(2 ** 20 // n_steps, 1)
         for k in range(0, cand.size if n_steps > 1 else 0, per):
             c = cand[k:k + per]
-            hit_step[c] = batch._first_hits(src, np.zeros_like(c),
-                                            np.full(c.size, n_steps))
+            hit_step[c] = thinned.first_hits(src, c.size)
     else:
         hit_step = _walk(coeffs, b, n_steps, n_paths, src.generator,
                          math.nan)[0]
@@ -231,115 +232,77 @@ def _walk(coeffs, b: Barrier, n_steps: int, size: int,
           gen: np.random.Generator, reset: float
           ) -> tuple[np.ndarray, np.ndarray]:
     """(first hit step, 0 = none; hit count) of `size` paths from b.origin.
-    Each grid step fills `size` normals from gen and makes one
-    _observe_and_reset call into a one-byte hit flag, read only when it
-    shows a hit (an int64 count there runs about 8% slower). A NaN reset
-    retires a path at its first hit: NaN never compares beyond a bound."""
+    Each grid step fills `size` normals z from gen, steps every state x
+    through the exact transition (coeffs = (a, b, s)) as ((a x) + b) +
+    s z in place, and observes it into a one-byte hit flag; the counts
+    are touched only on a step with a hit. A state at or beyond the
+    barrier resets to `reset`, and a NaN reset retires a path at its
+    first hit: NaN never compares beyond a bound."""
+    a, shift, s = coeffs
+    two_sided = b.kind == "two_sided"
     x, z = np.full(size, float(b.origin)), np.empty(size)
-    flag = np.zeros(size, dtype=bool)
+    hit = np.empty(size, dtype=bool)
     first, count = np.zeros(size, dtype=np.int32), np.zeros(size, np.int64)
     for step in range(1, n_steps + 1):
         gen.standard_normal(out=z)
-        _observe_and_reset(x, z, coeffs, b.level, flag, reset=reset,
-                           two_sided=b.kind == "two_sided")
-        if flag.any():
-            first[flag & (count == 0)] = step
-            count += flag
-            flag[:] = False
+        z *= s
+        x *= a
+        x += shift
+        x += z
+        np.greater_equal(np.abs(x) if two_sided else x, b.level, out=hit)
+        if hit.any():
+            np.copyto(x, reset, where=hit)
+            first[hit & (count == 0)] = step
+            count += hit
     return first, count
 
 
-def _observe_and_reset(x: np.ndarray, z: np.ndarray, coeffs, bounds,
-                       counts: np.ndarray, reset: float = 0.0,
-                       two_sided: bool = True) -> None:
-    """Step x through one exact transition (coeffs = (a, b, s) at the
-    observation step) with the noise z of its shape and observe it; x,
-    counts and z (scaled by s) are updated in place. A state at or beyond
-    its bound is a hit, resets to `reset` and adds one to counts. Each
-    element computes ((a x) + b) + s z. _walk calls it once per step into
-    a one-byte flag array (bool + is or)."""
-    a, b, s = coeffs
-    z *= s
-    x *= a
-    x += b
-    x += z
-    hits = np.greater_equal(np.abs(x) if two_sided else x, bounds)
-    np.copyto(x, reset, where=hits)
-    counts += hits
+class _Thinned:
+    """The mixture branch for one axis with s > 0 observed n >= 1 times
+    from 0 (see the module docstring). Its tables are 1-D over the
+    observations j = 0..n - 1, and gate is U_n."""
 
+    def __init__(self, coeffs: tuple[float, float, float], bound: float,
+                 n: int):
+        self.a, self.b, self.s = coeffs
+        self.bound = bound
+        self.powers = self.a ** np.arange(n)
+        self.mean = self.b * np.cumsum(self.powers)              # E X_j
+        self.var = self.s * self.s * np.cumsum(self.powers * self.powers)
+        self.sd = np.sqrt(self.var)                              # of X_j
+        # cum[2 j + side] sums the tails of the events up to (j, side),
+        # side 0 above the bound and 1 below
+        self.cum = np.cumsum(normal_cdf(np.stack(
+            [(self.mean - bound) / self.sd, (-bound - self.mean) / self.sd],
+            axis=1)).ravel())
+        self.gate = self.cum[-1]
 
-class _Lane:
-    """The thinned sampler's tables for the axes of a path observed n >= 1
-    times from 0 (see the module docstring). An axis thins where U_n < 1
-    and s > 0; tables holds what _Batch reads of the thinned axes, row q
-    for axis thinned[q], indexed by observation j = 0..n - 1 or stretch
-    length L - 1."""
-
-    def __init__(self, coeffs: list[tuple[float, float, float]],
-                 bounds: list[float], n: int):
-        a, b, s = (np.array(c)[:, None] for c in zip(*coeffs))
-        bound = np.array(bounds)[:, None]
-        powers = a ** np.arange(n)
-        mean = b * np.cumsum(powers, axis=1)                 # E X_j
-        var = s * s * np.cumsum(powers * powers, axis=1)     # Var X_j
-        sd = np.sqrt(var) + (s == 0.0)    # 1 where s = 0, which never thins
-        # cum[:, 2 j + side] sums the tails of the events up to (j, side),
-        # side 0 above the bound and 1 below; cum[:, 2 L - 1] is U_L
-        cum = np.cumsum(normal_cdf(np.stack(
-            [(mean - bound) / sd, (-bound - mean) / sd], axis=2)).reshape(
-                len(bounds), 2 * n), axis=1)
-        thin = (s[:, 0] > 0.0) & (cum[:, -1] < 1.0)
-        self.thinned = np.flatnonzero(thin).tolist()
-        self.gates = cum[thin, -1]
-        self.tables = {
-            "a": a[thin, 0], "b": b[thin, 0], "s": s[thin, 0],
-            "bound": bound[thin, 0], "cum": cum[thin],
-            "union": cum[thin, 1::2], "mean": mean[thin], "sd": sd[thin],
-            "powers": powers[thin], "var": var[thin]}
-
-
-class _Batch:
-    """The mixture branch over arrays of candidate stretches of a lane's
-    thinned axes: row g of its tables is axis thinned[g], and stretch c
-    of a round reads row g[c]."""
-
-    def __init__(self, lane: _Lane):
-        self.__dict__.update(lane.tables)
-
-    def _first_hits(self, rs: RandomSource, g: np.ndarray,
-                    length: np.ndarray) -> np.ndarray:
-        """One round of the mixture branch on candidate stretches of
-        length >= 2 observations of rows g: each one's first hit
-        (1-based), or 0 if rejected. Given X_j, a path from 0 shifted by
-        Cov(X_i, X_j) / Var(X_j) (X_j - x_j) along its regression has the
-        law of a path given X_j; after j that is the chain continued from
-        X_j."""
-        m, rows = g.size, np.arange(g.size)
-        x = rs.uniform(m) * self.union[g, length - 1]
-        event = np.minimum((self.cum[g] <= x[:, None]).sum(axis=1),
-                           2 * length - 1)
+    def first_hits(self, rs: RandomSource, m: int) -> np.ndarray:
+        """One round of the mixture branch on m candidate paths of n >= 2
+        observations: each one's first hit (1-based), or 0 if rejected.
+        Given X_j, a path from 0 shifted by Cov(X_i, X_j) / Var(X_j) (X_j
+        - x_j) along its regression has the law of a path given X_j;
+        after j that is the chain continued from X_j."""
+        x = rs.uniform(m) * self.gate
+        event = np.minimum((self.cum <= x[:, None]).sum(axis=1),
+                           self.cum.size - 1)
         j, sign = event // 2, 1.0 - 2.0 * (event % 2)
-        bound = self.bound[g]
-        x_j = _truncated_normals(rs, self.mean[g, j], self.sd[g, j], bound,
+        x_j = _truncated_normals(rs, self.mean[j], self.sd[j], self.bound,
                                  sign)
-        # (observation, stretch) arrays, each stretch's path a column
-        live = np.arange(length.max())[:, None] < length
-        path = np.zeros(live.shape)
-        path.T[live.T] = rs.standard_normal(int(length.sum()))
-        # path_i = sum_k a^(i - k) (b + s Z_k), by a scan whose pass with
-        # reach r adds a^r times the partial sum r observations back
-        path = self.s[g] * path + self.b[g]
-        power, reach = self.a[g], 1
+        # (observation, path) array, each path a column; path_i = sum_k
+        # a^(i - k) (b + s Z_k), by a scan whose pass with reach r adds
+        # a^r times the partial sum r observations back
+        path = self.s * rs.standard_normal((m, self.mean.size)).T + self.b
+        power, reach = self.a, 1
         while reach < len(path):
             path[reach:] += power * path[:-reach]
             power, reach = power * power, 2 * reach
         # Cov(X_i, X_j) / Var(X_j) = a^|i - j| Var(X_min(i, j)) / Var(X_j)
-        obs = np.arange(len(path))[:, None]
-        coef = (self.powers[g, np.abs(obs - j)]
-                * self.var[g, np.minimum(obs, j)] / self.var[g, j])
-        shift = coef * (x_j - path[j, rows])
-        beyond = live & (np.abs(path + shift) >= bound)
-        beyond[j, rows] = True
+        obs, paths = np.arange(len(path))[:, None], np.arange(m)
+        coef = (self.powers[np.abs(obs - j)] * self.var[np.minimum(obs, j)]
+                / self.var[j])
+        beyond = np.abs(path + coef * (x_j - path[j, paths])) >= self.bound
+        beyond[j, paths] = True
         first = beyond.argmax(axis=0) + 1
         return np.where(rs.uniform(m) * beyond.sum(axis=0) < 1.0, first, 0)
 

@@ -6,14 +6,12 @@ the (seed, stream_id) pair recorded in its provenance.
 
 A stream is numpy's PCG64 seeded through a SeedSequence whose spawn key
 is the stream's lineage, so substream(i) of a source is an independent
-stream for every i, and substreams(start, count) yields a range of them.
-The Monte Carlo harness draws chunk c of its runs from substream c, and
-a run that uses up its restart slots from substream r of its chunk's.
+stream for every i. The Monte Carlo harness draws chunk c of its runs
+from substream c, and a run that uses up its restart slots from
+substream r of its chunk's.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -48,14 +46,6 @@ class RandomSource:
         """
         return RandomSource(self.seed, index,
                             self._lineage + (self.stream_id,))
-
-    def substreams(self, start: int, count: int) -> Iterator["RandomSource"]:
-        """Yield ``substream(i)`` for i = start, ..., start + count - 1."""
-        if start < 0 or count < 0:
-            raise ValueError(f"start and count must be >= 0, got "
-                             f"{start} and {count}")
-        for index in range(start, start + count):
-            yield self.substream(index)
 
     @property
     def generator(self) -> np.random.Generator:

@@ -13,7 +13,6 @@ from taskload import (AXES, OU_FTE_CENTERED, OU_FTE_FIT, CrossingGeometry,
                       default_config, delta_pmf, first_hit_law, run_crossing,
                       run_multilane, run_single_lane, solve_safe_zone,
                       transition_coeffs, wilson_interval)
-from taskload.distributions import normal_cdf
 from taskload.flow import TOLERANCE_STANDARDS, ToleranceBounds
 from taskload import harness, ou
 
@@ -471,34 +470,6 @@ class TestChunkAddressing:
         assert shapes[0] == (aircraft, 1 + len(AXES) + slots)
         # any later draw is a run's overflow, one uniform per slot short
         assert all(np.ndim(size) == 0 for size in shapes[1:])
-
-
-class TestTruncatedNormal:
-    """ou._truncated_normals, X ~ Normal(mean, sd^2) given sign X >=
-    bound over arrays, against the exact truncated law built from
-    normal_cdf."""
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.6, 8.0, 37.0])
-    def test_matches_exact_law(self, alpha, sign):
-        mean, sd = 0.5 * sign, 2.0
-        bound = 0.5 + sd * alpha   # standardised limit alpha on either side
-        rs = RandomSource(81, int(10 * alpha) + (sign < 0))
-        x = ou._truncated_normals(rs, *(np.full(4000, v) for v in
-                                        (mean, sd, bound, sign)))
-        t = sign * (x - mean) / sd
-        # P[T <= t | T >= alpha] = 1 - Phi(-t) / Phi(-alpha)
-        cdf = lambda v: 1.0 - normal_cdf(-v) / normal_cdf(-alpha)
-        assert stats.kstest(t, cdf).pvalue > 1e-3
-
-    def test_every_draw_lies_beyond_its_limit(self):
-        gen = np.random.default_rng(82)
-        rs = RandomSource(83)
-        mean, sd = gen.normal(0.0, 3.0, 3000), gen.uniform(1e-3, 5.0, 3000)
-        sign = gen.choice([1.0, -1.0], 3000)
-        bound = sign * mean + sd * gen.uniform(-3.0, 40.0, 3000)
-        x = ou._truncated_normals(rs, mean, sd, bound, sign)
-        assert (sign * x >= bound).all()
 
 
 def stepped_counts(cfg, seed):

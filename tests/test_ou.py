@@ -8,6 +8,7 @@ from taskload import (OU_FTE_CENTERED, OU_FTE_FIT, Barrier, OuParams,
                       RandomSource, first_hit_law, first_passage_mc,
                       intervention_count_mc, ou, pmf_from_counts,
                       transition_coeffs)
+from taskload.distributions import normal_cdf
 
 from oracles import ou_path
 
@@ -267,6 +268,34 @@ class TestInterventionCounts:
         expected = stats.poisson.pmf(np.arange(pmf.probs.size), lam)
         tv = 0.5 * np.abs(pmf.probs - expected).sum()
         assert tv < 0.01
+
+
+class TestTruncatedNormal:
+    """ou._truncated_normals, X ~ Normal(mean, sd^2) given sign X >=
+    bound over arrays, against the exact truncated law built from
+    normal_cdf."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.6, 8.0, 37.0])
+    def test_matches_exact_law(self, alpha, sign):
+        mean, sd = 0.5 * sign, 2.0
+        bound = 0.5 + sd * alpha   # standardised limit alpha on either side
+        rs = RandomSource(81, int(10 * alpha) + (sign < 0))
+        x = ou._truncated_normals(rs, *(np.full(4000, v) for v in
+                                        (mean, sd, bound, sign)))
+        t = sign * (x - mean) / sd
+        # P[T <= t | T >= alpha] = 1 - Phi(-t) / Phi(-alpha)
+        cdf = lambda v: 1.0 - normal_cdf(-v) / normal_cdf(-alpha)
+        assert stats.kstest(t, cdf).pvalue > 1e-3
+
+    def test_every_draw_lies_beyond_its_limit(self):
+        gen = np.random.default_rng(82)
+        rs = RandomSource(83)
+        mean, sd = gen.normal(0.0, 3.0, 3000), gen.uniform(1e-3, 5.0, 3000)
+        sign = gen.choice([1.0, -1.0], 3000)
+        bound = sign * mean + sd * gen.uniform(-3.0, 40.0, 3000)
+        x = ou._truncated_normals(rs, mean, sd, bound, sign)
+        assert (sign * x >= bound).all()
 
 
 def test_barrier_validation():

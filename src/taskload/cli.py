@@ -51,7 +51,7 @@ from .harness import (EmpiricalPmf, compare as compare_pmfs, run_crossing,
                       run_multilane, run_single_lane)
 from .pipeline import (analytic_crossing, analytic_multilane,
                        analytic_single_lane)
-from .pmf import TaskloadPmf, same_horizon
+from .pmf import TaskloadPmf, same_horizon, wilson_interval
 from .rng import RandomSource
 
 EXIT_OK = 0
@@ -107,14 +107,14 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def _provenance(cfg: ConfigFile | None, extra: dict,
-                draws: bool = False) -> dict:
+                draws: bool = False, canonical: dict | None = None) -> dict:
     """Provenance block; the config hash only for commands that read a
-    config, the config's seed and stream_id only for commands that
-    draw."""
+    config (hashed from canonical, cfg's canonical dict, when given),
+    the config's seed and stream_id only for commands that draw."""
     prov = {"schema_version": SCHEMA_VERSION,
             "tool": f"{TOOL_NAME} {TOOL_VERSION}"}
     if cfg is not None:
-        prov["config_sha256"] = cfg.sha256()
+        prov["config_sha256"] = cfg.sha256(canonical)
     if draws:
         prov.update(seed=cfg.seed, stream_id=cfg.stream_id)
     prov.update(extra)
@@ -168,19 +168,20 @@ def _table_payload(fmt: str, prov: dict, header: list[str],
 
 
 def _pmf_rows(pmf: TaskloadPmf) -> list[list]:
-    return [[int(n), float(p)] for n, p in enumerate(pmf.probs)] + \
+    return [[n, p] for n, p in enumerate(pmf.probs.tolist())] + \
         [["truncation", float(pmf.truncation_mass)]]
 
 
-def _write_result_set(cfg: ConfigFile, out_dir: str, prov: dict,
+def _write_result_set(cfg: ConfigFile, canonical: dict, out_dir: str,
+                      prov: dict,
                       tables: dict[str, tuple[float | None, list[str],
                                               list[list]]]) -> None:
-    """Write config_resolved.json, then each table name -> (horizon,
-    header, rows) as <name>.<format>; a None horizon is not recorded."""
+    """Write config_resolved.json (canonical, cfg's canonical dict),
+    then each table name -> (horizon, header, rows) as <name>.<format>;
+    a None horizon is not recorded."""
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "config_resolved.json"),
-                  json.dumps(cfg.to_canonical_dict(), indent=2,
-                             sort_keys=True) + "\n")
+                  json.dumps(canonical, indent=2, sort_keys=True) + "\n")
     fmt = cfg.output_format
     for name, (horizon, header, rows) in tables.items():
         extra = {} if horizon is None else {"horizon_min": horizon}
@@ -312,7 +313,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analytic(args) -> int:
     cfg = _load(args)
-    prov = _provenance(cfg, {"command": "analytic", "kind": cfg.kind})
+    canonical = cfg.to_canonical_dict()
+    prov = _provenance(cfg, {"command": "analytic", "kind": cfg.kind},
+                       canonical=canonical)
     densities = {}
     if cfg.kind == "single_lane":
         laws = analytic_single_lane(cfg.flows[0], cfg.ou, cfg.horizon_min,
@@ -327,9 +330,9 @@ def cmd_analytic(args) -> int:
                                    _pmf_rows(pmf))
               for name, pmf in laws.items()}
     for axis, grid in densities.items():
-        tables[f"density_{axis}"] = (None, ["t_min", "value"], [
-            [float(t), float(v)] for t, v in zip(grid.times, grid.values)])
-    _write_result_set(cfg, args.out, prov, tables)
+        tables[f"density_{axis}"] = (None, ["t_min", "value"], np.column_stack(
+            (grid.times, grid.values)).tolist())
+    _write_result_set(cfg, canonical, args.out, prov, tables)
     return EXIT_OK
 
 
@@ -339,18 +342,27 @@ def cmd_simulate(args) -> int:
     runner = {"single_lane": run_single_lane, "multilane": run_multilane,
               "crossing": run_crossing}[cfg.kind]
     est = runner(run)
+    canonical = cfg.to_canonical_dict()
     prov = _provenance(cfg, {
         "command": "simulate", "kind": cfg.kind,
-        "n_runs": run.n_runs, "n_aircraft": est.n_aircraft}, draws=True)
+        "n_runs": run.n_runs, "n_aircraft": est.n_aircraft}, draws=True,
+        canonical=canonical)
+    # every component counts the same runs: one Wilson call for all
+    comps = est.components
+    sizes = [emp.counts.size for emp in comps.values()]
+    counts = np.concatenate([emp.counts for emp in comps.values()])
+    probs = counts / est.n_runs
+    lo, hi = wilson_interval(counts, est.n_runs)
+    below = probs < np.repeat([emp.resolution_floor for emp in comps.values()],
+                              sizes)
+    rows = [[p, l, h, int(b)] for p, l, h, b in zip(
+        probs.tolist(), lo.tolist(), hi.tolist(), below.tolist())]
     tables = {}
-    for name, emp in est.components.items():
-        lo, hi = emp.ci
-        rows = [[int(n), float(p), float(l), float(h), int(b)]
-                for n, (p, l, h, b) in enumerate(zip(emp.probs, lo, hi,
-                                                     emp.below_floor))]
-        tables[f"mc_{name}"] = (emp.horizon, ["n", "prob", "ci_lo", "ci_hi",
-                                              "below_floor"], rows)
-    _write_result_set(cfg, args.out, prov, tables)
+    for (name, emp), end in zip(comps.items(), itertools.accumulate(sizes)):
+        tables[f"mc_{name}"] = (
+            emp.horizon, ["n", "prob", "ci_lo", "ci_hi", "below_floor"],
+            [[n, *row] for n, row in enumerate(rows[end - emp.counts.size:end])])
+    _write_result_set(cfg, canonical, args.out, prov, tables)
     return EXIT_OK
 
 

@@ -183,12 +183,16 @@ class ConfigFile:
             "output": {"format": self.output_format},
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
+    def canonical_json(self, canonical: dict[str, Any] | None = None) -> str:
+        """Compact sorted JSON of canonical, this config's
+        to_canonical_dict() (built when not given)."""
+        if canonical is None:
+            canonical = self.to_canonical_dict()
+        return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
 
-    def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+    def sha256(self, canonical: dict[str, Any] | None = None) -> str:
+        return hashlib.sha256(
+            self.canonical_json(canonical).encode()).hexdigest()
 
 
 def _section(params) -> dict[str, float]:

@@ -19,6 +19,7 @@ corridor widths) are at least the separation minimum apart.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -137,15 +138,18 @@ def compound_poisson_pmf(mean_aircraft: float,
     lost = -math.expm1(-m * per_aircraft.truncation_mass)
     kept = 1.0 - lost
     k_max = f.size - 1
-    rev_jf = (m * np.arange(f.size) * f)[:0:-1]  # m j f[j] for j = K..1
+    # m j f[j] for j = K..1 as plain floats; each term sums its window's
+    # products left to right, with no array built per term
+    rev_jf = [m * j * fj for j, fj in enumerate(f.tolist())][:0:-1]
     g, placed = [g0], g0
     while kept - placed > CP_TAIL:
         window = g[-k_max:] if k_max else []   # g[n-j] for j = min(n, K)..1
         if not any(window):
             break
-        g.append(float(rev_jf[k_max - len(window):] @ window) / len(g))
+        g.append(sum(map(operator.mul, rev_jf[k_max - len(window):], window))
+                 / len(g))
         placed += g[-1]
-    return TaskloadPmf(np.array(g), lost + max(0.0, kept - placed),
+    return TaskloadPmf(g, lost + max(0.0, kept - placed),
                        per_aircraft.horizon)
 
 

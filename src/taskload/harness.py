@@ -71,7 +71,7 @@ import numpy as np
 from .config import ConfigFile
 from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
-from .hitting import first_hit_law, intervention_pmf
+from .hitting import first_hit_laws, intervention_pmf
 from .ou import lattice_steps
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
@@ -112,10 +112,6 @@ class EmpiricalPmf:
     def resolution_floor(self) -> float:
         base = self.n_observations if self.n_observations > 0 else self.n_runs
         return 1.0 / base
-
-    @property
-    def below_floor(self) -> np.ndarray:
-        return self.probs < self.resolution_floor
 
     @property
     def pmf(self) -> TaskloadPmf:
@@ -235,8 +231,13 @@ class _Chunks:
         for n, lane_keys in zip(self.n_obs.tolist(), keys):
             for key in lane_keys:
                 most[key] = max(n, most.get(key, 0))
-        laws = [first_hit_law(cfg.ou[AXES[j]], bound, cfg.obs_dt_min, n)
-                for (j, bound), n in most.items()]
+        law_of = {}
+        for n in set(most.values()):    # one first_hit_laws call per n
+            keys_n = [key for key, m in most.items() if m == n]
+            law_of.update(zip(keys_n, first_hit_laws(
+                [cfg.ou[AXES[j]] for j, _ in keys_n],
+                [bound for _, bound in keys_n], cfg.obs_dt_min, n)))
+        laws = [law_of[key] for key in most]
         tables = [np.cumsum(f) for f in laws]
         # F_t[m] is cum[start[t] + m]; numpy orders complex numbers by real
         # part, then imaginary part, so the pairs t + i F_t[m] are sorted

@@ -29,6 +29,19 @@ one-row products' by rounding only; as each power's rounding recurs in
 every pass, it grows with the observations, to 1.35e-13 relative on
 tests/test_hitting.py::TestNodeFloor's grid (2 400 observations).
 
+``first_hit_laws`` computes the laws of several axes at one cadence and
+one observation count in one call, and ``first_hit_law`` is its one-row
+call. Rows that need no kernel (no observations, one observation, no
+noise, or a bound beyond 40 deviations of the free chain) take their
+exits first. The other rows are grouped by kernel shape: the node count,
+and whether the chain is centred. A group's kernels are built and
+carried as one stack: one array op per build step, one normal_cdf call
+for its exit masses, and 3-D products, each slice of which has the
+one-row shapes, so every row is the same bits as alone. At the 1-minute
+cadence the stringent and severe bounds of the centred axes all take
+the 32-node floor and share one pass; at 0.1 minutes the stringent axes
+need 36, 48 and 42 nodes, one pass each.
+
 Hits are renewals on the observation lattice, so counts follow from an
 exact discrete convolution of the first-hit law, carried until at most
 1e-15 of the mass is left; a count never exceeds the number of
@@ -136,9 +149,11 @@ def fpt_density_oracle(p: OuParams, b: Barrier, horizon: float,
 #: up to 2 400 of them), against the law at max(800, 4x the rule's)
 #: nodes, a floor of 32 stays within 4.0e-12 relative per entry and on
 #: the sum where it binds (64 laws), a floor of 8 within 8.3e-11, and a
-#: floor of 200 within 1.0e-11 but at 3-5x the time: the three
-#: stringent axes took 650 us at 20 observations and 1 480 us at 120 with
-#: it, 240 and 310 us with 32 (a 2-core x86-64 host).
+#: floor of 200 within 1.0e-11 but at 5-7x the time: the three
+#: stringent axes, in one first_hit_laws call, took 490-530 us at 20
+#: observations and 940-1 010 us at 120 with it, 100-120 and 135-175 us
+#: with 32 (a 2-core x86-64 host; one call per axis took 230-260 and
+#: 320-345 us with 32).
 KERNEL_NODES, NODES_PER_SD, MAX_NODES = 32, 6, 4000
 #: beyond this many deviations of the free chain every hit underflows
 _UNDERFLOW_SD = 40.0
@@ -148,7 +163,15 @@ _legendre = functools.cache(leggauss)
 def first_hit_law(p: OuParams, bound: float, obs_dt: float,
                   n_obs: int) -> np.ndarray:
     """f[m] = P[the first observation at or beyond +-bound is the m-th],
-    m = 0..n_obs (f[0] = 0), for the axis started on the nominal path.
+    m = 0..n_obs (f[0] = 0), for the axis started on the nominal path:
+    the one-row call of first_hit_laws."""
+    return first_hit_laws([p], [bound], obs_dt, n_obs)[0]
+
+
+def first_hit_laws(params: list[OuParams], bounds: list[float],
+                   obs_dt: float, n_obs: int) -> np.ndarray:
+    """Row i: the first-hit law of an axis with dynamics params[i] and
+    bound bounds[i] (first_hit_law), an array of shape (k, n_obs + 1).
 
     Between observations the state moves by the exact transition
     X' = a X + c + s Z, so the unhit state is a killed Gaussian chain on
@@ -161,62 +184,89 @@ def first_hit_law(p: OuParams, bound: float, obs_dt: float,
     is too: the kernel is built from the left half of the nodes and each
     column folded onto its mirror, and the carried vector holds the mass
     of each node pair. One observation (n_obs = 1) needs only the
-    start's two tails, and no kernel is built. The mass rows are carried
+    start's two tails, and no kernel is built. Rows whose kernels share
+    a shape are built in one stacked pass, which carries their mass rows
     a block at a time by powers of the step matrix (module docstring).
     """
-    if bound <= 0.0 or n_obs < 0:
-        raise ValueError(f"need bound > 0, n_obs >= 0: {bound}, {n_obs}")
-    a, c, s = transition_coeffs(p, obs_dt)
-    f = np.zeros(n_obs + 1)
-    # the free chain from 0 has mean within +-reach and sd below spread
-    powers = a ** np.arange(n_obs)
-    reach, spread = abs(c) * powers.sum(), s * math.sqrt(powers @ powers)
-    if n_obs == 0 or bound - reach > _UNDERFLOW_SD * spread:
-        return f
-    if s == 0.0:  # a noise-free path hits where its mean reaches the bound
-        f[1 + np.argmax(abs(c) * np.cumsum(powers) >= bound)] = 1.0
-        return f
-    if n_obs == 1:  # the start's two tails; no kernel is needed
-        f[1] = normal_cdf((c - bound) / s) + normal_cdf((-bound - c) / s)
-        return f
-    n = max(KERNEL_NODES, NODES_PER_SD * math.ceil(bound / s))
-    n += n % 2  # every node needs a distinct mirror for the fold below
-    if n > MAX_NODES:
-        raise ValueError(f"bound / s = {bound / s:.0f} needs {n} nodes")
+    bad = [b for b in bounds if b <= 0.0]
+    if bad or n_obs < 0:
+        raise ValueError(f"need bound > 0, n_obs >= 0: {bad}, {n_obs}")
+    f = np.zeros((len(bounds), n_obs + 1))
+    # rows by kernel shape: (node count, centred) -> [(row, a, c, s, bound)]
+    shapes: dict[tuple[int, bool], list[tuple]] = {}
+    for i, (p, bound) in enumerate(zip(params, bounds)):
+        a, c, s = transition_coeffs(p, obs_dt)
+        # the free chain from 0 has mean within +-reach and sd below
+        # spread, by the geometric sums of a^k and a^2k over k < n_obs (a
+        # law near the threshold is all zeros on either side of it)
+        reach = abs(c) * _geometric_sum(a, n_obs)
+        spread = s * math.sqrt(_geometric_sum(a * a, n_obs))
+        if n_obs == 0 or bound - reach > _UNDERFLOW_SD * spread:
+            continue
+        if s == 0.0:  # a noise-free path hits where its mean reaches the bound
+            powers = a ** np.arange(n_obs)
+            f[i, 1 + np.argmax(abs(c) * np.cumsum(powers) >= bound)] = 1.0
+        elif n_obs == 1:  # the start's two tails; no kernel is needed
+            f[i, 1] = (normal_cdf((c - bound) / s)
+                       + normal_cdf((-bound - c) / s))
+        else:
+            n = max(KERNEL_NODES, NODES_PER_SD * math.ceil(bound / s))
+            n += n % 2  # every node needs a distinct mirror for the fold
+            if n > MAX_NODES:
+                raise ValueError(f"bound / s = {bound / s:.0f} needs {n} "
+                                 f"nodes")
+            shapes.setdefault((n, c == 0.0), []).append((i, a, c, s, bound))
+    for (n, centred), rows in shapes.items():
+        i, *coeffs = zip(*rows)
+        f[list(i), 1:] = _kernel_pass(
+            n, centred, *(np.array(v)[:, None] for v in coeffs), n_obs)
+    return f
+
+
+def _geometric_sum(r: float, n: int) -> float:
+    """The sum of r^k over k < n, for 0 <= r <= 1."""
+    return float(n) if r == 1.0 else (1.0 - r ** n) / (1.0 - r)
+
+
+def _kernel_pass(n: int, centred: bool, a: np.ndarray, c: np.ndarray,
+                 s: np.ndarray, bound: np.ndarray, n_obs: int) -> np.ndarray:
+    """f[1:] of g rows on one kernel of n nodes, each coefficient a
+    (g, 1) column: every product is a stack of g independent ones of the
+    one-row shapes, so each row's law is the same bits as alone."""
     t, w = _legendre(n)
     x = bound * t
     # a centred chain keeps every mass vector symmetric about 0, so rows
     # from the left half of the nodes suffice
-    h = n // 2 if c == 0.0 else n
-    mean = a * np.append(x[:h], 0.0) + c  # from each node, then the start
-    # step[i, j]: weight of node j times the density of moving i -> j,
+    h = n // 2 if centred else n
+    # from each node, then the start
+    mean = a * np.append(x[:, :h], np.zeros_like(a), axis=1) + c
+    # step[r, i, j]: weight of node j times the density of moving i -> j,
     # built in place: fresh n^2 temporaries per call cost page faults
-    step = x - mean[:, None]
-    step /= s
+    step = x[:, None] - mean[:, :, None]
+    step /= s[:, :, None]
     np.square(step, out=step)
     step *= -0.5
     np.exp(step, out=step)
-    step *= bound * w / (s * math.sqrt(2.0 * math.pi))
+    step *= (bound * w / (s * math.sqrt(2.0 * math.pi)))[:, None]
     if h < n:
         # fold each column onto its mirror: the carried vector holds the
         # mass of each node pair, and the pair shares one exit mass
-        step = step[:, :h] + step[:, :h - 1:-1]
-    exit_mass = (normal_cdf((mean - bound) / s)
-                 + normal_cdf((-bound - mean) / s))
-    f[1], block = exit_mass[-1], step[-1]
-    step, exit_mass = step[:-1], exit_mass[:-1]
+        step = step[:, :, :h] + step[:, :, :h - 1:-1]
+    tails = normal_cdf([(mean - bound) / s, (-bound - mean) / s])
+    exit_mass = tails[0] + tails[1]
+    first, block = exit_mass[:, -1:, None], step[:, -1:]
+    step, exit_mass = step[:, :-1], exit_mass[:, :-1, None]
     # block: b consecutive mass rows from the first; power = step^b
     rows, power, b = n_obs - 1, step, 1
     while h * b <= rows - 2 * b:
-        block = np.vstack((block, block @ power))
+        block = np.concatenate((block, block @ power), axis=1)
         power = power @ power
         b *= 2
-    sums = [block @ exit_mass]
+    sums = [first, block @ exit_mass]
     for _ in range(1, math.ceil(rows / b)):
         block = block @ power
         sums.append(block @ exit_mass)
-    f[2:] = np.ravel(sums)[:rows]
-    return f
+    return np.concatenate(sums, axis=1)[:, :n_obs, 0]
 
 
 def convolve_density(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .flow import (CrossingGeometry, FlowSpec, conflict_interventions_pmf,
                    conflict_pmf, crossing_pmf, multilane_pmf, single_lane_pmf,
                    solve_safe_zone)
 # the uncalled simulation cross-checks stay bound for perfbench/tracing.py
-from .hitting import (DensityGrid, first_hit_law,  # noqa: F401
+from .hitting import (DensityGrid, first_hit_laws,  # noqa: F401
                       fpt_density_oracle, intervention_pmf)
 from .ou import OuParams, intervention_count_mc, lattice_steps  # noqa: F401
 from .pmf import TaskloadPmf, convolve_pmf, delta_pmf
@@ -39,9 +39,10 @@ def per_aircraft_pmf(ou: dict[str, OuParams], flow: FlowSpec, horizon: float,
     n_obs = lattice_steps(horizon, obs_dt)
     out: dict[str, TaskloadPmf] = {}
     combined = delta_pmf(0, horizon)
-    for axis in AXES:
-        f = first_hit_law(ou[axis], flow.tolerance.for_axis(axis), obs_dt,
-                          n_obs)
+    laws = first_hit_laws([ou[axis] for axis in AXES],
+                          [flow.tolerance.for_axis(axis) for axis in AXES],
+                          obs_dt, n_obs)
+    for axis, f in zip(AXES, laws):
         if densities_out is not None:
             densities_out[axis] = DensityGrid(0.0, obs_dt,
                                               np.append(f, 0.0) / obs_dt)

@@ -25,20 +25,26 @@ class TaskloadPmf:
     horizon: float | None = None
 
     def __post_init__(self):
-        self.probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
-        if self.probs.ndim != 1 or self.probs.size == 0:
+        # one copy (the caller's array is never stored), one sum, one min:
+        # a non-finite entry makes the sum or the min non-finite
+        probs = np.array(self.probs, dtype=float, ndmin=1)
+        if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
-        if not (np.isfinite(self.probs).all()
+        total, low = float(probs.sum()), float(probs.min())
+        if not (math.isfinite(total) and math.isfinite(low)
                 and math.isfinite(self.truncation_mass)):
-            raise ValueError(f"non-finite mass: probs {self.probs}, "
+            raise ValueError(f"non-finite mass: probs {probs}, "
                              f"truncation {self.truncation_mass}")
-        if np.any(self.probs < -_MASS_TOL):
-            raise ValueError(f"negative probability {self.probs.min()}")
-        self.probs = np.clip(self.probs, 0.0, None)
+        if low <= 0.0:  # a zero too: clipping turns -0.0 into 0.0
+            if low < -_MASS_TOL:
+                raise ValueError(f"negative probability {low}")
+            np.clip(probs, 0.0, None, out=probs)
+            total = float(probs.sum())
+        self.probs = probs
         if self.truncation_mass < -_MASS_TOL:
             raise ValueError(f"negative truncation mass {self.truncation_mass}")
         self.truncation_mass = max(0.0, float(self.truncation_mass))
-        total = self.probs.sum() + self.truncation_mass
+        total += self.truncation_mass
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"PMF mass {total} is not 1")
 
@@ -65,7 +71,7 @@ class TaskloadPmf:
         while keep > 1 and tail + self.probs[keep - 1] < eps:
             tail += self.probs[keep - 1]
             keep -= 1
-        return TaskloadPmf(self.probs[:keep].copy(),
+        return TaskloadPmf(self.probs[:keep],
                            self.truncation_mass + tail, self.horizon)
 
     def padded(self, size: int) -> np.ndarray:

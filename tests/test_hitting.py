@@ -186,6 +186,21 @@ class TestKernel:
                           1.0, 50)
         assert f.size == 51 and not f.any()
 
+    @pytest.mark.parametrize("params", [
+        OU_FTE_CENTERED["lateral"], OU_FTE_FIT["lateral"],
+        OuParams(kappa=0.0, mu=0.0, sigma=0.1)])
+    def test_kernel_at_the_underflow_exit_gives_zeros(self, monkeypatch,
+                                                     params):
+        # the kernel run on either side of the 40-deviation exit yields
+        # an all-zero law, so the exit's own rounding changes no bit
+        a, c, s = transition_coeffs(params, 1.0)
+        powers = a ** np.arange(20)
+        reach, spread = abs(c) * powers.sum(), s * math.sqrt(powers @ powers)
+        monkeypatch.setattr(hitting, "_UNDERFLOW_SD", math.inf)
+        for k in (39.0, 40.0, 41.0):
+            f = first_hit_law(params, reach + k * spread, 1.0, 20)
+            assert f.shape == (21,) and not f.any()
+
     def test_noise_free_drift_hits_where_the_mean_does(self):
         # mean path 0.2 (1 - e^{-m}) first reaches 0.1 at m = 1
         f = first_hit_law(OuParams(kappa=1.0, mu=0.2, sigma=0.0), 0.1,
@@ -375,6 +390,80 @@ class TestBlockProducts:
                     assert_close_per_entry(
                         f, first_hit_law(params, level, 1.0,
                                          longer)[:n_obs + 1], rel=1e-15)
+
+
+def kernel_shape(params, level, dt):
+    """The (node count, centred) of first_hit_laws' kernel for a row."""
+    _, c, s = transition_coeffs(params, dt)
+    nodes = max(hitting.KERNEL_NODES,
+                hitting.NODES_PER_SD * math.ceil(level / s))
+    return nodes + nodes % 2, c == 0.0
+
+
+class TestStackedLaws:
+    """first_hit_laws builds the rows of one kernel shape in one stacked
+    pass; each row must be the one-row call's law bit for bit."""
+
+    @pytest.mark.parametrize("dt,n_obs", [(1.0, 120), (0.1, 1200),
+                                          (0.05, 2400)])
+    def test_matches_one_row_calls(self, dt, n_obs):
+        # TestNodeFloor's grid, every dynamics, axis and bound in one
+        # call: centred and non-centred rows, of several shapes
+        rows = [(NODE_DYNAMICS[dynamics][axis], level)
+                for dynamics in NODE_DYNAMICS for axis in AXES
+                for level in node_floor_bounds(axis, dt)]
+        laws = hitting.first_hit_laws([p for p, _ in rows],
+                                      [level for _, level in rows], dt, n_obs)
+        assert laws.shape == (len(rows), n_obs + 1)
+        for law, (params, level) in zip(laws, rows):
+            assert np.array_equal(law, first_hit_law(params, level, dt,
+                                                     n_obs))
+        shapes = [kernel_shape(p, level, dt) for p, level in rows]
+        assert max(map(shapes.count, shapes)) >= 2   # some pass is stacked
+
+    def test_rows_of_one_shape_keep_their_own_coefficients(self):
+        # the stringent and severe centred axes share the 32-node kernel
+        # at the 1-minute cadence, each with its own a, s and bound
+        rows = [(OU_FTE_CENTERED[axis], t.for_axis(axis))
+                for t in (TOLERANCE_STANDARDS["stringent"],
+                          TOLERANCE_STANDARDS["severe"]) for axis in AXES]
+        assert len({kernel_shape(p, level, 1.0) for p, level in rows}) == 1
+        for n_obs in (2, 20, 120):
+            laws = hitting.first_hit_laws([p for p, _ in rows],
+                                          [level for _, level in rows], 1.0,
+                                          n_obs)
+            for law, (params, level) in zip(laws, rows):
+                assert np.array_equal(law, first_hit_law(params, level, 1.0,
+                                                         n_obs))
+            assert len({law.tobytes() for law in laws}) == len(rows)
+
+    @pytest.mark.parametrize("n_obs", [0, 1, 2, 20])
+    def test_early_exits_mixed_with_kernel_rows(self, n_obs):
+        rows = [(OU_FTE_CENTERED["lateral"], 0.1),
+                (OuParams(kappa=1.0, mu=0.0, sigma=0.0), 0.1),     # s = 0
+                (OuParams(kappa=1.0, mu=0.2, sigma=0.0), 0.1),     # drifts
+                (OuParams(kappa=1.0, mu=0.0, sigma=1e-5), 0.1),    # underflow
+                (OU_FTE_FIT["lateral"], 0.1),                      # off centre
+                (OU_FTE_CENTERED["vertical"], 20.0)]
+        laws = hitting.first_hit_laws([p for p, _ in rows],
+                                      [level for _, level in rows], 1.0, n_obs)
+        assert laws.shape == (len(rows), n_obs + 1)
+        for law, (params, level) in zip(laws, rows):
+            assert np.array_equal(law, first_hit_law(params, level, 1.0,
+                                                     n_obs))
+        assert not laws[1].any() and not laws[3].any()
+        if n_obs:
+            assert laws[2, 1] == 1.0 and laws[0].sum() > 0.0
+
+    def test_no_rows(self):
+        assert hitting.first_hit_laws([], [], 1.0, 5).shape == (0, 6)
+
+    @pytest.mark.parametrize("level", [0.0, -0.1])
+    def test_rejects_a_bound_of_zero_or_less(self, level):
+        with pytest.raises(ValueError, match="bound > 0"):
+            hitting.first_hit_laws([LAT, LAT], [0.1, level], 1.0, 10)
+        with pytest.raises(ValueError, match="n_obs >= 0"):
+            hitting.first_hit_laws([LAT], [0.1], 1.0, -1)
 
 
 class TestInterventionPmf:

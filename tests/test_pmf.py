@@ -29,6 +29,46 @@ def test_non_finite_mass_rejected(probs, trunc):
         TaskloadPmf(np.array(probs), trunc)
 
 
+@pytest.mark.parametrize("probs, trunc, message", [
+    ([np.nan, 1.0], 0.0, "non-finite"),
+    ([np.inf, 0.5], 0.0, "non-finite"),
+    ([-np.inf, 1.0], 0.0, "non-finite"),
+    ([1.0], np.inf, "non-finite"),
+    ([1.0], -np.inf, "non-finite"),
+    ([1.0 + 2e-9, -2e-9], 0.0, "negative probability -2e-09"),
+    ([1.0 + 2e-9], -2e-9, "negative truncation mass -2e-09"),
+    ([0.5, 0.5 - 2e-9], 0.0, "PMF mass .* is not 1"),
+    ([0.5], 0.5 + 2e-9, "PMF mass .* is not 1"),
+    ([[0.5, 0.5]], 0.0, "non-empty 1-D"),
+    ([], 0.0, "non-empty 1-D")],
+    ids=["nan", "inf", "minus_inf", "inf_truncation", "minus_inf_truncation",
+         "negative_prob", "negative_truncation", "mass_low", "mass_high",
+         "two_d", "empty"])
+def test_each_rejection_keeps_its_message(probs, trunc, message):
+    with pytest.raises(ValueError, match=message):
+        TaskloadPmf(np.array(probs), trunc)
+
+
+def test_small_negatives_clip_to_zero():
+    p = TaskloadPmf(np.array([1.0, -1e-9, -0.0]), -1e-9)
+    assert p.probs.tolist() == [1.0, 0.0, 0.0]
+    assert not np.signbit(p.probs).any()
+    assert p.truncation_mass == 0.0
+
+
+def test_zero_d_input_becomes_one_d():
+    p = TaskloadPmf(np.float64(1.0))
+    assert p.probs.shape == (1,) and p.probs[0] == 1.0
+
+
+def test_probs_are_a_copy_of_the_callers_array():
+    given = np.array([0.25, 0.75])
+    p = TaskloadPmf(given)
+    assert not np.shares_memory(p.probs, given)
+    given[0] = 0.5
+    assert p.probs.tolist() == [0.25, 0.75]
+
+
 def test_identity_element():
     q = TaskloadPmf(np.array([0.2, 0.3, 0.5]))
     out = convolve_pmf(delta_pmf(0), q)

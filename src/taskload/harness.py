@@ -33,8 +33,9 @@ ValueError.
 
 Runs are drawn in aligned chunks of _CHUNK_RUNS = 256: runs 256 c ..
 256 c + 255 form chunk c, which draws from substream c of the stream
-keyed by (seed, stream). A run's draws depend only on its index, so the
-estimates of two adjacent run ranges merge by count addition into
+keyed by (seed, stream). A run's draws depend only on its index and the
+earlier runs of its chunk, never on where a range starts or stops, so
+the estimates of two adjacent run ranges merge by count addition into
 exactly the estimate of their union. Each estimate records its
 run_offset, and a merge of ranges that overlap or leave a gap, like one
 of two streams or horizons, raises ValueError (L'Ecuyer, Munger,
@@ -44,26 +45,25 @@ A chunk draws the arrival counts of all its runs, one Poisson (runs,
 lanes) array, then one uniform (rows, w) array with a row per aircraft
 of its runs up to the range's last, in (run, lane, aircraft) order; it
 draws no later run. A row holds the arrival time, then if any lane is
-observed a gate per axis, then if any lane is observed twice or more s
-restart slots. An aircraft-axis of a lane observed n >= 1 times is a
-candidate when its gate u < F[n], and its first hit is the smallest m
-with F[m] > u. A run's candidates then restart in rounds, in (lane,
-aircraft, axis) order: each with L = n - m > 0 observations left takes
-the run's next slot, its rows' slots read in row order, and one below
-F[L] hits again at m plus the inverse of F there. A run that uses up
-its slots goes on with substream r of its chunk's stream, r its index
-in the chunk; s = ceil(1.25 H + 0.5), H the expected hits per aircraft
-over the lanes' arrivals, keeps that rare. So no run's draws depend on
-another's, and the runs of the first chunk before the range are drawn
-but not processed or counted in n_aircraft. Each chunk is scored as it
-is drawn, by a fixed number of array calls. A lane never observed has
-rows but no candidates; an aircraft-axis of a 20-minute stringent lane
-observed each minute is one with probability 0.0002-0.0055.
+observed a gate per axis. An aircraft-axis of a lane observed n >= 1
+times is a candidate when its gate u < F[n], and its first hit is the
+smallest m with F[m] > u. The candidates of every drawn row then
+restart in rounds: round j draws one uniform from substream j of the
+chunk's stream for each candidate with L = n - m > 0 observations
+left, in (row, axis) order, and one below F[L] hits again at m plus
+the inverse of F there. A run's place in each round is the number of
+live candidates of the chunk's earlier runs, so its draws depend on no
+later run. The runs of the first chunk before the range take part in
+the rounds but are neither scored nor counted in n_aircraft. Each
+chunk is scored as it is drawn, by a fixed number of array calls. A
+lane never observed has rows but no candidates; an aircraft-axis of a
+20-minute stringent lane observed each minute is one with probability
+0.0002-0.0055.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +71,7 @@ import numpy as np
 from .config import ConfigFile
 from .distributions import AXES
 from .flow import FlowSpec, solve_safe_zone
-from .hitting import first_hit_laws, intervention_pmf
+from .hitting import first_hit_laws
 from .ou import lattice_steps
 from .pmf import TaskloadPmf, common_horizon, tv_distance, wilson_interval
 from .rng import RandomSource
@@ -80,8 +80,6 @@ from .rng import RandomSource
 #: substream c of the run stream, so the constant fixes every Monte Carlo
 #: table. Chunks of 128 and 512 ran no faster (see ROADMAP, "Chunk size").
 _CHUNK_RUNS = 256
-#: Restart slots per row per expected hit of an aircraft (_slot_count)
-_SLOTS_PER_HIT = 1.25
 
 
 @dataclass
@@ -180,13 +178,16 @@ def _lane_counts(cfg: ConfigFile, flows: list[FlowSpec], n_runs: int,
     the occupancy per run at time snapshot.
 
     Runs run_offset .. run_offset + n_runs - 1 are drawn chunk by chunk
-    in the order the module docstring gives, each chunk up to the last
-    run of the range, and each chunk is scored as it is drawn; only
-    these runs are counted in the aircraft total. A lane's residency is
-    its flow's t_cross_min, and each aircraft is observed floor(
-    t_cross_min / obs_dt_min) times. An aircraft occupies its lane at
-    the snapshot if snapshot lies in [entry, entry + t_cross_min);
-    without a snapshot every occupancy is zero.
+    in the order the module docstring gives, each chunk from its first
+    run up to the last run of the range, and each chunk is scored as it
+    is drawn. The first chunk's runs before run_offset restart in its
+    rounds, so that the range's runs draw as in any other range, but
+    only the range's runs are scored and counted in the aircraft
+    total. A lane's residency is its flow's t_cross_min, and each
+    aircraft is observed floor(t_cross_min / obs_dt_min) times. An
+    aircraft occupies its lane at the snapshot if snapshot lies in
+    [entry, entry + t_cross_min); without a snapshot every occupancy is
+    zero.
     """
     src = RandomSource(cfg.seed, cfg.stream_id)
     chunks = _Chunks(cfg, flows, snapshot)
@@ -237,8 +238,7 @@ class _Chunks:
             law_of.update(zip(keys_n, first_hit_laws(
                 [cfg.ou[AXES[j]] for j, _ in keys_n],
                 [bound for _, bound in keys_n], cfg.obs_dt_min, n)))
-        laws = [law_of[key] for key in most]
-        tables = [np.cumsum(f) for f in laws]
+        tables = [np.cumsum(law_of[key]) for key in most]
         # F_t[m] is cum[start[t] + m]; numpy orders complex numbers by real
         # part, then imaginary part, so the pairs t + i F_t[m] are sorted
         # and one search inverts every table (_inverse)
@@ -257,31 +257,16 @@ class _Chunks:
                 self.table[li] = [index[key] for key in lane_keys]
                 self.gates[li] = self.cum[self.start[self.table[li]] + n]
         self.gate_max = self.gates.max(axis=0)
-        self.slots = self._slot_count(laws) if self.n_obs.max() >= 2 else 0
-        self.width = 1 + len(AXES) * bool(most) + self.slots
-
-    def _slot_count(self, laws: list[np.ndarray]) -> int:
-        """s = ceil(_SLOTS_PER_HIT H + 0.5), H the expected hits per
-        aircraft over the lanes' arrivals, each axis's the mean of its
-        renewal count (hitting.intervention_pmf). An axis hits k times
-        with probability at most F[n]^k, so gates all below 0.1 give
-        H < 1/3 and, for _SLOTS_PER_HIT <= 1.5, s = 1 without renewal
-        sums."""
-        if (self.gates < 0.1).all() or not self.mean.any():
-            return 1
-        hits = [sum(intervention_pmf(laws[t], n).mean()  # 0 if never observed
-                    for t in lane)
-                for lane, n in zip(self.table.tolist(), self.n_obs.tolist())]
-        per_row = np.dot(hits, self.mean) / self.mean.sum()
-        return math.ceil(_SLOTS_PER_HIT * per_row + 0.5)
+        self.width = 1 + len(AXES) * bool(most)
 
     def score(self, rs: RandomSource, lo: int, hi: int
               ) -> tuple[np.ndarray, np.ndarray, int]:
         """Counts per (run, lane, axis), occupancy per run and the
         aircraft total of runs lo .. hi - 1 of the chunk drawn from rs.
-        A hit counts if its observation (1..n_obs of its lane) lies
-        inside the horizon; those of the pre-window warm-up only reset
-        their axis."""
+        The chunk's earlier runs are drawn and restart in its rounds, but
+        none of their hits is scored. A hit counts if its observation
+        (1..n_obs of its lane) lies inside the horizon; those of the
+        pre-window warm-up only reset their axis."""
         n_lanes, n_axes = len(self.n_obs), len(AXES)
         k = rs.poisson(self.arrival_mean, (_CHUNK_RUNS, n_lanes))[:hi]
         first = int(k[:lo].sum())       # the range's first row
@@ -299,64 +284,46 @@ class _Chunks:
                                     minlength=hi - lo)
         counts = np.zeros((hi - lo) * n_lanes * n_axes, dtype=np.int64)
         if self.gate_max.any():
-            row, cell, axis, cand, m = self._hits(rs, u, k, first)
+            row, cell, axis, cand, m = self._hits(rs, u, k)
             lane = cell % n_lanes
             entries = -self.t_cross[lane] + u[row, 0] * self.window[lane]
+            # negative for the runs before the range
             cell = (cell - lo * n_lanes) * n_axes + axis
-            counted = self._counted(entries[cand], m)
+            counted = self._counted(entries[cand], m) & (cell[cand] >= 0)
             counts += np.bincount(cell[cand[counted]], minlength=counts.size)
         return (counts.reshape(hi - lo, n_lanes, n_axes), occupancy,
                 len(u) - first)
 
-    def _hits(self, rs: RandomSource, u: np.ndarray, k: np.ndarray,
-              first: int) -> tuple[np.ndarray, ...]:
+    def _hits(self, rs: RandomSource, u: np.ndarray, k: np.ndarray
+              ) -> tuple[np.ndarray, ...]:
         """The row, (run, lane) cell and axis of each candidate among the
-        rows from first on of the chunk's uniforms u, k[run, lane] rows
-        per cell, then the candidate and observation 1..n of every hit.
-        Given u < F[n], a gate u is uniform on [0, F[n]), so the first
-        hit is the smallest m with F[m] > u; a slot below F[L] hits
-        again, at most L observations on, by the same inverse."""
+        chunk's uniforms u, k[run, lane] rows per cell, then the candidate
+        and observation 1..n of every hit. Given u < F[n], a gate u is
+        uniform on [0, F[n]), so the first hit is the smallest m with
+        F[m] > u; in round j, a uniform of rs.substream(j) below F[L]
+        hits again, at most L observations on, by the same inverse."""
         n_lanes, n_axes = len(self.n_obs), len(AXES)
         ends = np.cumsum(k.ravel())     # per (run, lane), its rows' end
         # the candidates in (row, axis) order: each column below the
         # highest gate of its axis, then below its own lane's
         key = np.sort(np.concatenate([
-            np.flatnonzero(u[first:, 1 + j] < gate) * n_axes + j
+            np.flatnonzero(u[:, 1 + j] < gate) * n_axes + j
             for j, gate in enumerate(self.gate_max.tolist())]), kind="stable")
-        row, axis = np.divmod(key + first * n_axes, n_axes)
+        row, axis = np.divmod(key, n_axes)
         cell = np.searchsorted(ends, row, side="right")
         gate = u[row, 1 + axis]
         cand = gate < self.gates[cell % n_lanes, axis]
         row, cell, axis, gate = row[cand], cell[cand], axis[cand], gate[cand]
-        run, lane = np.divmod(cell, n_lanes)
+        lane = cell % n_lanes
         table, n = self.table[lane, axis], self.n_obs[lane]
         cand, m = np.arange(row.size), self._inverse(table, gate)
         found = [(cand, m)]
-        # per run: its slots, their start in the flat u, those used, and
-        # past them its overflow stream
-        rows = k.sum(axis=1)
-        slots, used = self.slots * rows, np.zeros(rows.size, dtype=np.int64)
-        start = (ends[n_lanes - 1::n_lanes] - rows) * self.width + 1 + n_axes
-        overflow: dict[int, RandomSource] = {}
-        while True:
+        for j in itertools.count():
             left = n[cand] - m
             cand, m, left = cand[left > 0], m[left > 0], left[left > 0]
             if not cand.size:
                 break
-            # the q-th slot of each run, counted over its rounds so far
-            r = run[cand]
-            per_run = np.bincount(r, minlength=used.size)
-            q = np.arange(r.size) + (used + per_run - np.cumsum(per_run))[r]
-            used += per_run
-            short = q >= slots[r]
-            q = np.minimum(q, slots[r] - 1)
-            x = u.ravel()[start[r] + q // self.slots * self.width
-                          + q % self.slots]
-            for out in np.unique(r[short]).tolist() if short.any() else ():
-                if out not in overflow:
-                    overflow[out] = rs.substream(out)
-                mine = short & (r == out)
-                x[mine] = overflow[out].uniform(int(mine.sum()))
+            x = rs.substream(j).uniform(cand.size)
             again = x < self.cum[self.start[table[cand]] + left]
             cand, m = cand[again], m[again]
             m = m + self._inverse(table[cand], x[again])

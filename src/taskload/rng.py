@@ -7,8 +7,8 @@ the (seed, stream_id) pair recorded in its provenance.
 A stream is numpy's PCG64 seeded through a SeedSequence whose spawn key
 is the stream's lineage, so substream(i) of a source is an independent
 stream for every i. The Monte Carlo harness draws chunk c of its runs
-from substream c, and a run that uses up its restart slots from
-substream r of its chunk's.
+from substream c, and restart round j of that chunk from substream j
+of the chunk's stream.
 """
 
 from __future__ import annotations

@@ -103,37 +103,18 @@ def inverse_cdf(cum, u):
 CHUNK_RUNS = 256
 
 
-def expected_hits(law, n):
-    """The mean number of hits over n observations of the renewal chain
-    whose first hit has law law: the sum over t of P[a hit at t]."""
-    hit = [1.0]
-    for t in range(1, n + 1):
-        hit.append(sum(law[m] * hit[t - m] for m in range(1, t + 1)))
-    return sum(hit[1:])
-
-
-def overflow_uniforms(rs, r):
-    """The uniforms of run r of a chunk drawn from rs once its slots
-    are used up."""
-    sub = rs.substream(r)
-    while True:
-        yield sub.uniform()
-
-
-def reference_counts(cfg, flows, t_star=None, slots=None):
+def reference_counts(cfg, flows, t_star=None):
     """Per-run (lane, axis) counts, aircraft total and occupancy at t_star
     from a plain loop over chunks, runs, aircraft and axes, drawing in
     the order the harness documents. Runs 256 c .. 256 c + 255 draw from
     substream c: the (run, lane) arrival counts of all 256 runs, then a
     row of uniforms per aircraft of the runs up to the last one asked
-    for, in run, lane and aircraft order, holding its arrival time, a
-    gate per axis and the slots. Each run then restarts its candidates
-    in rounds, in lane, aircraft and axis order, on its own rows' slots
-    and then on substream r of the chunk's stream, r its index there.
-    Each axis of a lane observed n times reads F = the running sum of
-    first_hit_law over its n observations. slots defaults to
-    ceil(1.25 H + 0.5), H the mean hits per aircraft over the lanes'
-    arrivals."""
+    for, in run, lane and aircraft order, holding its arrival time and a
+    gate per axis. The chunk's candidates then restart in rounds, in
+    row and axis order: round j draws one uniform from substream j of
+    the chunk's stream for each candidate with observations left. Each
+    axis of a lane observed n times reads F = the running sum of
+    first_hit_law over its n observations."""
     src = RandomSource(cfg.seed, cfg.stream_id)
     per_run = np.zeros((cfg.n_runs, len(flows), len(AXES)), dtype=int)
     occupancy = np.zeros(cfg.n_runs, dtype=int)
@@ -141,62 +122,48 @@ def reference_counts(cfg, flows, t_star=None, slots=None):
     means = [f.intensity_per_min * (cfg.horizon_min + f.t_cross_min)
              for f in flows]
     ns = [math.floor(f.t_cross_min / cfg.obs_dt_min + 1e-9) for f in flows]
-    laws = [[first_hit_law(cfg.ou[axis], flow.tolerance.for_axis(axis),
-                           cfg.obs_dt_min, n) for axis in AXES] if n else None
+    cums = [[list(itertools.accumulate(first_hit_law(
+                cfg.ou[axis], flow.tolerance.for_axis(axis), cfg.obs_dt_min,
+                n))) for axis in AXES] if n else None
             for flow, n in zip(flows, ns)]
-    cums = [[list(itertools.accumulate(law)) for law in lane] if lane else None
-            for lane in laws]
-    if slots is None:
-        hits = [sum(expected_hits(law, n) for law in lane) if lane else 0.0
-                for lane, n in zip(laws, ns)]
-        slots = math.ceil(1.25 * sum(h * w for h, w in zip(hits, means))
-                          / sum(means) + 0.5)
-    if max(ns) < 2:
-        slots = 0
     for c in range(math.ceil(cfg.n_runs / CHUNK_RUNS)):
         rs = src.substream(c)
         k = rs.poisson(means, (CHUNK_RUNS, len(flows)))
         n_chunk_runs = min(CHUNK_RUNS, cfg.n_runs - c * CHUNK_RUNS)
-        owner = [(r, li) for r in range(n_chunk_runs)
+        owner = [(c * CHUNK_RUNS + r, li) for r in range(n_chunk_runs)
                  for li in range(len(flows)) for _ in range(k[r, li])]
-        width = 1 + len(AXES) * (max(ns) >= 1) + slots
-        u = rs.uniform((len(owner), width))
-        for r in range(n_chunk_runs):
-            run = c * CHUNK_RUNS + r
-            rows = [i for i, (o, _) in enumerate(owner) if o == r]
-            pool = itertools.chain(
-                (u[i, 1 + len(AXES) + q] for i in rows for q in range(slots)),
-                overflow_uniforms(rs, r))
-            hits, live = [], []   # (row, lane, axis, observation)
-            for i in rows:
-                li = owner[i][1]
-                n_aircraft += 1
-                entry = (-flows[li].t_cross_min
-                         + u[i, 0] * (cfg.horizon_min + flows[li].t_cross_min))
-                if t_star is not None and (
-                        entry <= t_star < entry + flows[li].t_cross_min):
-                    occupancy[run] += 1
-                for j in range(len(AXES)):
-                    if ns[li] and u[i, 1 + j] < cums[li][j][ns[li]]:
-                        m = inverse_cdf(cums[li][j], u[i, 1 + j])
-                        hits.append((i, li, j, m))
-                        live.append((i, li, j, m))
-            while live:
-                restarted = []
-                for i, li, j, m in live:
-                    if m < ns[li]:
-                        x = next(pool)
-                        if x < cums[li][j][ns[li] - m]:
-                            m += inverse_cdf(cums[li][j], x)
-                            hits.append((i, li, j, m))
-                            restarted.append((i, li, j, m))
-                live = restarted
-            for i, li, j, m in hits:
-                entry = (-flows[li].t_cross_min
-                         + u[i, 0] * (cfg.horizon_min + flows[li].t_cross_min))
-                t_obs = entry + m * cfg.obs_dt_min
-                if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
-                    per_run[run, li, j] += 1
+        u = rs.uniform((len(owner), 1 + len(AXES) * (max(ns) >= 1)))
+        hits, live = [], []   # (row, lane, axis, observation)
+        for i, (run, li) in enumerate(owner):
+            n_aircraft += 1
+            entry = (-flows[li].t_cross_min
+                     + u[i, 0] * (cfg.horizon_min + flows[li].t_cross_min))
+            if t_star is not None and (
+                    entry <= t_star < entry + flows[li].t_cross_min):
+                occupancy[run] += 1
+            for j in range(len(AXES)):
+                if ns[li] and u[i, 1 + j] < cums[li][j][ns[li]]:
+                    m = inverse_cdf(cums[li][j], u[i, 1 + j])
+                    hits.append((i, li, j, m))
+                    live.append((i, li, j, m))
+        for round_ in itertools.count():
+            live = [hit for hit in live if hit[3] < ns[hit[1]]]
+            if not live:
+                break
+            sub, restarted = rs.substream(round_), []
+            for i, li, j, m in live:
+                x = sub.uniform()
+                if x < cums[li][j][ns[li] - m]:
+                    m += inverse_cdf(cums[li][j], x)
+                    hits.append((i, li, j, m))
+                    restarted.append((i, li, j, m))
+            live = restarted
+        for i, li, j, m in hits:
+            entry = (-flows[li].t_cross_min
+                     + u[i, 0] * (cfg.horizon_min + flows[li].t_cross_min))
+            t_obs = entry + m * cfg.obs_dt_min
+            if -1e-9 <= t_obs <= cfg.horizon_min + 1e-9:
+                per_run[owner[i][0], li, j] += 1
     return per_run, n_aircraft, occupancy
 
 
@@ -209,10 +176,9 @@ class TestEngine:
     not multiples of a chunk."""
 
     @staticmethod
-    def assert_lane_matches_reference_loop(cfg, slots=None):
+    def assert_lane_matches_reference_loop(cfg):
         est = run_single_lane(cfg)
-        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows,
-                                                  slots=slots)
+        per_run, n_aircraft, _ = reference_counts(cfg, cfg.flows)
         assert est.n_aircraft == n_aircraft > 0
         assert (per_run.sum(axis=(0, 1)) > 0).all()
         for j, axis in enumerate(AXES):
@@ -350,24 +316,24 @@ class TestEngine:
         self.assert_lane_matches_reference_loop(
             lane_cfg(flows=[flow], n_runs=300, seed=79))
 
-    def test_runs_past_their_slots_match_reference_loop(self, monkeypatch):
-        # one slot per row on a slow stringent lane that expects about 8
-        # hits per aircraft: every run goes on with the uniforms of
-        # its overflow stream
-        monkeypatch.setattr(harness, "_SLOTS_PER_HIT", 0.0)
+    def test_many_restart_rounds_match_reference_loop(self, monkeypatch):
+        # a slow stringent lane that expects about 8 hits per aircraft:
+        # its candidates restart over many rounds
         built = []
         substream = RandomSource.substream
         monkeypatch.setattr(RandomSource, "substream",
                             lambda rs, i: built.append(i) or substream(rs, i))
         cfg = lane_cfg(ou=SLOW, n_runs=30, seed=83)
-        assert harness._Chunks(cfg, cfg.flows, None).slots == 1
-        self.assert_lane_matches_reference_loop(cfg, slots=1)
-        # on each side, the chunk's stream and then every run's overflow
-        assert len(built) == 2 * (1 + cfg.n_runs)
+        self.assert_lane_matches_reference_loop(cfg)
+        # on each side, the chunk's stream and then one per round
+        rounds = len(built) // 2 - 1
+        assert rounds >= 5
+        assert built == 2 * ([0] + list(range(rounds)))
 
     def test_merge_split_inside_a_block(self):
         # runs 0-36 and 37-149 of one 256-run chunk: the second range
-        # draws runs 0-36 again but neither scores nor counts them
+        # draws runs 0-36 again and restarts their candidates, but
+        # neither scores nor counts them
         whole = run_single_lane(lane_cfg(n_runs=150))
         first = run_single_lane(lane_cfg(n_runs=37))
         second = run_single_lane(lane_cfg(n_runs=113), run_offset=37)
@@ -456,20 +422,23 @@ class TestChunkAddressing:
     @pytest.mark.parametrize("start", [0, 37])
     def test_range_draws_no_row_past_its_last_run(self, monkeypatch, start):
         # runs 0-99 and 37-99 both draw the rows of runs 0-99 alone, in
-        # one (rows, 1 + 3 + s) array: no run after the last is drawn
+        # one (rows, 1 + 3) array: no run after the last is drawn
         _, cfg, _ = addressing_cases()["lane"]
         aircraft = run_single_lane(replace(cfg, n_runs=100)).n_aircraft
-        slots = harness._Chunks(cfg, cfg.flows, None).slots
         shapes = []
         uniform = RandomSource.uniform
-        monkeypatch.setattr(RandomSource, "uniform",
-                            lambda rs, size=None: shapes.append(size)
-                            or uniform(rs, size))
+
+        def recorded(rs, size=None):
+            out = uniform(rs, size)
+            shapes.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(RandomSource, "uniform", recorded)
         run_single_lane(replace(cfg, n_runs=100 - start), run_offset=start)
-        assert slots == 2
-        assert shapes[0] == (aircraft, 1 + len(AXES) + slots)
-        # any later draw is a run's overflow, one uniform per slot short
-        assert all(np.ndim(size) == 0 for size in shapes[1:])
+        assert shapes[0] == (aircraft, 1 + len(AXES))
+        # every later draw is one restart round's array
+        assert len(shapes) > 1
+        assert all(len(shape) == 1 for shape in shapes[1:])
 
 
 def stepped_counts(cfg, seed):
